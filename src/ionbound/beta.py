@@ -149,8 +149,12 @@ def g_of_lambda(lam: float) -> LambdaPoint:
 
 
 def maximize_g(tolerance: float) -> tuple[float, float]:
-    """Golden-section maximization of g over [0.8, 1] to the given bracket width."""
-    if tolerance <= 0:
+    """Golden-section maximization of g over [0.8, 1] to the given bracket width.
+
+    A width below the float spacing near the maximum cannot be reached; the
+    search then stops once the bracket stops shrinking.
+    """
+    if not tolerance > 0:  # also rejects NaN
         raise DomainError("tolerance must be positive")
     lo, hi = LAMBDA_DOMAIN
     c = hi - _INV_PHI * (hi - lo)
@@ -158,6 +162,7 @@ def maximize_g(tolerance: float) -> tuple[float, float]:
     gc = g_of_lambda(c).g
     gd = g_of_lambda(d).g
     while hi - lo > tolerance:
+        width = hi - lo
         if gc > gd:
             hi, d, gd = d, c, gc
             c = hi - _INV_PHI * (hi - lo)
@@ -166,6 +171,8 @@ def maximize_g(tolerance: float) -> tuple[float, float]:
             lo, c, gc = c, d, gd
             d = lo + _INV_PHI * (hi - lo)
             gd = g_of_lambda(d).g
+        if hi - lo >= width:
+            break  # float spacing reached; no tolerance below it can be met
     lam0 = 0.5 * (lo + hi)
     return lam0, g_of_lambda(lam0).g
 

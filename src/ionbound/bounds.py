@@ -79,6 +79,10 @@ class BoundInputs:
     n_c: Optional[float] = None
 
     def __post_init__(self):
+        numbers = (self.Z, self.B, self.k, self.beta_lower, self.coeff, self.C_universal,
+                   self.C_kappa, self.C_2, self.kappa, 0.0 if self.n_c is None else self.n_c)
+        if not all(map(math.isfinite, numbers)):
+            raise DomainError("bound inputs must be finite")
         if self.model not in MODELS:
             raise DomainError(f"unknown model {self.model!r}")
         if self.Z <= 0:
@@ -282,6 +286,8 @@ class LemmaGrid:
     def __post_init__(self):
         if min(self.z_points, self.ratio_points, self.beta_points, self.n_above) < 1:
             raise DegenerateGridError("grid counts must be >= 1")
+        if not all(map(math.isfinite, (*self.z_range, *self.ratio_range, *self.beta_range))):
+            raise DomainError("grid ranges must be finite")
         if self.beta_range[0] < 0.8218:
             raise DomainError("beta grid values must be >= 0.8218")
         if self.ratio_range[1] >= 7.0 / 3.0:

@@ -12,21 +12,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
-from .alpha import AlphaEstimate, OptimizerSettings, estimate_alpha
-from .beta import BetaBracket, BetaSettings, bracket_detail, g_of_lambda
+from .alpha import OptimizerSettings, estimate_alpha
+from .beta import BetaSettings, bracket_detail, g_of_lambda
 from .bounds import (
     BoundInputs,
     LemmaGrid,
-    LemmaReport,
     bound_row,
     magnetic_bound,
     relativistic_or_bosonic_bound,
@@ -37,7 +37,8 @@ from .plots import Band, Panel, Series, render_svg
 
 _BETA_UPPER_DEFAULT = 0.8705
 
-_BOUNDS_CSV_SCHEMA = "Z,lieb,main,implicit_N,model_extra"
+# longest --n or --z range accepted; longer ones are almost surely typos
+_MAX_RANGE = 1_000_000
 
 
 class UsageError(Exception):
@@ -50,120 +51,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# run configuration and report bundle
+# parsing and output helpers; each bad input raises a one-line UsageError
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    """Echo of one invocation; re-running it reproduces all values exactly."""
-
-    command: str
-    parameters: dict
-    seed: int
-    out: str | None
-    format: str
-    tol: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-            "tol": self.tol,
-        }
+def _u64(text: str) -> int:
+    # the length check keeps int() below its digit limit; 2^64 has 20 digits
+    if not (text.isdecimal() and len(text) <= 20 and int(text) < 2**64):
+        raise UsageError(f"seed must be an integer in [0, 2^64), got {text!r}")
+    return int(text)
 
 
-@dataclass
-class ReportBundle:
-    """Everything one run produced, plus the config needed to reproduce it."""
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(f"expected a finite number, got {text!r}")
+    return value
 
-    version: str
-    config: RunConfig
-    alpha_estimates: list = field(default_factory=list)
-    beta: BetaBracket | None = None
-    bounds_rows: list = field(default_factory=list)
-    lemma_reports: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-
-def _alpha_payload(est: AlphaEstimate) -> dict:
-    return {
-        "N": est.n,
-        "value": est.value,
-        "lower_bound": est.lower_bound,
-        "restarts": est.restarts_used,
-        "converged_restarts": est.converged_restarts,
-        "best_config": [list(map(float, p)) for p in est.best_config.points],
-    }
-
-
-def _beta_payload(bracket: BetaBracket, extras: dict) -> dict:
-    payload = {
-        "lower": bracket.lower,
-        "lower_source": bracket.lower_source,
-        "upper": bracket.upper,
-        "upper_source": bracket.upper_source,
-    }
-    payload.update(extras)
-    if bracket.certificate_measure is not None:
-        payload["certificate_measure"] = {
-            "nodes": [float(x) for x in bracket.certificate_measure.nodes],
-            "weights": [float(x) for x in bracket.certificate_measure.weights],
-        }
-    return payload
-
-
-def _lemma_payload(report: LemmaReport) -> dict:
-    return {
-        "lemma": report.lemma,
-        "grid": report.grid,
-        "min_margin": report.min_margin,
-        "pass": report.passed,
-        "witness": list(report.witness),
-        "out_of_hypothesis": report.out_of_hypothesis,
-    }
-
-
-# result sections each command always reports, even when empty
-_SECTIONS = {
-    "alpha": ("alpha",),
-    "beta": ("beta",),
-    "bounds": ("bounds",),
-    "verify": ("lemmas",),
-    "report": ("alpha", "beta", "bounds", "lemmas"),
-}
-
-
-def _bundle_payload(bundle: ReportBundle, include_timings: bool) -> dict:
-    results: dict = {}
-    for section in _SECTIONS.get(bundle.config.command, ()):
-        if section == "alpha":
-            results["alpha"] = [_alpha_payload(e) for e in bundle.alpha_estimates]
-        elif section == "beta":
-            results["beta"] = (
-                None
-                if bundle.beta is None
-                else _beta_payload(bundle.beta, bundle.extras.get("beta_extras", {}))
-            )
-        elif section == "bounds":
-            results["bounds"] = bundle.bounds_rows
-        elif section == "lemmas":
-            results["lemmas"] = [_lemma_payload(r) for r in bundle.lemma_reports]
-    timings = bundle.timings if include_timings else {k: 0.0 for k in bundle.timings}
-    return {
-        "config": bundle.config.as_dict(),
-        "results": results,
-        "timings": timings,
-        "version": bundle.version,
-    }
-
-
-# ---------------------------------------------------------------------------
-# parsing and output helpers
-# ---------------------------------------------------------------------------
 
 def _parse_int_range(text: str) -> list[int]:
     try:
@@ -172,6 +78,8 @@ def _parse_int_range(text: str) -> list[int]:
         raise UsageError(f"expected an integer range a:b, got {text!r}") from exc
     if b < a:
         raise UsageError(f"empty range {text!r}")
+    if b - a >= _MAX_RANGE:
+        raise UsageError(f"range {text!r} is longer than {_MAX_RANGE} values")
     return list(range(a, b + 1))
 
 
@@ -179,36 +87,36 @@ def _parse_float_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise UsageError(f"expected a range a:b[:step], got {text!r}")
-    try:
-        a, b = float(parts[0]), float(parts[1])
-        step = float(parts[2]) if len(parts) == 3 else 1.0
-    except ValueError as exc:
-        raise UsageError(f"could not parse range {text!r}") from exc
+    a, b, step = [_finite(p) for p in parts] + [1.0] * (3 - len(parts))
     if step <= 0 or b < a:
         raise UsageError(f"empty range {text!r}")
+    if not (b - a) / step < _MAX_RANGE:
+        raise UsageError(f"range {text!r} is longer than {_MAX_RANGE} values")
     count = int(np.floor((b - a) / step + 1e-9)) + 1
     return [a + i * step for i in range(count)]
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(p) for p in text.split(":"))
-    except ValueError as exc:
-        raise UsageError(f"expected lo:hi, got {text!r}") from exc
-    return lo, hi
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise UsageError(f"expected lo:hi, got {text!r}")
+    return _finite(parts[0]), _finite(parts[1])
 
 
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ionbound-tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ionbound-tmp-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise IonboundError(f"cannot write {path}: {exc.strerror or exc}") from exc
     sys.stderr.write(f"wrote {path}\n")
 
 
@@ -218,183 +126,124 @@ def _json_text(payload: dict) -> str:
 
 def _csv_text(schema_id: str, header: str, rows: list[list]) -> str:
     lines = [f"#schema={schema_id}", header]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _emit_timings(timings: dict) -> None:
-    for stage, seconds in timings.items():
-        sys.stderr.write(f"stage {stage}: {seconds:.3f}s\n")
-
-
 # ---------------------------------------------------------------------------
-# command handlers
+# stages: flags, config echo, work, and the result's JSON, CSV and panel
 # ---------------------------------------------------------------------------
 
-def _cmd_alpha(args) -> int:
+class Stage(NamedTuple):
+    """One pipeline stage, declared once and shared by every command that runs it.
+
+    ``prepare`` parses and validates the arguments and returns the job, so a
+    command reports every input error before any stage starts working.  The
+    job looks its library functions up as module globals when it runs.
+    """
+
+    name: str  # stderr "stage <name>" line and JSON timings key
+    key: str  # JSON results key
+    flags: tuple  # (flag, add_argument options) pairs
+    params: Callable  # args -> config-echo parameters
+    prepare: Callable  # args -> job; job() -> result
+    section: Callable  # result -> JSON results section
+    csv: Optional[Callable] = None  # (result, args) -> CSV text
+    panel: Optional[Callable] = None  # result -> Panel
+    log: Optional[Callable] = None  # result -> None; extra stderr lines
+
+
+def _echo(*names: str) -> Callable:
+    return lambda args: {name: getattr(args, name) for name in names}
+
+
+def _alpha_job(args):
     ns = _parse_int_range(args.n)
     if ns[0] < 2:
         raise DomainError("alpha needs N >= 2")
-    settings = OptimizerSettings(
-        restarts=args.restarts, ratio_tolerance=args.tol, seed=args.seed
-    )
-    config = RunConfig(
-        command="alpha",
-        parameters={"n": args.n, "restarts": args.restarts},
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-        tol=args.tol,
-    )
-    bundle = ReportBundle(version=__version__, config=config)
-    t0 = time.perf_counter()
-    for n in ns:
-        bundle.alpha_estimates.append(estimate_alpha(n, settings))
-    bundle.timings["alpha"] = time.perf_counter() - t0
-    _emit_timings(bundle.timings)
-    if args.out:
-        _atomic_write(args.out, _render_alpha(bundle, args))
-    return 0
+    settings = OptimizerSettings(restarts=args.restarts, ratio_tolerance=args.tol, seed=args.seed)
+    return lambda: [estimate_alpha(n, settings) for n in ns]
 
 
-def _render_alpha(bundle: ReportBundle, args) -> str:
-    if args.format == "csv":
-        rows = [
-            [e.n, e.value, e.lower_bound, e.restarts_used, e.converged_restarts]
-            for e in bundle.alpha_estimates
-        ]
-        text = _csv_text(
-            "ionbound.alpha.v1", "N,value,lower_bound,restarts,converged_restarts", rows
-        )
-        # stochastic results always travel with their seed
-        schema, rest = text.split("\n", 1)
-        return f"{schema}\n#seed={bundle.config.seed}\n{rest}"
-    if args.format == "svg":
-        return render_svg([_alpha_panel(bundle.alpha_estimates)])
-    return _json_text(_bundle_payload(bundle, args.timings))
+def _alpha_section(estimates) -> list:
+    return [
+        {"N": e.n, "value": e.value, "lower_bound": e.lower_bound, "restarts": e.restarts_used,
+         "converged_restarts": e.converged_restarts,
+         "best_config": [list(map(float, p)) for p in e.best_config.points]}
+        for e in estimates
+    ]
 
 
-def _alpha_panel(estimates: list[AlphaEstimate]) -> Panel:
+def _alpha_csv(estimates, args) -> str:
+    rows = [[e.n, e.value, e.lower_bound, e.restarts_used, e.converged_restarts] for e in estimates]
+    # stochastic results always travel with their seed, on the line after the schema
+    header = f"#seed={args.seed}\nN,value,lower_bound,restarts,converged_restarts"
+    return _csv_text("ionbound.alpha.v1", header, rows)
+
+
+def _alpha_panel(estimates) -> Panel:
     ns = [e.n for e in estimates]
     return Panel(
-        title="ratio estimates vs N with the two-sided band",
-        xlabel="N",
-        ylabel="ratio",
+        "ratio estimates vs N with the two-sided band", "N", "ratio",
         series=[Series("estimate", ns, [e.value for e in estimates])],
         band=Band(ns, [e.lower_bound for e in estimates], [_BETA_UPPER_DEFAULT] * len(ns)),
     )
 
 
-def _cmd_beta(args) -> int:
-    lo, hi = _parse_pair(args.range)
-    settings = BetaSettings(
-        g_tolerance=args.tol,
-        lambda_grid=args.lambda_grid,
-        node_count=args.nodes,
-        node_range=(lo, hi),
-    )
-    config = RunConfig(
-        command="beta",
-        parameters={
-            "nodes": args.nodes,
-            "range": args.range,
-            "lambda_grid": args.lambda_grid,
-        },
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-        tol=args.tol,
-    )
-    bundle = ReportBundle(version=__version__, config=config)
-    t0 = time.perf_counter()
-    bundle.beta, bundle.extras["beta_extras"] = _compute_beta(settings)
-    bundle.timings["beta"] = time.perf_counter() - t0
-    _emit_timings(bundle.timings)
-    if args.out:
-        _atomic_write(args.out, _render_beta(bundle, args))
-    return 0
+def _beta_job(args):
+    settings = BetaSettings(g_tolerance=args.tol, lambda_grid=args.lambda_grid,
+                            node_count=args.nodes, node_range=_parse_pair(args.range))
+    return lambda: bracket_detail(settings)
 
 
-def _compute_beta(settings: BetaSettings) -> tuple[BetaBracket, dict]:
-    detail = bracket_detail(settings)
-    extras = {
+def _beta_section(detail) -> dict:
+    b = detail.bracket
+    payload = {
+        "lower": b.lower, "lower_source": b.lower_source,
+        "upper": b.upper, "upper_source": b.upper_source,
         "g": {"lambda_0": detail.lambda_0, "g_max": detail.g_max},
-        "maximin": {
-            "value": detail.maximin.value,
-            "grid_error": detail.maximin.grid_error,
-            "lambda_at_max": detail.maximin.lambda_at_max,
-        },
+        "maximin": detail.maximin._asdict(),  # value, grid_error, lambda_at_max
         "radial_minimum": detail.radial_minimum,
     }
-    return detail.bracket, extras
+    if b.certificate_measure is not None:
+        payload["certificate_measure"] = {
+            "nodes": [float(x) for x in b.certificate_measure.nodes],
+            "weights": [float(x) for x in b.certificate_measure.weights],
+        }
+    return payload
 
 
-def _render_beta(bundle: ReportBundle, args) -> str:
-    if args.format == "svg":
-        lams = list(np.linspace(0.8, 1.0, 201))
-        return render_svg(
-            [
-                Panel(
-                    title="scalar reduction g over the blend parameter",
-                    xlabel="lambda",
-                    ylabel="g",
-                    series=[Series("g", lams, [g_of_lambda(l).g for l in lams])],
-                )
-            ]
-        )
-    if args.format == "csv":
-        extras = bundle.extras["beta_extras"]
-        row = [
-            bundle.beta.lower,
-            bundle.beta.lower_source,
-            bundle.beta.upper,
-            bundle.beta.upper_source,
-            extras["g"]["lambda_0"],
-            extras["g"]["g_max"],
-            extras["maximin"]["value"],
-            extras["maximin"]["grid_error"],
-            extras["radial_minimum"],
-        ]
-        return _csv_text(
-            "ionbound.beta.v1",
-            "lower,lower_source,upper,upper_source,lambda_0,g_max,maximin,maximin_grid_error,radial_minimum",
-            [row],
-        )
-    return _json_text(_bundle_payload(bundle, args.timings))
+def _beta_csv(detail, args) -> str:
+    b, m = detail.bracket, detail.maximin
+    row = [b.lower, b.lower_source, b.upper, b.upper_source, detail.lambda_0, detail.g_max,
+           m.value, m.grid_error, detail.radial_minimum]
+    header = ("lower,lower_source,upper,upper_source,lambda_0,g_max,"
+              "maximin,maximin_grid_error,radial_minimum")
+    return _csv_text("ionbound.beta.v1", header, [row])
 
 
-_MODEL_FLAGS = {
-    "nonrel": "nonrel",
-    "magnetic": "magnetic-homogeneous",
-    "relativistic": "relativistic",
-    "bosonic": "bosonic-magnetic",
-}
+def _g_panel(detail) -> Panel:
+    lams = list(np.linspace(0.8, 1.0, 201))
+    return Panel(
+        "scalar reduction g over the blend parameter", "lambda", "g",
+        series=[Series("g", lams, [g_of_lambda(l).g for l in lams])],
+    )
+
+
+_MODEL_FLAGS = {"nonrel": "nonrel", "magnetic": "magnetic-homogeneous",
+                "relativistic": "relativistic", "bosonic": "bosonic-magnetic"}
 
 
 def _bounds_rows(zs: list[float], args) -> list[list]:
     model = _MODEL_FLAGS[args.model]
     rows = []
     for z in zs:
-        nonrel = BoundInputs(Z=z, beta_lower=args.beta, coeff=args.coeff)
-        row = bound_row(nonrel)
-        if model == "nonrel":
-            extra = ""
-        else:
+        row = bound_row(BoundInputs(Z=z, beta_lower=args.beta, coeff=args.coeff))
+        extra = ""
+        if model != "nonrel":
             inputs = BoundInputs(
-                Z=z,
-                model=model,
-                B=args.B,
-                beta_lower=args.beta,
-                coeff=args.coeff,
-                C_universal=args.C,
-                C_kappa=args.Ckappa,
-                C_2=args.C2,
+                Z=z, model=model, B=args.B, beta_lower=args.beta, coeff=args.coeff,
+                C_universal=args.C, C_kappa=args.Ckappa, C_2=args.C2,
             )
             if model == "magnetic-homogeneous":
                 extra = magnetic_bound(inputs)
@@ -404,59 +253,20 @@ def _bounds_rows(zs: list[float], args) -> list[list]:
     return rows
 
 
-def _cmd_bounds(args) -> int:
+def _bounds_job(args):
     zs = _parse_float_range(args.z)
-    config = RunConfig(
-        command="bounds",
-        parameters={
-            "z": args.z,
-            "model": args.model,
-            "B": args.B,
-            "coeff": args.coeff,
-            "beta": args.beta,
-            "C": args.C,
-            "Ckappa": args.Ckappa,
-            "C2": args.C2,
-        },
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-        tol=args.tol,
-    )
-    bundle = ReportBundle(version=__version__, config=config)
-    t0 = time.perf_counter()
-    rows = _bounds_rows(zs, args)
-    bundle.timings["bounds"] = time.perf_counter() - t0
-    bundle.bounds_rows = [
-        {
-            "Z": r[0],
-            "lieb": r[1],
-            "main": r[2],
-            "implicit_N": r[3],
-            "model_extra": r[4] if r[4] != "" else None,
-        }
-        for r in rows
-    ]
-    _emit_timings(bundle.timings)
-    if args.out:
-        _atomic_write(args.out, _render_bounds(bundle, rows, args))
-    return 0
+    return lambda: _bounds_rows(zs, args)
 
 
-def _render_bounds(bundle: ReportBundle, rows: list[list], args) -> str:
-    if args.format == "csv":
-        return _csv_text("ionbound.bounds.v1", _BOUNDS_CSV_SCHEMA, rows)
-    if args.format == "svg":
-        return render_svg([_bounds_panel(rows)])
-    return _json_text(_bundle_payload(bundle, args.timings))
+def _bounds_section(rows) -> list:
+    keys = ("Z", "lieb", "main", "implicit_N")
+    return [{**dict(zip(keys, r)), "model_extra": r[4] if r[4] != "" else None} for r in rows]
 
 
-def _bounds_panel(rows: list[list]) -> Panel:
+def _bounds_panel(rows) -> Panel:
     zs = [r[0] for r in rows]
     return Panel(
-        title="particle-count bounds vs nuclear charge",
-        xlabel="Z",
-        ylabel="bound",
+        "particle-count bounds vs nuclear charge", "Z", "bound",
         series=[
             Series("2Z+1", zs, [r[1] for r in rows]),
             Series("closed form", zs, [r[2] for r in rows]),
@@ -465,217 +275,214 @@ def _bounds_panel(rows: list[list]) -> Panel:
     )
 
 
-_LEMMA_FLAGS = {"lemma3": ["lemma3"], "lemma4": ["lemma4"], "cubic": ["cubic-signs"]}
-_LEMMA_FLAGS["all"] = ["lemma3", "lemma4", "cubic-signs"]
+_LEMMA_FLAGS = {
+    "lemma3": ["lemma3"], "lemma4": ["lemma4"], "cubic": ["cubic-signs"],
+    "all": ["lemma3", "lemma4", "cubic-signs"],
+}
 
 
 def _verify_grid(args) -> LemmaGrid:
     lo, hi = _parse_pair(args.beta_range)
     return LemmaGrid(
-        z_points=args.grid_z,
-        ratio_points=args.grid_ratio,
-        beta_points=args.grid_beta,
+        z_points=args.grid_z, ratio_points=args.grid_ratio, beta_points=args.grid_beta,
         beta_range=(lo, hi) if args.grid_beta > 1 else (lo, lo),
-        n_above=args.n_above,
-        real_n=args.real_n,
+        n_above=args.n_above, real_n=args.real_n,
     )
 
 
-def _cmd_verify(args) -> int:
+def _verify_job(args):
     grid = _verify_grid(args)
-    config = RunConfig(
-        command="verify",
-        parameters={"lemma": args.lemma, "grid": grid.as_dict()},
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-        tol=args.tol,
-    )
-    bundle = ReportBundle(version=__version__, config=config)
-    t0 = time.perf_counter()
-    for lemma in _LEMMA_FLAGS[args.lemma]:
-        bundle.lemma_reports.append(verify_lemma(lemma, grid))
-    bundle.timings["verify"] = time.perf_counter() - t0
-    _emit_timings(bundle.timings)
-    for report in bundle.lemma_reports:
-        status = "pass" if report.passed else "FAIL"
-        sys.stderr.write(
-            f"{report.lemma}: {status} (min margin {report.min_margin:.6g})\n"
-        )
-    if args.out:
-        _atomic_write(args.out, _json_text(_bundle_payload(bundle, args.timings)))
-    return 0 if all(r.passed for r in bundle.lemma_reports) else 2
+    return lambda: [verify_lemma(lemma, grid) for lemma in _LEMMA_FLAGS[args.lemma]]
 
 
-def _cmd_report(args) -> int:
-    config = RunConfig(
-        command="report",
-        parameters={
-            "n": args.n,
-            "restarts": args.restarts,
-            "nodes": args.nodes,
-            "range": args.range,
-            "lambda_grid": args.lambda_grid,
-            "z": args.z,
-            "model": args.model,
-            "B": args.B,
-            "coeff": args.coeff,
-            "beta": args.beta,
-        },
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-        tol=args.tol,
-    )
-    bundle = ReportBundle(version=__version__, config=config)
-
-    t0 = time.perf_counter()
-    settings = OptimizerSettings(
-        restarts=args.restarts, ratio_tolerance=args.tol, seed=args.seed
-    )
-    for n in _parse_int_range(args.n):
-        bundle.alpha_estimates.append(estimate_alpha(n, settings))
-    bundle.timings["alpha"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    lo, hi = _parse_pair(args.range)
-    beta_settings = BetaSettings(
-        g_tolerance=args.tol,
-        lambda_grid=args.lambda_grid,
-        node_count=args.nodes,
-        node_range=(lo, hi),
-    )
-    bundle.beta, bundle.extras["beta_extras"] = _compute_beta(beta_settings)
-    bundle.timings["beta"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    rows = _bounds_rows(_parse_float_range(args.z), args)
-    bundle.bounds_rows = [
-        {
-            "Z": r[0],
-            "lieb": r[1],
-            "main": r[2],
-            "implicit_N": r[3],
-            "model_extra": r[4] if r[4] != "" else None,
-        }
-        for r in rows
+def _lemma_section(reports) -> list:
+    return [
+        {"lemma": r.lemma, "grid": r.grid, "min_margin": r.min_margin, "pass": r.passed,
+         "witness": list(r.witness), "out_of_hypothesis": r.out_of_hypothesis}
+        for r in reports
     ]
-    bundle.timings["bounds"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    for lemma in ("lemma3", "cubic-signs"):
-        bundle.lemma_reports.append(verify_lemma(lemma, LemmaGrid()))
-    bundle.timings["verify"] = time.perf_counter() - t0
-    _emit_timings(bundle.timings)
-
-    if args.out:
-        if args.format == "csv":
-            content = _csv_text("ionbound.bounds.v1", _BOUNDS_CSV_SCHEMA, rows)
-        elif args.format == "svg":
-            lams = list(np.linspace(0.8, 1.0, 201))
-            content = render_svg(
-                [
-                    _bounds_panel(rows),
-                    _alpha_panel(bundle.alpha_estimates),
-                    Panel(
-                        title="scalar reduction g over the blend parameter",
-                        xlabel="lambda",
-                        ylabel="g",
-                        series=[Series("g", lams, [g_of_lambda(l).g for l in lams])],
-                    ),
-                ]
-            )
-        else:
-            content = _json_text(_bundle_payload(bundle, args.timings))
-        _atomic_write(args.out, content)
-    return 0 if all(r.passed for r in bundle.lemma_reports) else 2
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
+def _log_lemmas(reports) -> None:
+    for r in reports:
+        status = "pass" if r.passed else "FAIL"
+        sys.stderr.write(f"{r.lemma}: {status} (min margin {r.min_margin:.6g})\n")
 
-def _add_shared(sub: argparse.ArgumentParser, default_format: str) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="64-bit seed for stochastic work")
-    sub.add_argument("--out", type=str, default=None, help="output file path")
-    sub.add_argument(
-        "--format", choices=("csv", "json", "svg"), default=default_format,
-        help="output format",
-    )
-    sub.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
-    sub.add_argument(
-        "--timings", action="store_true",
+
+ALPHA = Stage(
+    "alpha", "alpha",
+    flags=(
+        ("--n", dict(default="2:8", help="inclusive N range a:b")),
+        ("--restarts", dict(type=int, default=64)),
+    ),
+    params=_echo("n", "restarts"),
+    prepare=_alpha_job,
+    section=_alpha_section,
+    csv=_alpha_csv,
+    panel=_alpha_panel,
+)
+
+BETA = Stage(
+    "beta", "beta",
+    flags=(
+        ("--nodes", dict(type=int, default=200, help="radial node count")),
+        ("--range", dict(default="0.05:20", help="node range lo:hi")),
+        ("--lambda-grid", dict(type=int, default=101)),
+    ),
+    params=_echo("nodes", "range", "lambda_grid"),
+    prepare=_beta_job,
+    section=_beta_section,
+    csv=_beta_csv,
+    panel=_g_panel,
+)
+
+BOUNDS = Stage(
+    "bounds", "bounds",
+    flags=(
+        ("--z", dict(default="1:118", help="charge range a:b[:step]")),
+        ("--model", dict(choices=tuple(_MODEL_FLAGS), default="nonrel")),
+        ("--B", dict(type=_finite, default=0.0, help="magnetic field strength")),
+        ("--coeff", dict(type=_finite, default=1.22)),
+        ("--beta", dict(type=_finite, default=0.8218)),
+        ("--C", dict(type=_finite, default=1.0, help="universal magnetic constant")),
+        ("--Ckappa", dict(type=_finite, default=1.0, help="relativistic constant")),
+        ("--C2", dict(type=_finite, default=1.0, help="bosonic constant")),
+    ),
+    params=_echo("z", "model", "B", "coeff", "beta", "C", "Ckappa", "C2"),
+    prepare=_bounds_job,
+    section=_bounds_section,
+    csv=lambda rows, args: _csv_text(
+        "ionbound.bounds.v1", "Z,lieb,main,implicit_N,model_extra", rows),
+    panel=_bounds_panel,
+)
+
+VERIFY = Stage(
+    "verify", "lemmas",
+    flags=(
+        ("--lemma", dict(choices=tuple(_LEMMA_FLAGS), default="all")),
+        ("--grid-z", dict(type=int, default=120)),
+        ("--grid-ratio", dict(type=int, default=120)),
+        ("--grid-beta", dict(type=int, default=1)),
+        ("--beta-range", dict(default="0.8218:0.99")),
+        ("--n-above", dict(type=int, default=24)),
+        ("--real-n", dict(
+            action="store_true",
+            help="also scan non-integer particle counts (flagged out-of-hypothesis)",
+        )),
+    ),
+    params=lambda args: {"lemma": args.lemma, "grid": _verify_grid(args).as_dict()},
+    prepare=_verify_job,
+    section=_lemma_section,
+    log=_log_lemmas,
+)
+
+# report's fixed lemma check: the lemmas that pass as printed, at default grids
+REPORT_CHECK = Stage(
+    "verify", "lemmas", flags=(), params=_echo(), section=_lemma_section,
+    prepare=lambda args: lambda: [verify_lemma(l, LemmaGrid()) for l in ("lemma3", "cubic-signs")],
+)
+
+_SHARED_FLAGS = (
+    ("--seed", dict(type=_u64, default=0, help="64-bit seed for stochastic work")),
+    ("--out", dict(default=None, help="output file path")),
+    ("--format", dict(choices=("csv", "json", "svg"), help="output format")),
+    ("--tol", dict(type=_finite, default=1e-10, help="solver tolerance")),
+    ("--timings", dict(
+        action="store_true",
         help="embed real wall-clock timings in JSON (breaks byte reproducibility)",
-    )
+    )),
+)
+
+
+class Command(NamedTuple):
+    help: str
+    stages: tuple  # run in order; their flags and config echo are concatenated
+    csv: Optional[Stage]  # the stage whose CSV --format csv writes; JSON if None
+    panels: tuple  # the stages whose panels --format svg draws; JSON if empty
+    defaults: dict  # --format default, and overrides of the stages' flag defaults
+
+
+_COMMANDS = {
+    "alpha": Command("estimate the N-point ratio constants",
+                     (ALPHA,), ALPHA, (ALPHA,), {"format": "csv"}),
+    "beta": Command("bracket the statistical-limit constant",
+                    (BETA,), BETA, (BETA,), {"format": "json"}),
+    "bounds": Command("tabulate particle-count bounds over Z",
+                      (BOUNDS,), BOUNDS, (BOUNDS,), {"format": "csv"}),
+    "verify": Command("run the inequality grid verifiers", (VERIFY,), None, (), {"format": "json"}),
+    "report": Command("full pipeline with machine-readable output",
+                      (ALPHA, BETA, BOUNDS, REPORT_CHECK), BOUNDS, (BOUNDS, ALPHA, BETA),
+                      {"format": "json", "n": "2:6", "restarts": 16, "z": "1:20"}),
+}
+
+
+# ---------------------------------------------------------------------------
+# driver
+# ---------------------------------------------------------------------------
+
+def _payload(args, results: dict, timings: dict) -> dict:
+    """The JSON bundle: the config that reproduces the run, plus its results."""
+    stages = _COMMANDS[args.command].stages
+    parameters: dict = {}
+    for stage in stages:
+        parameters.update(stage.params(args))
+    return {
+        "config": {
+            "command": args.command,
+            "parameters": parameters,
+            **{name: getattr(args, name) for name in ("seed", "out", "format", "tol")},
+        },
+        "results": {stage.key: stage.section(results[stage.key]) for stage in stages},
+        "timings": timings if args.timings else dict.fromkeys(timings, 0.0),
+        "version": __version__,
+    }
+
+
+def _render(args, results: dict, timings: dict) -> str:
+    command = _COMMANDS[args.command]
+    if args.format == "csv" and command.csv is not None:
+        return command.csv.csv(results[command.csv.key], args)
+    if args.format == "svg" and command.panels:
+        return render_svg([stage.panel(results[stage.key]) for stage in command.panels])
+    return _json_text(_payload(args, results, timings))
+
+
+def _run(args) -> int:
+    stages = _COMMANDS[args.command].stages
+    jobs = [stage.prepare(args) for stage in stages]
+    results, timings = {}, {}
+    for stage, job in zip(stages, jobs):
+        t0 = time.perf_counter()
+        results[stage.key] = job()
+        timings[stage.name] = time.perf_counter() - t0
+    for name, seconds in timings.items():
+        sys.stderr.write(f"stage {name}: {seconds:.3f}s\n")
+    for stage in stages:
+        if stage.log is not None:
+            stage.log(results[stage.key])
+    if args.out:
+        _atomic_write(args.out, _render(args, results, timings))
+    return 0 if all(r.passed for r in results.get("lemmas", ())) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ionbound", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = subs.add_parser("alpha", help="estimate the N-point ratio constants")
-    p.add_argument("--n", type=str, default="2:8", help="inclusive N range a:b")
-    p.add_argument("--restarts", type=int, default=64)
-    _add_shared(p, "csv")
-    p.set_defaults(func=_cmd_alpha)
-
-    p = subs.add_parser("beta", help="bracket the statistical-limit constant")
-    p.add_argument("--nodes", type=int, default=200, help="radial node count")
-    p.add_argument("--range", type=str, default="0.05:20", help="node range lo:hi")
-    p.add_argument("--lambda-grid", type=int, default=101, dest="lambda_grid")
-    _add_shared(p, "json")
-    p.set_defaults(func=_cmd_beta)
-
-    p = subs.add_parser("bounds", help="tabulate particle-count bounds over Z")
-    p.add_argument("--z", type=str, default="1:118", help="charge range a:b[:step]")
-    p.add_argument("--model", choices=tuple(_MODEL_FLAGS), default="nonrel")
-    p.add_argument("--B", type=float, default=0.0, help="magnetic field strength")
-    p.add_argument("--coeff", type=float, default=1.22)
-    p.add_argument("--beta", type=float, default=0.8218)
-    p.add_argument("--C", type=float, default=1.0, help="universal magnetic constant")
-    p.add_argument("--Ckappa", type=float, default=1.0, help="relativistic constant")
-    p.add_argument("--C2", type=float, default=1.0, help="bosonic constant")
-    _add_shared(p, "csv")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = subs.add_parser("verify", help="run the inequality grid verifiers")
-    p.add_argument("--lemma", choices=("lemma3", "lemma4", "cubic", "all"), default="all")
-    p.add_argument("--grid-z", type=int, default=120, dest="grid_z")
-    p.add_argument("--grid-ratio", type=int, default=120, dest="grid_ratio")
-    p.add_argument("--grid-beta", type=int, default=1, dest="grid_beta")
-    p.add_argument("--beta-range", type=str, default="0.8218:0.99", dest="beta_range")
-    p.add_argument("--n-above", type=int, default=24, dest="n_above")
-    p.add_argument("--real-n", action="store_true", dest="real_n",
-                   help="also scan non-integer particle counts (flagged out-of-hypothesis)")
-    _add_shared(p, "json")
-    p.set_defaults(func=_cmd_verify)
-
-    p = subs.add_parser("report", help="full pipeline with machine-readable output")
-    p.add_argument("--n", type=str, default="2:6")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--nodes", type=int, default=200)
-    p.add_argument("--range", type=str, default="0.05:20")
-    p.add_argument("--lambda-grid", type=int, default=101, dest="lambda_grid")
-    p.add_argument("--z", type=str, default="1:20")
-    p.add_argument("--model", choices=tuple(_MODEL_FLAGS), default="nonrel")
-    p.add_argument("--B", type=float, default=0.0)
-    p.add_argument("--coeff", type=float, default=1.22)
-    p.add_argument("--beta", type=float, default=0.8218)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--Ckappa", type=float, default=1.0)
-    p.add_argument("--C2", type=float, default=1.0)
-    _add_shared(p, "json")
-    p.set_defaults(func=_cmd_report)
-
+    for name, command in _COMMANDS.items():
+        p = subs.add_parser(name, help=command.help)
+        for stage in command.stages:
+            for flag, options in stage.flags:
+                p.add_argument(flag, **options)
+        for flag, options in _SHARED_FLAGS:
+            p.add_argument(flag, **options)
+        p.set_defaults(**command.defaults)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        return _run(build_parser().parse_args(argv))
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

@@ -60,6 +60,15 @@ def test_maximize_g():
     assert g_max >= max(g_of_lambda(float(l)).g for l in grid) - 1e-10
     with pytest.raises(DomainError):
         maximize_g(0.0)
+    with pytest.raises(DomainError):
+        maximize_g(math.nan)
+
+
+def test_maximize_g_below_float_spacing_terminates():
+    # no bracket of width 1e-300 exists near 0.84; the search must still stop
+    lam0, g_max = maximize_g(1e-300)
+    assert lam0 == pytest.approx(0.843476, abs=1e-5)
+    assert g_max == pytest.approx(0.8218066, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,17 @@ def test_bound_inputs_validation():
     with pytest.raises(DomainError):
         BoundInputs(Z=1.0, coeff=1.0)  # below 1/beta_lower
     BoundInputs(Z=1.0, coeff=1 / 0.8218)  # exact boundary admitted
+    for bad in (
+        dict(Z=math.nan),
+        dict(Z=math.inf),
+        dict(Z=1.0, coeff=math.nan),
+        dict(Z=1.0, B=math.inf),
+        dict(Z=1.0, beta_lower=math.nan),
+        dict(Z=1.0, C_2=math.nan),
+        dict(Z=1.0, n_c=math.inf),
+    ):
+        with pytest.raises(DomainError):
+            BoundInputs(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +314,14 @@ def test_lemma_grid_validation():
         LemmaGrid(ratio_range=(0.1, 7 / 3))  # hypothesis needs N/Z < 7/3
     with pytest.raises(DomainError):
         verify_lemma("bogus")
+    for bad in (
+        dict(beta_range=(math.nan, math.nan)),
+        dict(beta_range=(0.9, math.inf)),
+        dict(z_range=(0.5, math.inf)),
+        dict(ratio_range=(math.nan, 2.0)),
+    ):
+        with pytest.raises(DomainError):
+            LemmaGrid(**bad)
 
 
 def test_lemma_reports_deterministic():

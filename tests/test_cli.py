@@ -5,7 +5,7 @@ import xml.dom.minidom
 
 import pytest
 
-from ionbound.cli import ReportBundle, RunConfig, _bundle_payload, _json_text, main
+from ionbound.cli import _json_text, _payload, build_parser, main
 
 
 def run_cli(args):
@@ -178,6 +178,32 @@ def test_report_timings_flag_embeds_wall_clock(tmp_path):
     assert any(v > 0.0 for v in payload["timings"].values())
 
 
+def _json_results(tmp_path, args, name):
+    out = tmp_path / name
+    assert run_cli(args + ["--format", "json", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_report_composes_the_standalone_stages(tmp_path):
+    alpha_args = ["--n", "2:3", "--restarts", "2"]
+    bounds_args = ["--z", "1:6", "--model", "bosonic", "--B", "10"]
+    report_args = ["report", *alpha_args, "--nodes", "30", *bounds_args]
+    report = _json_results(tmp_path, report_args, "report.json")
+    standalone = [
+        _json_results(tmp_path, ["alpha", *alpha_args], "alpha.json"),
+        _json_results(tmp_path, ["beta", "--nodes", "30"], "beta.json"),
+        _json_results(tmp_path, ["bounds", *bounds_args], "bounds.json"),
+    ]
+    for payload in standalone:
+        (key, section), = payload["results"].items()
+        assert report["results"][key] == section
+    # the model constants are echoed, so the config alone reproduces the run
+    assert list(report["config"]["parameters"])[-3:] == ["C", "Ckappa", "C2"]
+    other = _json_results(tmp_path, report_args + ["--C2", "3"], "report_c2.json")
+    assert other["config"] != report["config"]
+    assert other["results"]["bounds"] != report["results"]["bounds"]
+
+
 # ---------------------------------------------------------------------------
 # usage errors and the empty-bundle contract
 # ---------------------------------------------------------------------------
@@ -205,12 +231,43 @@ def test_empty_range_exit_1(capsys):
 
 
 def test_empty_lemma_list_serializes_to_empty_array():
-    config = RunConfig(
-        command="verify", parameters={}, seed=0, out=None, format="json", tol=None
-    )
-    payload = _bundle_payload(ReportBundle(version="0.1.0", config=config), False)
+    args = build_parser().parse_args(["verify"])
+    payload = _payload(args, {"lemmas": []}, {"verify": 0.0})
     assert payload["results"]["lemmas"] == []
-    json.loads(_json_text(payload))
+    assert json.loads(_json_text(payload))["results"]["lemmas"] == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["alpha", "--seed", "-1"],
+        ["alpha", "--seed", "18446744073709551616"],
+        ["bounds", "--z", "nan:3"],
+        ["bounds", "--z", "1:1e400"],
+        ["bounds", "--z", "1:1e12"],
+        ["bounds", "--coeff", "nan"],
+        ["beta", "--tol", "nan"],
+        ["beta", "--range", "1:nan"],
+        ["verify", "--lemma", "lemma3", "--beta-range", "nan:1"],
+        ["report", "--n", "2:2", "--restarts", "1", "--z", "1:inf"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert run_cli(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli(["bounds", "--z", "1:3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: cannot write ")
+    assert not out.exists()
+    assert list(tmp_path.rglob(".ionbound-tmp-*")) == []
 
 
 def test_console_entry_point():
