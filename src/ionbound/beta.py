@@ -3,8 +3,8 @@
 The lower side comes from maximizing the scalar reduction g(lambda) of the
 blended-kernel maximin problem on [0.8, 1]; the upper side from a closed-form
 trial measure and from fractional quadratic programming over discretized
-radial measures (Dinkelbach iteration with projected descent on the weight
-simplex).
+radial measures (Dinkelbach iteration whose parametric subproblems are
+solved exactly by an active-set method on the weight simplex).
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ class BetaSettings:
     node_count: int = DEFAULT_NODE_COUNT
     node_range: tuple[float, float] = DEFAULT_NODE_RANGE
     dinkelbach_tolerance: float = 1e-10
-    inner_iterations: int = 4000
     outer_iterations: int = 500
 
 
@@ -225,10 +224,13 @@ def w_maximin(lambda_grid: int, b_grid: int, c_grid: int) -> WMaximinResult:
 
 def radial_ratio(measure: RadialMeasure) -> float:
     """Symmetrized quadratic form over the linear normalizer, dilation invariant."""
-    r = measure.nodes
     w = measure.weights
-    q = 0.5 * (r[:, None] ** 2 + r[None, :] ** 2) / np.maximum.outer(r, r)
-    return float(w @ q @ w) / float(w @ r)
+    return float(w @ _radial_kernel(measure.nodes) @ w) / float(w @ measure.nodes)
+
+
+def _radial_kernel(r: np.ndarray) -> np.ndarray:
+    """Q_ij = (r_i^2 + r_j^2) / (2 max(r_i, r_j)), the quadratic form of the radial ratio."""
+    return 0.5 * (r[:, None] ** 2 + r[None, :] ** 2) / np.maximum.outer(r, r)
 
 
 def _composite_gauss(points: int, order: int = 8) -> tuple[np.ndarray, np.ndarray]:
@@ -324,48 +326,81 @@ def minimize_radial_ratio(
 ) -> tuple[RadialMeasure, float]:
     """Minimize the radial ratio over the weight simplex at fixed nodes.
 
-    Dinkelbach iteration: with theta the current ratio, the parametric
-    subproblem min_w [Q(w) - theta L(w)] is solved by projected gradient
-    descent on the simplex, warm-started from the previous weights, which
-    keeps the theta sequence non-increasing.  Stops when theta changes by
-    less than the Dinkelbach tolerance.
+    Dinkelbach iteration: each outer step solves min_v Q(v) - theta L(v)
+    exactly from the current weights and lowers theta, the best ratio so far,
+    to the ratio there; ``history`` gets the start ratio and theta after each
+    step.  The subproblem is an active-set method: on the working set's face,
+    the bordered solve steps to the stationary point if its curvature is
+    positive (else the step is reversed, or, if singular, replaced by the
+    projected gradient); weights that reach zero leave the set, and at a face
+    minimizer the node with the most negative multiplier joins it, as in
+    Lawson-Hanson NNLS.
     """
     if settings is None:
         settings = BetaSettings()
     if nodes is None:
         nodes = default_nodes(settings.node_count, settings.node_range)
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.size == 1:
-        measure = RadialMeasure(nodes, np.ones(1))
-        value = radial_ratio(measure)
-        if history is not None:
-            history.append(value)
-        return measure, value
-    q = 0.5 * (nodes[:, None] ** 2 + nodes[None, :] ** 2) / np.maximum.outer(nodes, nodes)
-    lip = 2.0 * float(np.abs(np.linalg.eigvalsh(q)).max())
-    w = trial_weights_on_nodes(nodes)
-    theta = float(w @ q @ w) / float(w @ nodes)
-    if history is not None:
-        history.append(theta)
+    r = np.asarray(nodes, dtype=float)
+    q = _radial_kernel(r)
+    w = trial_weights_on_nodes(r)
+    theta = float(w @ q @ w) / float(w @ r)
+    history = [] if history is None else history
+    history.append(theta)
     for _ in range(settings.outer_iterations):
-        for _ in range(settings.inner_iterations):
-            step = w - (2.0 * (q @ w) - theta * nodes) / lip
-            w_new = project_to_simplex(step)
-            shift = float(np.abs(w_new - w).max())
-            w = w_new
-            if shift < 1e-14:
+        v, free = w.copy(), w > 0
+        for _ in range(4 * r.size + 10):
+            idx = np.flatnonzero(free)
+            g, q_ss = 2.0 * (q[idx] @ v) - theta * r[idx], q[np.ix_(idx, idx)]
+            bordered = np.block([[2.0 * q_ss, np.ones((idx.size, 1))], [np.ones(idx.size), 0.0]])
+            try:
+                d = np.linalg.solve(bordered, np.append(-g, 0.0))[:-1]
+            except np.linalg.LinAlgError:
+                d = np.zeros(idx.size)
+            curvature = float(d @ q_ss @ d)
+            newton = curvature > 0
+            if curvature < 0:
+                d = -d
+            elif not newton:
+                d = g.mean() - g
+                curvature = float(d @ q_ss @ d)
+            t = 1.0 if newton else float(d @ d) / (2.0 * curvature) if curvature > 0 else math.inf
+            shrinking = d < 0
+            if shrinking.any():
+                blocks = v[idx][shrinking] / -d[shrinking]
+                v[idx] = np.maximum(v[idx] + min(t, blocks.min()) * d, 0.0)
+                if blocks.min() < t:
+                    v[idx[shrinking][np.argmin(blocks)]] = 0.0
+                    free = v > 0
+                    continue
+                if not newton:
+                    continue
+            g = 2.0 * (q @ v) - theta * r
+            multipliers = np.where(free, math.inf, g - g[idx].mean())
+            j = int(np.argmin(multipliers))
+            if not multipliers[j] < -1e-12 * r.max():  # a margin above rounding in the gradient
                 break
-        theta_new = float(w @ q @ w) / float(w @ nodes)
-        if history is not None:
-            history.append(theta_new)
+            free[j] = True
+        else:
+            raise IterationLimitError("active-set cap reached", best=(RadialMeasure(r, w), theta))
+        v /= v.sum()
+        theta_new = float(v @ q @ v) / float(v @ r)
         done = theta - theta_new < settings.dinkelbach_tolerance
-        theta = theta_new
+        if theta_new < theta:
+            w, theta = v, theta_new
+        history.append(theta)
         if done:
-            return RadialMeasure(nodes, w / w.sum()), theta
-    raise IterationLimitError(
-        "Dinkelbach iteration cap reached",
-        best=(RadialMeasure(nodes, w / w.sum()), theta),
-    )
+            return RadialMeasure(r, w), theta
+    raise IterationLimitError("Dinkelbach iteration cap reached", best=(RadialMeasure(r, w), theta))
+
+
+def kkt_residual(measure: RadialMeasure) -> float:
+    """KKT defect of the ratio theta at the measure: with g = 2Qw - theta r, the larger of
+    g's spread on the support and its largest drop off the support below its mean there,
+    over the largest node (so dilation leaves it unchanged)."""
+    r, w = measure.nodes, measure.weights
+    g = 2.0 * (_radial_kernel(r) @ w) - radial_ratio(measure) * r
+    on = w > 0
+    return float(max(np.ptp(g[on]), g[on].mean() - g[~on].min(initial=np.inf)) / r.max())
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +413,7 @@ class BracketDetail(NamedTuple):
     g_max: float
     maximin: WMaximinResult
     radial_minimum: float
+    diagnostics: dict  # dinkelbach_steps, support_size, kkt_residual of the radial minimum
 
 
 def bracket_detail(settings: Optional[BetaSettings] = None) -> BracketDetail:
@@ -391,7 +427,8 @@ def bracket_detail(settings: Optional[BetaSettings] = None) -> BracketDetail:
         lower, lower_source = g_max, "g_max"
     else:
         lower, lower_source = maximin_discounted, "maximin-grid"
-    measure, optimized = minimize_radial_ratio(settings=settings)
+    history: list = []
+    measure, optimized = minimize_radial_ratio(None, settings, history)
     if TRIAL_MEASURE_ANALYTIC <= optimized:
         upper, upper_source, certificate = TRIAL_MEASURE_ANALYTIC, "trial-measure", None
     else:
@@ -409,6 +446,9 @@ def bracket_detail(settings: Optional[BetaSettings] = None) -> BracketDetail:
         g_max=g_max,
         maximin=maximin,
         radial_minimum=optimized,
+        diagnostics={"dinkelbach_steps": len(history) - 1,
+                     "support_size": int(np.count_nonzero(measure.weights)),
+                     "kkt_residual": kkt_residual(measure)},
     )
 
 

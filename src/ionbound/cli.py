@@ -204,6 +204,7 @@ def _beta_section(detail) -> dict:
         "g": {"lambda_0": detail.lambda_0, "g_max": detail.g_max},
         "maximin": detail.maximin._asdict(),  # value, grid_error, lambda_at_max
         "radial_minimum": detail.radial_minimum,
+        "diagnostics": detail.diagnostics,
     }
     if b.certificate_measure is not None:
         payload["certificate_measure"] = {
@@ -255,6 +256,8 @@ def _bounds_rows(zs: list[float], args) -> list[list]:
 
 def _bounds_job(args):
     zs = _parse_float_range(args.z)
+    if zs[0] <= 0:
+        raise DomainError("Z must be positive")
     return lambda: _bounds_rows(zs, args)
 
 

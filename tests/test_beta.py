@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -274,3 +275,111 @@ def test_dinkelbach_iteration_limit_carries_best():
 
     with pytest.raises(InconsistentBracketError):
         BetaBracket(lower=0.9, lower_source="g_max", upper=0.8, upper_source="trial-measure")
+
+
+# ---------------------------------------------------------------------------
+# the exact active-set solve behind the radial minimum
+# ---------------------------------------------------------------------------
+
+# values of the earlier projected-gradient solver on the default node range
+_PROJECTED_GRADIENT_VALUES = {
+    30: 0.8715063079162438, 60: 0.8704869524089358, 200: 0.8701860352795967,
+}
+
+
+def _assert_strict_kkt_point(measure, value):
+    from ionbound.beta import kkt_residual
+
+    w = measure.weights
+    assert w.min() >= 0.0
+    assert abs(float(w.sum()) - 1.0) <= 1e-12
+    assert value == radial_ratio(measure)
+    assert kkt_residual(measure) <= 1e-10
+    # second order: the ratio's Hessian is positive definite on the support's face
+    support = np.flatnonzero(w)
+    r = measure.nodes[support]
+    q = 0.5 * (r[:, None] ** 2 + r[None, :] ** 2) / np.maximum.outer(r, r)
+    if r.size > 1:
+        face = np.vstack([np.eye(r.size - 1), -np.ones(r.size - 1)])
+        assert np.linalg.eigvalsh(face.T @ q @ face).min() > 0.0
+
+
+@pytest.mark.parametrize("count", sorted(_PROJECTED_GRADIENT_VALUES))
+def test_radial_minimum_is_a_strict_kkt_point(count):
+    measure, value = minimize_radial_ratio(settings=BetaSettings(node_count=count))
+    _assert_strict_kkt_point(measure, value)
+    assert value <= _PROJECTED_GRADIENT_VALUES[count] + 1e-12
+
+
+def test_radial_minimum_against_slsqp_oracle():
+    optimize = pytest.importorskip("scipy.optimize")
+    nodes = default_nodes(30)
+    _, value = minimize_radial_ratio(nodes)
+    q = 0.5 * (nodes[:, None] ** 2 + nodes[None, :] ** 2) / np.maximum.outer(nodes, nodes)
+    rng = np.random.default_rng(20)
+    for _ in range(8):
+        found = optimize.minimize(
+            lambda w: (w @ q @ w) / (w @ nodes), rng.dirichlet(np.ones(nodes.size)),
+            method="SLSQP", bounds=[(0.0, 1.0)] * nodes.size,
+            constraints={"type": "eq", "fun": lambda w: w.sum() - 1.0},
+            options={"maxiter": 1000, "ftol": 1e-15},
+        )
+        w = np.maximum(found.x, 0.0)
+        assert radial_ratio(RadialMeasure(nodes, w / w.sum())) >= value - 1e-10
+
+
+@pytest.mark.parametrize(
+    "count, node_range",
+    [(200, (1.0, 1.001)), (200, (1.0, 1.000000001)), (500, (1e-6, 1e6)), (200, (10.0, 20.0)),
+     (2, (0.05, 20.0)), (3, (0.05, 20.0))],
+)
+def test_radial_minimum_on_hard_grids(count, node_range):
+    t0 = time.perf_counter()
+    measure, value = minimize_radial_ratio(
+        settings=BetaSettings(node_count=count, node_range=node_range)
+    )
+    assert time.perf_counter() - t0 < 5.0
+    assert math.isfinite(value)
+    _assert_strict_kkt_point(measure, value)
+
+
+def test_radial_minimum_survives_a_singular_bordered_system(monkeypatch):
+    from ionbound.errors import IterationLimitError
+
+    def singular(*_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # every face falls back to projected-gradient steps, which lower the ratio
+    # but never land exactly on a face minimizer, so the step cap trips
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    history = []
+    with pytest.raises(IterationLimitError) as info:
+        minimize_radial_ratio(default_nodes(20), None, history)
+    measure, value = info.value.best
+    assert value == history[-1] == radial_ratio(measure)
+
+
+def test_bracket_diagnostics_describe_the_radial_minimum():
+    from ionbound.beta import bracket_detail
+
+    detail = bracket_detail(BetaSettings(node_count=60))
+    history = []
+    measure, _ = minimize_radial_ratio(default_nodes(60), None, history)
+    assert list(detail.diagnostics) == ["dinkelbach_steps", "support_size", "kkt_residual"]
+    assert detail.diagnostics["dinkelbach_steps"] == len(history) - 1
+    assert detail.diagnostics["support_size"] == np.count_nonzero(measure.weights)
+    assert 0.0 <= detail.diagnostics["kkt_residual"] <= 1e-10
+
+
+def test_kkt_residual_hand_computed():
+    from ionbound.beta import kkt_residual
+
+    # all weight on r = 1 of {1, 2}: theta = 1 and g = 2Qw - theta r = (1, 1/2), so the
+    # off-support entry sits 1/2 below the support's, over the largest node 2
+    measure = RadialMeasure([1.0, 2.0], [1.0, 0.0])
+    assert kkt_residual(measure) == 0.25
+    assert kkt_residual(measure.dilated(37.0)) == pytest.approx(0.25, rel=1e-14)
+    # both weights positive: the spread of g on the support counts instead
+    assert kkt_residual(RadialMeasure([1.0, 2.0], [0.5, 0.5])) == pytest.approx(
+        abs((2.0 * 1.125 - 11 / 12) - (2.0 * 1.625 - 22 / 12)) / 2.0, rel=1e-14
+    )

@@ -5,6 +5,7 @@ import xml.dom.minidom
 
 import pytest
 
+from ionbound import cli
 from ionbound.cli import _json_text, _payload, build_parser, main
 
 
@@ -63,6 +64,18 @@ def test_beta_json(tmp_path):
     assert "certificate_measure" in beta or beta["upper_source"] == "trial-measure"
 
 
+def test_beta_json_diagnostics(tmp_path):
+    out = tmp_path / "beta.json"
+    assert run_cli(["beta", "--out", str(out)]) == 0
+    beta = json.loads(out.read_text())["results"]["beta"]
+    diagnostics = beta["diagnostics"]
+    assert list(diagnostics) == ["dinkelbach_steps", "support_size", "kkt_residual"]
+    assert diagnostics["dinkelbach_steps"] >= 1
+    weights = beta["certificate_measure"]["weights"]
+    assert diagnostics["support_size"] == sum(w > 0 for w in weights)
+    assert 0.0 <= diagnostics["kkt_residual"] <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # bounds command
 # ---------------------------------------------------------------------------
@@ -95,6 +108,18 @@ def test_bounds_domain_error_writes_nothing(tmp_path):
     out = tmp_path / "bounds.csv"
     code = run_cli(["bounds", "--z", "0:5", "--out", str(out)])
     assert code == 1
+    assert not out.exists()
+
+
+def test_report_rejects_nonpositive_z_before_any_stage(tmp_path, capsys, monkeypatch):
+    def stage_ran(*_):
+        raise AssertionError("a stage ran before the bounds input was checked")
+
+    monkeypatch.setattr(cli, "estimate_alpha", stage_ran)
+    monkeypatch.setattr(cli, "bracket_detail", stage_ran)
+    out = tmp_path / "report.json"
+    assert run_cli(["report", "--z", "0:5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "domain error: Z must be positive\n"
     assert not out.exists()
 
 
