@@ -8,6 +8,7 @@ through an explicit N-dependent correction.  Results are deterministic given
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -20,6 +21,7 @@ from .kernels import (
     RatioValue,
     _energy_normalizer,
     _norms,
+    _pair_geometry,
     _ratio_and_gradient,
     _triu,
 )
@@ -33,11 +35,17 @@ ORIGIN_GUARD = 1e-9
 
 _STEP_FLOOR = 1e-15
 _VALUE_TIE = 1e-15
+_BASIN_TIE = 1e-9  # restarts this close to the best value hit its basin
+_MEMORY = 8  # curvature pairs kept by the L-BFGS two-loop recursion
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs for the multi-start descent; defaults converge in seconds for N <= 12."""
+    """Knobs for the multi-start L-BFGS descent; a restart takes 10-100 steps for N <= 12.
+
+    ``step_init`` scales the gradient step taken without curvature pairs, and
+    ``step_shrink`` is the backtracking factor.
+    """
 
     restarts: int = 64
     max_iterations: int = 5000
@@ -73,6 +81,8 @@ class AlphaEstimate:
     best_config: ParticleConfiguration = field(repr=False)
     restarts_used: int
     converged_restarts: int
+    # iterations_total, iterations_max, evaluations_total, cap_hits, basin_hits
+    diagnostics: dict = field(default_factory=dict)
 
 
 class LocalMinimizeResult(NamedTuple):
@@ -100,64 +110,89 @@ def _normalized(points: np.ndarray) -> np.ndarray:
     return points * (points.shape[0] / total)
 
 
-def _try_ratio(points: np.ndarray) -> float:
-    """Ratio of a candidate step, or nan if it violates the guards."""
+def _evaluate_trial(points: np.ndarray):
+    """Ratio, points rescaled by t = N / sum|x_i| and the gradient there (the
+    trial's over t: the ratio is 0-homogeneous), from one pair-distance matrix;
+    None if a point lies within ORIGIN_GUARD of the origin at that scale or a
+    pair is closer than COINCIDENCE_RTOL times the diameter."""
     norms = _norms(points)
     total = float(norms.sum())
-    if total == 0.0:
-        return np.nan
+    if total == 0.0 or float(norms.min()) * (points.shape[0] / total) < ORIGIN_GUARD:
+        return None
+    geometry = _pair_geometry(points)
+    d = geometry[1][_triu(points.shape[0])]
+    if float(d.min()) <= COINCIDENCE_RTOL * float(d.max()):
+        return None
+    ratio, grad = _ratio_and_gradient(points, geometry)
     scale = points.shape[0] / total
-    if float(norms.min()) * scale < ORIGIN_GUARD:
-        return np.nan
-    diff = points[:, None, :] - points[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))[_triu(points.shape[0])]
-    dmin, dmax = float(d.min()), float(d.max())
-    if dmin <= COINCIDENCE_RTOL * dmax:
-        return np.nan
-    norms2 = norms**2
-    energy = float(((norms2[:, None] + norms2[None, :])[_triu(points.shape[0])] / d).sum())
-    return energy / ((points.shape[0] - 1) * total)
+    return ratio, points * scale, grad / scale
+
+
+def _lbfgs_direction(grad: np.ndarray, pairs: deque, step_init: float) -> np.ndarray:
+    """-H grad by the two-loop recursion over the (s, y, 1/sᵀy) pairs, oldest first;
+    with no pairs, or if that does not descend, the pairs are cleared and
+    -step_init * grad is returned."""
+    if pairs:
+        q = grad.ravel().copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        s, y, _ = pairs[-1]
+        q *= (s @ y) / (y @ y)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            q += (a - rho * (y @ q)) * s
+        if q @ grad.ravel() > 0.0:
+            return -q.reshape(grad.shape)
+        pairs.clear()
+    return -step_init * grad
 
 
 def _minimize_raw(
     points: np.ndarray, settings: OptimizerSettings, history: Optional[list] = None
-) -> tuple[np.ndarray, float, bool, int]:
-    """Backtracking gradient descent on the normalized scale manifold.
+) -> tuple[np.ndarray, float, bool, int, int]:
+    """L-BFGS descent on the normalized scale manifold sum|x_i| = N.
 
-    Accepts only strictly improving steps, renormalizes after each one, and
-    stops when the per-iteration improvement drops below ratio_tolerance, no
-    improving step exists above the step floor, or the iteration cap is hit.
+    Backtracking by step_shrink from the full step accepts the first trial
+    that passes the guards with a strictly lower ratio.  Each accepted step
+    gives a curvature pair, built after renormalization and kept, up to the
+    last _MEMORY, if sᵀy > 1e-12 |s||y|.  Stops at the iteration cap, or when
+    a step along -step_init * gradient improves by less than ratio_tolerance
+    or finds no improving step above the step floor; a quasi-Newton step that
+    meets either test clears the memory instead.  Returns the points, the
+    ratio, the convergence flag, and the counts of iterations and trial
+    evaluations.
     """
+    trace = history if history is not None else []
     pts = _normalized(np.array(points, dtype=float))
-    ratio, _ = _ratio_and_gradient(pts)
-    if history is not None:
-        history.append(ratio)
-    step = settings.step_init
-    converged = False
-    iterations = 0
+    ratio, grad = _ratio_and_gradient(pts)
+    trace.append(ratio)
+    pairs: deque = deque(maxlen=_MEMORY)
+    converged, iterations, evaluations = False, 0, 0
     for iterations in range(1, settings.max_iterations + 1):
-        _, grad = _ratio_and_gradient(pts)
-        accepted = False
+        direction = _lbfgs_direction(grad, pairs, settings.step_init)
+        step = 1.0
         while step > _STEP_FLOOR:
-            cand = pts - step * grad
-            new_ratio = _try_ratio(cand)
-            if np.isfinite(new_ratio) and new_ratio < ratio:
-                accepted = True
+            evaluations += 1
+            trial = _evaluate_trial(pts + step * direction)
+            if trial is not None and trial[0] < ratio:
                 break
             step *= settings.step_shrink
-        if not accepted:
-            converged = True
+        else:
+            trial = None
+        if trial is None or ratio - trial[0] < settings.ratio_tolerance:
+            converged = not pairs
+            pairs.clear()
+        else:
+            s, y = (trial[1] - pts).ravel(), (trial[2] - grad).ravel()
+            if (sy := float(s @ y)) > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
+                pairs.append((s, y, 1.0 / sy))
+        if trial is not None:
+            ratio, pts, grad = trial
+            trace.append(ratio)
+        if converged:
             break
-        improvement = ratio - new_ratio
-        pts = _normalized(cand)
-        ratio = new_ratio
-        if history is not None:
-            history.append(ratio)
-        step = min(step * 2.0, 1.0)
-        if improvement < settings.ratio_tolerance:
-            converged = True
-            break
-    return pts, ratio, converged, iterations
+    return pts, ratio, converged, iterations, evaluations
 
 
 def local_minimize(
@@ -172,7 +207,7 @@ def local_minimize(
     """
     if np.any(_norms(start.points) == 0.0):
         raise DomainError("local_minimize needs every start point off the origin")
-    pts, ratio, converged, iterations = _minimize_raw(start.points, settings, history)
+    pts, ratio, converged, iterations, _ = _minimize_raw(start.points, settings, history)
     config = ParticleConfiguration(pts)
     energy, normalizer = _energy_normalizer(pts)
     return LocalMinimizeResult(
@@ -192,8 +227,8 @@ def _initial_points(n: int, settings: OptimizerSettings, restart: int) -> np.nda
         dirs = rng.standard_normal((n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts = dirs * rng.uniform(low, high, size=n)[:, None]
-        if np.isfinite(_try_ratio(pts)):
-            return _normalized(pts)
+        if (trial := _evaluate_trial(pts)) is not None:
+            return trial[1]
 
 
 def estimate_alpha(
@@ -212,13 +247,11 @@ def estimate_alpha(
     if settings is None:
         settings = OptimizerSettings()
     values = np.empty(settings.restarts)
+    counts = np.empty((settings.restarts, 3), dtype=int)  # converged, iterations, evaluations
     configs: list[np.ndarray] = []
-    converged_count = 0
     for k in range(settings.restarts):
-        pts, ratio, converged, _ = _minimize_raw(_initial_points(n, settings, k), settings)
-        values[k] = ratio
+        pts, values[k], *counts[k] = _minimize_raw(_initial_points(n, settings, k), settings)
         configs.append(pts)
-        converged_count += int(converged)
     best = int(np.nonzero(values <= values.min() + _VALUE_TIE)[0][0])
     return AlphaEstimate(
         n=n,
@@ -226,7 +259,14 @@ def estimate_alpha(
         lower_bound=alpha_sandwich(n, beta_lower).lower,
         best_config=ParticleConfiguration(configs[best]),
         restarts_used=settings.restarts,
-        converged_restarts=converged_count,
+        converged_restarts=int(counts[:, 0].sum()),
+        diagnostics={
+            "iterations_total": int(counts[:, 1].sum()),
+            "iterations_max": int(counts[:, 1].max()),
+            "evaluations_total": int(counts[:, 2].sum()),
+            "cap_hits": int(np.sum(counts[:, 0] == 0)),
+            "basin_hits": int(np.sum(values <= values.min() + _BASIN_TIE)),
+        },
     )
 
 

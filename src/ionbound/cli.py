@@ -46,8 +46,17 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Reports every parse error as one line that names the (sub)command."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand's leftovers fail here, where its name is known
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     def error(self, message):
-        raise UsageError(f"{message}\n{self.format_usage()}")
+        raise UsageError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +135,10 @@ def _json_text(payload: dict) -> str:
 
 def _csv_text(schema_id: str, header: str, rows: list[list]) -> str:
     lines = [f"#schema={schema_id}", header]
-    lines.extend(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
+    lines.extend(
+        ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+        for row in rows
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -169,9 +181,17 @@ def _alpha_section(estimates) -> list:
     return [
         {"N": e.n, "value": e.value, "lower_bound": e.lower_bound, "restarts": e.restarts_used,
          "converged_restarts": e.converged_restarts,
-         "best_config": [list(map(float, p)) for p in e.best_config.points]}
+         "best_config": [list(map(float, p)) for p in e.best_config.points],
+         "diagnostics": e.diagnostics}
         for e in estimates
     ]
+
+
+def _log_cap_hits(estimates) -> None:
+    for e in estimates:
+        if e.diagnostics["cap_hits"]:
+            sys.stderr.write(f"warning: N={e.n}: {e.diagnostics['cap_hits']} of "
+                             f"{e.restarts_used} restarts hit the iteration cap\n")
 
 
 def _alpha_csv(estimates, args) -> str:
@@ -312,17 +332,24 @@ def _log_lemmas(reports) -> None:
         sys.stderr.write(f"{r.lemma}: {status} (min margin {r.min_margin:.6g})\n")
 
 
+# declared by each stage that reads them; a command declares a flag once
+_SEED_FLAG = ("--seed", dict(type=_u64, default=0, help="64-bit seed for stochastic work"))
+_TOL_FLAG = ("--tol", dict(type=_finite, default=1e-10, help="solver tolerance"))
+
 ALPHA = Stage(
     "alpha", "alpha",
     flags=(
         ("--n", dict(default="2:8", help="inclusive N range a:b")),
         ("--restarts", dict(type=int, default=64)),
+        _SEED_FLAG,
+        _TOL_FLAG,
     ),
     params=_echo("n", "restarts"),
     prepare=_alpha_job,
     section=_alpha_section,
     csv=_alpha_csv,
     panel=_alpha_panel,
+    log=_log_cap_hits,
 )
 
 BETA = Stage(
@@ -331,6 +358,7 @@ BETA = Stage(
         ("--nodes", dict(type=int, default=200, help="radial node count")),
         ("--range", dict(default="0.05:20", help="node range lo:hi")),
         ("--lambda-grid", dict(type=int, default=101)),
+        _TOL_FLAG,
     ),
     params=_echo("nodes", "range", "lambda_grid"),
     prepare=_beta_job,
@@ -386,10 +414,8 @@ REPORT_CHECK = Stage(
 )
 
 _SHARED_FLAGS = (
-    ("--seed", dict(type=_u64, default=0, help="64-bit seed for stochastic work")),
     ("--out", dict(default=None, help="output file path")),
     ("--format", dict(choices=("csv", "json", "svg"), help="output format")),
-    ("--tol", dict(type=_finite, default=1e-10, help="solver tolerance")),
     ("--timings", dict(
         action="store_true",
         help="embed real wall-clock timings in JSON (breaks byte reproducibility)",
@@ -433,7 +459,8 @@ def _payload(args, results: dict, timings: dict) -> dict:
         "config": {
             "command": args.command,
             "parameters": parameters,
-            **{name: getattr(args, name) for name in ("seed", "out", "format", "tol")},
+            **{name: getattr(args, name)
+               for name in ("seed", "out", "format", "tol") if hasattr(args, name)},
         },
         "results": {stage.key: stage.section(results[stage.key]) for stage in stages},
         "timings": timings if args.timings else dict.fromkeys(timings, 0.0),
@@ -474,10 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, command in _COMMANDS.items():
         p = subs.add_parser(name, help=command.help)
-        for stage in command.stages:
-            for flag, options in stage.flags:
-                p.add_argument(flag, **options)
-        for flag, options in _SHARED_FLAGS:
+        flags = dict(flag for stage in command.stages for flag in stage.flags)
+        for flag, options in (*flags.items(), *_SHARED_FLAGS):
             p.add_argument(flag, **options)
         p.set_defaults(**command.defaults)
     return parser

@@ -109,9 +109,14 @@ def _triu(n: int):
     return np.triu_indices(n, 1)
 
 
-def _pair_distance_matrix(points: np.ndarray) -> np.ndarray:
+def _pair_geometry(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair differences x_i - x_j, shape (N, N, 3), and distances |x_i - x_j|."""
     diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return diff, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def _pair_distance_matrix(points: np.ndarray) -> np.ndarray:
+    return _pair_geometry(points)[1]
 
 
 def _distance_extremes(points: np.ndarray) -> tuple[float, float]:
@@ -131,15 +136,16 @@ def _energy_normalizer(points: np.ndarray) -> tuple[float, float]:
     return energy, normalizer
 
 
-def _ratio_and_gradient(points: np.ndarray) -> tuple[float, np.ndarray]:
+def _ratio_and_gradient(points: np.ndarray, geometry=None) -> tuple[float, np.ndarray]:
     """Ratio and its gradient with respect to every coordinate.
 
     The ratio is homogeneous of degree zero, so the gradient has zero
-    directional derivative along the scaling direction x -> x.
+    directional derivative along the scaling direction x -> x.  A caller that
+    already holds ``_pair_geometry(points)`` passes it as ``geometry``; the
+    diagonal of its distance matrix is overwritten.
     """
     n = points.shape[0]
-    diff = points[:, None, :] - points[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    diff, d = _pair_geometry(points) if geometry is None else geometry
     np.fill_diagonal(d, np.inf)
     norms2 = np.einsum("ij,ij->i", points, points)
     norms = np.sqrt(norms2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import xml.dom.minidom
 import pytest
 
 from ionbound import cli
+from ionbound.alpha import estimate_alpha
 from ionbound.cli import _json_text, _payload, build_parser, main
 
 
@@ -48,6 +50,42 @@ def test_alpha_json_contains_lower_bound(tmp_path):
     assert payload["config"]["seed"] == 1
 
 
+DIAGNOSTIC_KEYS = [
+    "iterations_total", "iterations_max", "evaluations_total", "cap_hits", "basin_hits",
+]
+
+
+def test_alpha_json_diagnostics_without_cap_hits(tmp_path, capsys):
+    out = tmp_path / "alpha.json"
+    assert run_cli(["alpha", "--n", "2:4", "--restarts", "4", "--format", "json",
+                    "--out", str(out)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    for row in json.loads(out.read_text())["results"]["alpha"]:
+        assert list(row)[-1] == "diagnostics"
+        assert list(row["diagnostics"]) == DIAGNOSTIC_KEYS
+        assert row["diagnostics"]["cap_hits"] == 0
+        assert 1 <= row["diagnostics"]["basin_hits"] <= 4
+
+
+def test_alpha_cap_hits_are_flagged(tmp_path, capsys, monkeypatch):
+    def capped(n, settings):
+        return estimate_alpha(n, dataclasses.replace(settings, max_iterations=1))
+
+    monkeypatch.setattr(cli, "estimate_alpha", capped)
+    out = tmp_path / "alpha.json"
+    assert run_cli(["alpha", "--n", "3:4", "--restarts", "2", "--format", "json",
+                    "--out", str(out)]) == 0
+    warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning")]
+    assert warnings == [
+        "warning: N=3: 2 of 2 restarts hit the iteration cap",
+        "warning: N=4: 2 of 2 restarts hit the iteration cap",
+    ]
+    for row in json.loads(out.read_text())["results"]["alpha"]:
+        assert row["converged_restarts"] == 0
+        assert row["diagnostics"]["cap_hits"] == 2
+        assert row["diagnostics"]["iterations_max"] == 1
+
+
 # ---------------------------------------------------------------------------
 # beta command
 # ---------------------------------------------------------------------------
@@ -74,6 +112,17 @@ def test_beta_json_diagnostics(tmp_path):
     weights = beta["certificate_measure"]["weights"]
     assert diagnostics["support_size"] == sum(w > 0 for w in weights)
     assert 0.0 <= diagnostics["kkt_residual"] <= 1e-10
+
+
+def test_beta_csv_numeric_cells_parse(tmp_path):
+    out = tmp_path / "beta.csv"
+    assert run_cli(["beta", "--nodes", "30", "--format", "csv", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    header, row = lines[1].split(","), lines[2].split(",")
+    assert len(header) == len(row) == 9
+    for name, cell in zip(header, row):
+        if not name.endswith("_source"):
+            float(cell)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +291,35 @@ def test_unknown_flag_exit_1(capsys):
     assert run_cli(["alpha", "--bogus"]) == 1
     err = capsys.readouterr().err
     assert "usage" in err and "alpha" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["bounds", "--seed", "1"], ["bounds", "--tol", "1e-3"], ["verify", "--seed", "1"],
+     ["verify", "--tol", "1e-3"], ["beta", "--seed", "1"]],
+    ids=" ".join,
+)
+def test_flags_a_command_never_reads_are_rejected(capsys, args):
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: ionbound {args[0]}: unrecognized arguments: {args[1]} {args[2]}\n"
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        (["alpha", "--n", "2:2", "--restarts", "1"], ["seed", "out", "format", "tol"]),
+        (["beta", "--nodes", "20"], ["out", "format", "tol"]),
+        (["bounds", "--z", "1:2"], ["out", "format"]),
+        (["verify", "--lemma", "lemma3"], ["out", "format"]),
+        (["report", "--n", "2:2", "--restarts", "1", "--nodes", "20", "--z", "1:2"],
+         ["seed", "out", "format", "tol"]),
+    ],
+    ids=["alpha", "beta", "bounds", "verify", "report"],
+)
+def test_config_echoes_only_flags_the_command_reads(tmp_path, command, keys):
+    config = _json_results(tmp_path, command, "out.json")["config"]
+    assert list(config) == ["command", "parameters", *keys]
 
 
 def test_unknown_command_exit_1(capsys):
