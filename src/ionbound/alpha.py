@@ -14,6 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .beta import DEFAULT_BETA_LOWER
 from .errors import DegenerateNormalizerError, DomainError
 from .kernels import (
     COINCIDENCE_RTOL,
@@ -26,9 +27,6 @@ from .kernels import (
     _triu,
 )
 
-# Default statistical-limit lower bracket used for the Proposition-style bound.
-DEFAULT_BETA_LOWER = 0.8218
-
 # Steps moving any point this close to the origin are rejected (the radial
 # term is not smooth there); configurations are kept at scale sum|x_i| = N.
 ORIGIN_GUARD = 1e-9
@@ -37,23 +35,20 @@ _STEP_FLOOR = 1e-15
 _VALUE_TIE = 1e-15
 _BASIN_TIE = 1e-9  # restarts this close to the best value hit its basin
 _MEMORY = 8  # curvature pairs kept by the L-BFGS two-loop recursion
+_STEP_INIT = 0.1  # scale of the gradient step taken without curvature pairs
+_STEP_SHRINK = 0.5  # backtracking factor
+_INIT_RADIAL_BAND = (0.2, 1.8)  # start radii are uniform in this band
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs for the multi-start L-BFGS descent; a restart takes 10-100 steps for N <= 12.
-
-    ``step_init`` scales the gradient step taken without curvature pairs, and
-    ``step_shrink`` is the backtracking factor.
-    """
+    """Restarts, seed and stopping rule of the multi-start L-BFGS descent; a
+    restart takes 10-100 steps for N <= 12."""
 
     restarts: int = 64
     max_iterations: int = 5000
     ratio_tolerance: float = 1e-10
-    step_init: float = 0.1
-    step_shrink: float = 0.5
     seed: int = 0
-    init_radial_band: tuple[float, float] = (0.2, 1.8)
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -62,13 +57,6 @@ class OptimizerSettings:
             raise DomainError("max_iterations must be >= 1")
         if self.ratio_tolerance <= 0:
             raise DomainError("ratio_tolerance must be positive")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise DomainError("step_shrink must lie in (0, 1)")
-        if self.step_init <= 0:
-            raise DomainError("step_init must be positive")
-        low, high = self.init_radial_band
-        if not 0.0 < low < high:
-            raise DomainError("init_radial_band needs 0 < low < high")
 
 
 @dataclass(frozen=True)
@@ -128,10 +116,10 @@ def _evaluate_trial(points: np.ndarray):
     return ratio, points * scale, grad / scale
 
 
-def _lbfgs_direction(grad: np.ndarray, pairs: deque, step_init: float) -> np.ndarray:
+def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
     """-H grad by the two-loop recursion over the (s, y, 1/sᵀy) pairs, oldest first;
     with no pairs, or if that does not descend, the pairs are cleared and
-    -step_init * grad is returned."""
+    -_STEP_INIT * grad is returned."""
     if pairs:
         q = grad.ravel().copy()
         alphas = []
@@ -145,7 +133,7 @@ def _lbfgs_direction(grad: np.ndarray, pairs: deque, step_init: float) -> np.nda
         if q @ grad.ravel() > 0.0:
             return -q.reshape(grad.shape)
         pairs.clear()
-    return -step_init * grad
+    return -_STEP_INIT * grad
 
 
 def _minimize_raw(
@@ -153,11 +141,11 @@ def _minimize_raw(
 ) -> tuple[np.ndarray, float, bool, int, int]:
     """L-BFGS descent on the normalized scale manifold sum|x_i| = N.
 
-    Backtracking by step_shrink from the full step accepts the first trial
+    Backtracking by _STEP_SHRINK from the full step accepts the first trial
     that passes the guards with a strictly lower ratio.  Each accepted step
     gives a curvature pair, built after renormalization and kept, up to the
     last _MEMORY, if sᵀy > 1e-12 |s||y|.  Stops at the iteration cap, or when
-    a step along -step_init * gradient improves by less than ratio_tolerance
+    a step along -_STEP_INIT * gradient improves by less than ratio_tolerance
     or finds no improving step above the step floor; a quasi-Newton step that
     meets either test clears the memory instead.  Returns the points, the
     ratio, the convergence flag, and the counts of iterations and trial
@@ -170,14 +158,14 @@ def _minimize_raw(
     pairs: deque = deque(maxlen=_MEMORY)
     converged, iterations, evaluations = False, 0, 0
     for iterations in range(1, settings.max_iterations + 1):
-        direction = _lbfgs_direction(grad, pairs, settings.step_init)
+        direction = _lbfgs_direction(grad, pairs)
         step = 1.0
         while step > _STEP_FLOOR:
             evaluations += 1
             trial = _evaluate_trial(pts + step * direction)
             if trial is not None and trial[0] < ratio:
                 break
-            step *= settings.step_shrink
+            step *= _STEP_SHRINK
         else:
             trial = None
         if trial is None or ratio - trial[0] < settings.ratio_tolerance:
@@ -222,7 +210,7 @@ def _initial_points(n: int, settings: OptimizerSettings, restart: int) -> np.nda
     """Seeded start: i.i.d. uniform directions, radii uniform in the init band."""
     seq = np.random.SeedSequence(entropy=settings.seed, spawn_key=(n, restart))
     rng = np.random.default_rng(seq)
-    low, high = settings.init_radial_band
+    low, high = _INIT_RADIAL_BAND
     while True:
         dirs = rng.standard_normal((n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

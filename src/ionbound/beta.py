@@ -1,10 +1,11 @@
 """Two-sided bracketing of the statistical-limit ratio constant.
 
-The lower side comes from maximizing the scalar reduction g(lambda) of the
-blended-kernel maximin problem on [0.8, 1]; the upper side from a closed-form
-trial measure and from fractional quadratic programming over discretized
-radial measures (Dinkelbach iteration whose parametric subproblems are
-solved exactly by an active-set method on the weight simplex).
+The lower side is the maximum of the scalar reduction g(lambda) of the
+blended-kernel maximin problem on [0.8, 1]; a grid maximin of the kernel
+itself is reported beside it as a cross-check.  The upper side comes from a
+closed-form trial measure and from fractional quadratic programming over
+discretized radial measures (Dinkelbach iteration whose parametric
+subproblems are solved exactly by an active-set method on the weight simplex).
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ LAMBDA_DOMAIN = (0.8, 1.0)
 
 # Analytic value of the radial trial measure (3/4) r^(-3/2) on [1, 9].
 TRIAL_MEASURE_ANALYTIC = 115.0 / 81.0 - math.log(3.0) / 2.0
+
+# g_max = 0.8218066... rounded down: the lower bracket the bounds use by
+# default, so their coefficient must be at least 1/0.8218.
+DEFAULT_BETA_LOWER = 0.8218
 
 DEFAULT_NODE_COUNT = 200
 DEFAULT_NODE_RANGE = (0.05, 20.0)
@@ -114,8 +119,6 @@ class BetaSettings:
 
     g_tolerance: float = 1e-10
     lambda_grid: int = 101
-    b_grid: int = 201
-    c_grid: int = 201
     node_count: int = DEFAULT_NODE_COUNT
     node_range: tuple[float, float] = DEFAULT_NODE_RANGE
     dinkelbach_tolerance: float = 1e-10
@@ -192,14 +195,15 @@ def _inner_min_over_bc(lams: np.ndarray, b_grid: int, c_grid: int) -> np.ndarray
     return mins
 
 
-def w_maximin(lambda_grid: int, b_grid: int, c_grid: int) -> WMaximinResult:
+def w_maximin(lambda_grid: int, b_grid: int = 201, c_grid: int = 201) -> WMaximinResult:
     """Grid maximin of the normalized blended kernel on the reduced domain.
 
     Scaling to a = 1 is exact (the normalized kernel is homogeneous of degree
-    zero).  The inner min over a finite grid upper-bounds the true infimum,
-    so ``value`` is at least g_max minus ``grid_error``, which combines the
-    observed drop under nested (b, c) refinement with the resolution of the
-    lambda grid against the golden-section maximum of g.
+    zero).  The inner min over a finite grid is an upper estimate of the true
+    infimum, so ``value`` may exceed g_max and bounds nothing: it is a
+    cross-check on g_max.  ``grid_error`` is a heuristic, not a bound; it
+    combines the observed drop under nested (b, c) refinement with the
+    resolution of the lambda grid against the golden-section maximum of g.
     """
     if lambda_grid < 2 or b_grid < 2 or c_grid < 2:
         raise DegenerateGridError("all grid counts must be >= 2")
@@ -421,12 +425,7 @@ def bracket_detail(settings: Optional[BetaSettings] = None) -> BracketDetail:
     if settings is None:
         settings = BetaSettings()
     lambda_0, g_max = maximize_g(settings.g_tolerance)
-    maximin = w_maximin(settings.lambda_grid, settings.b_grid, settings.c_grid)
-    maximin_discounted = maximin.value - maximin.grid_error
-    if g_max >= maximin_discounted:
-        lower, lower_source = g_max, "g_max"
-    else:
-        lower, lower_source = maximin_discounted, "maximin-grid"
+    maximin = w_maximin(settings.lambda_grid)
     history: list = []
     measure, optimized = minimize_radial_ratio(None, settings, history)
     if TRIAL_MEASURE_ANALYTIC <= optimized:
@@ -434,8 +433,8 @@ def bracket_detail(settings: Optional[BetaSettings] = None) -> BracketDetail:
     else:
         upper, upper_source, certificate = optimized, "optimized-measure", measure
     bracket = BetaBracket(
-        lower=lower,
-        lower_source=lower_source,
+        lower=g_max,
+        lower_source="g_max",
         upper=upper,
         upper_source=upper_source,
         certificate_measure=certificate,
@@ -455,8 +454,8 @@ def bracket_detail(settings: Optional[BetaSettings] = None) -> BracketDetail:
 def beta_bracket(settings: Optional[BetaSettings] = None) -> BetaBracket:
     """Best available lower and upper estimates with provenance of each side.
 
-    Lower: the larger of the g maximum and the grid maximin discounted by its
-    reported grid error.  Upper: the smaller of the trial-measure closed form
+    Lower: the g maximum; bracket_detail also reports the grid maximin, as a
+    cross-check only.  Upper: the smaller of the trial-measure closed form
     and the optimized radial measure, which then becomes the certificate.
     """
     return bracket_detail(settings).bracket

@@ -14,6 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .beta import DEFAULT_BETA_LOWER
 from .errors import (
     DegenerateGridError,
     DomainError,
@@ -70,7 +71,7 @@ class BoundInputs:
     model: str = "nonrel"
     B: float = 0.0
     k: float = 2.0
-    beta_lower: float = 0.8218
+    beta_lower: float = DEFAULT_BETA_LOWER
     coeff: float = 1.22
     C_universal: float = 1.0
     C_kappa: float = 1.0
@@ -279,7 +280,7 @@ class LemmaGrid:
     ratio_points: int = 120
     ratio_range: tuple[float, float] = (0.1, 2.33)
     beta_points: int = 1
-    beta_range: tuple[float, float] = (0.8218, 0.8218)
+    beta_range: tuple[float, float] = (DEFAULT_BETA_LOWER, DEFAULT_BETA_LOWER)
     n_above: int = 24
     real_n: bool = False
 
@@ -288,8 +289,8 @@ class LemmaGrid:
             raise DegenerateGridError("grid counts must be >= 1")
         if not all(map(math.isfinite, (*self.z_range, *self.ratio_range, *self.beta_range))):
             raise DomainError("grid ranges must be finite")
-        if self.beta_range[0] < 0.8218:
-            raise DomainError("beta grid values must be >= 0.8218")
+        if self.beta_range[0] < DEFAULT_BETA_LOWER:
+            raise DomainError(f"beta grid values must be >= {DEFAULT_BETA_LOWER}")
         if self.ratio_range[1] >= 7.0 / 3.0:
             raise DomainError("ratio grid must stay below 7/3, the lemma3 hypothesis")
 
@@ -337,7 +338,7 @@ def lemma4_threshold(z, beta: float):
 
 
 def _cubic(x, beta: float):
-    return 0.68 - 3.0 * beta * np.asarray(x, dtype=float) ** 2 + _beta1(beta) * np.asarray(x, dtype=float) ** 3
+    return KINETIC_COEFF - 3.0 * beta * np.asarray(x, dtype=float) ** 2 + _beta1(beta) * np.asarray(x, dtype=float) ** 3
 
 
 def verify_lemma(lemma: str, grid: Optional[LemmaGrid] = None) -> LemmaReport:

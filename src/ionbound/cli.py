@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .alpha import OptimizerSettings, estimate_alpha
-from .beta import BetaSettings, bracket_detail, g_of_lambda
+from .beta import DEFAULT_BETA_LOWER, BetaSettings, bracket_detail, g_of_lambda
 from .bounds import (
     BoundInputs,
     LemmaGrid,
@@ -374,7 +374,7 @@ BOUNDS = Stage(
         ("--model", dict(choices=tuple(_MODEL_FLAGS), default="nonrel")),
         ("--B", dict(type=_finite, default=0.0, help="magnetic field strength")),
         ("--coeff", dict(type=_finite, default=1.22)),
-        ("--beta", dict(type=_finite, default=0.8218)),
+        ("--beta", dict(type=_finite, default=DEFAULT_BETA_LOWER)),
         ("--C", dict(type=_finite, default=1.0, help="universal magnetic constant")),
         ("--Ckappa", dict(type=_finite, default=1.0, help="relativistic constant")),
         ("--C2", dict(type=_finite, default=1.0, help="bosonic constant")),
@@ -394,7 +394,7 @@ VERIFY = Stage(
         ("--grid-z", dict(type=int, default=120)),
         ("--grid-ratio", dict(type=int, default=120)),
         ("--grid-beta", dict(type=int, default=1)),
-        ("--beta-range", dict(default="0.8218:0.99")),
+        ("--beta-range", dict(default=f"{DEFAULT_BETA_LOWER}:0.99")),
         ("--n-above", dict(type=int, default=24)),
         ("--real-n", dict(
             action="store_true",

@@ -5,6 +5,7 @@ import pytest
 
 from ionbound.alpha import OptimizerSettings, estimate_alpha
 from ionbound.beta import minimize_radial_ratio
+from ionbound.kernels import mc_dipole, mc_inverse_distance
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +29,32 @@ def radial_minimum_default():
     history = []
     measure, value = minimize_radial_ratio(history=history)
     return measure, value, history, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def monte_carlo_oracle_cases():
+    """20 seeded (a, s) cases, each with the Monte Carlo mean and standard error
+    of 1/|a + s w| (seed 1000 + case) and of w/|a + s w| (seed 2000 + case) over
+    10^6 sphere samples: (a, s, mean, se, dipole mean, dipole se) per case.
+
+    |a| and s are kept well separated; the coincident-radius case has heavy
+    tails and is pinned separately.
+    """
+    rng = np.random.default_rng(99)
+    cases = []
+    for case in range(20):
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        if case % 2 == 0:
+            a = direction * rng.uniform(0.3, 1.4)
+            s = rng.uniform(1.8, 3.0)
+        else:
+            a = direction * rng.uniform(1.6, 3.0)
+            s = rng.uniform(0.1, 1.2)
+        mean, se = mc_inverse_distance(a, s, samples=10**6, seed=1000 + case)
+        dmean, dse = mc_dipole(a, s, samples=10**6, seed=2000 + case)
+        cases.append((a, s, mean, se, dmean, dse))
+    return cases
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

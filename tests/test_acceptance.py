@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
-The expensive shared computations (the N = 2..12 estimate sweep and the
-200-node radial minimization) come from session fixtures in conftest.py.
+The expensive shared computations (the N = 2..12 estimate sweep, the
+200-node radial minimization and the Monte Carlo oracle cases) come from
+session fixtures in conftest.py.
 """
 
 import math
@@ -23,8 +24,6 @@ from ionbound.bounds import BoundInputs, LemmaGrid, crossover_z, derived_constan
 from ionbound.cli import main as cli_main
 from ionbound.kernels import (
     ParticleConfiguration,
-    mc_dipole,
-    mc_inverse_distance,
     radial_kernel_triple,
     ratio_gradient,
     ratio_value,
@@ -206,19 +205,10 @@ def test_criterion_11_lemma_verifiers(tmp_path):
     )
 
 
-def test_criterion_12_identity_suite():
-    rng = np.random.default_rng(99)
+def test_criterion_12_identity_suite(monte_carlo_oracle_cases):
     mc_ok = True
-    for case in range(20):
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        if case % 2 == 0:
-            a, s = direction * rng.uniform(0.3, 1.4), rng.uniform(1.8, 3.0)
-        else:
-            a, s = direction * rng.uniform(1.6, 3.0), rng.uniform(0.1, 1.2)
-        mean, se = mc_inverse_distance(a, s, samples=10**6, seed=1000 + case)
+    for a, s, mean, se, dmean, dse in monte_carlo_oracle_cases:
         mc_ok &= abs(mean - sphere_average_inverse_distance(a, s)) <= 3 * se
-        dmean, dse = mc_dipole(a, s, samples=10**6, seed=2000 + case)
         mc_ok &= bool(np.all(np.abs(dmean - sphere_average_dipole(a, s)) <= 3 * dse))
     triple_ok = True
     for r, s in np.random.default_rng(21).uniform(0.05, 20.0, size=(100, 2)):

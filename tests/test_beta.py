@@ -106,6 +106,18 @@ def test_w_maximin_degenerate_grid():
         w_maximin(1, 101, 101)
 
 
+def test_lower_side_is_g_max_where_the_grid_maximin_overshoots():
+    """At lambda grid 24 the grid maximin, an upper estimate of the inner
+    infimum, ends up above g_max even after its grid_error is taken off."""
+    from ionbound.beta import bracket_detail
+
+    detail = bracket_detail(BetaSettings(lambda_grid=24))
+    assert detail.bracket.lower == detail.g_max
+    assert detail.bracket.lower_source == "g_max"
+    assert detail.maximin.value == 0.82180693671339
+    assert detail.maximin.grid_error == 2.3154881301223895e-07
+
+
 # ---------------------------------------------------------------------------
 # radial ratio and trial measure
 # ---------------------------------------------------------------------------

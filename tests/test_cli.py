@@ -114,6 +114,17 @@ def test_beta_json_diagnostics(tmp_path):
     assert 0.0 <= diagnostics["kkt_residual"] <= 1e-10
 
 
+def test_beta_lower_side_is_g_max(tmp_path):
+    out = tmp_path / "beta.json"
+    assert run_cli(["beta", "--lambda-grid", "24", "--out", str(out)]) == 0
+    beta = json.loads(out.read_text())["results"]["beta"]
+    assert beta["lower"] == beta["g"]["g_max"]
+    out = tmp_path / "beta.csv"
+    assert run_cli(["beta", "--lambda-grid", "24", "--format", "csv", "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines()[1:3])
+    assert dict(zip(header, row))["lower_source"] == "g_max"
+
+
 def test_beta_csv_numeric_cells_parse(tmp_path):
     out = tmp_path / "beta.csv"
     assert run_cli(["beta", "--nodes", "30", "--format", "csv", "--out", str(out)]) == 0

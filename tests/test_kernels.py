@@ -214,22 +214,9 @@ def test_dipole_matches_monte_carlo():
     assert np.all(np.abs(mean - closed) <= 3 * se)
 
 
-def test_newton_and_dipole_oracles_20_seeded_cases():
-    rng = np.random.default_rng(99)
-    for case in range(20):
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        # keep |a| and s well separated; the coincident-radius case has heavy
-        # tails and is pinned separately above
-        if case % 2 == 0:
-            a = direction * rng.uniform(0.3, 1.4)
-            s = rng.uniform(1.8, 3.0)
-        else:
-            a = direction * rng.uniform(1.6, 3.0)
-            s = rng.uniform(0.1, 1.2)
-        mean, se = mc_inverse_distance(a, s, samples=10**6, seed=1000 + case)
+def test_newton_and_dipole_oracles_20_seeded_cases(monte_carlo_oracle_cases):
+    for case, (a, s, mean, se, dmean, dse) in enumerate(monte_carlo_oracle_cases):
         assert abs(mean - sphere_average_inverse_distance(a, s)) <= 3 * se, f"case {case}"
-        dmean, dse = mc_dipole(a, s, samples=10**6, seed=2000 + case)
         assert np.all(np.abs(dmean - sphere_average_dipole(a, s)) <= 3 * dse), f"case {case}"
 
 
