@@ -1,7 +1,9 @@
 """Closed-form ionization bound calculators, the derived constant chain, and
 grid verifiers for the supporting inequalities.
 
-All calculators are total on their stated domains and deterministic.  Grid
+All calculators are total on their stated domains and deterministic.  The
+implicit particle-count bound (``implicit_N`` of the bounds table) comes from
+one vectorised bisection over the whole Z grid, to 1e-9 relative.  Grid
 verifications reduce with value-then-lexicographic-witness order, so reports
 are reproducible.
 """
@@ -37,8 +39,6 @@ MODELS = (
 KINETIC_COEFF = 0.68
 
 MEAN_RADIUS_COEFF = 0.553
-
-CROSSOVER_SCAN_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -176,30 +176,54 @@ def _implicit_lhs(n, beta: float):
     return np.asarray(n, dtype=float) * (beta - _beta1(beta) * u) / (1.0 + KINETIC_COEFF * u)
 
 
+def implicit_bound(z, beta: float) -> np.ndarray:
+    """Implicit particle-count bound for every charge of ``z``: the root N of
+    N (beta - beta1 N^(-2/3)) / (1 + 0.68 N^(-2/3)) = Z, by one bisection over
+    the array to 1e-9 relative.
+
+    Each row starts from [max(2, Z/beta), 2 max(2, Z/beta)], doubles its upper
+    end until the left side exceeds Z, and freezes once hi - lo <= 1e-9 hi.
+    """
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise DomainError("bound inputs must be finite")
+    if not np.all(z > 0):
+        raise DomainError("Z must be positive")
+    if not 0.0 < beta < 1.0:
+        raise DomainError("beta_lower must lie in (0, 1)")
+    # Z near the float maximum overflows to inf rows, as Python floats would
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.maximum(2.0, z / beta)
+        hi = 2.0 * lo
+        for _ in range(200):
+            short = _implicit_lhs(hi, beta) <= z
+            if not short.any():
+                break
+            hi = np.where(short, 2.0 * hi, hi)
+        else:
+            raise RootBracketError("could not bracket the implicit bound")
+        active = hi - lo > 1e-9 * hi
+        while active.any():
+            mid = 0.5 * (lo + hi)
+            below = _implicit_lhs(mid, beta) < z
+            lo = np.where(active & below, mid, lo)
+            hi = np.where(active & ~below, mid, hi)
+            active = hi - lo > 1e-9 * hi
+        return 0.5 * (lo + hi)
+
+
 def bound_row(inputs: BoundInputs) -> BoundRow:
     """Classical bound 2Z+1, closed-form bound coeff*Z + 3 Z^(1/3), and the
-    implicit particle-count bound solved by bisection to 1e-9 relative.
+    implicit particle-count bound of ``implicit_bound``.
     """
     if inputs.model != "nonrel":
         raise DomainError("bound_row applies to the nonrel model")
-    z, beta = inputs.Z, inputs.beta_lower
-    lieb = 2.0 * z + 1.0
-    main = inputs.coeff * z + 3.0 * z ** (1.0 / 3.0)
-    lo = max(2.0, z / beta)
-    hi = 2.0 * lo
-    for _ in range(200):
-        if _implicit_lhs(hi, beta) > z:
-            break
-        hi *= 2.0
-    else:
-        raise RootBracketError("could not bracket the implicit bound")
-    while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        if _implicit_lhs(mid, beta) < z:
-            lo = mid
-        else:
-            hi = mid
-    return BoundRow(lieb=lieb, main=main, implicit_n=0.5 * (lo + hi))
+    z = inputs.Z
+    return BoundRow(
+        lieb=2.0 * z + 1.0,
+        main=inputs.coeff * z + 3.0 * z ** (1.0 / 3.0),
+        implicit_n=float(implicit_bound([z], inputs.beta_lower)[0]),
+    )
 
 
 def ionization_lemma_margin(n: int, z: float, alpha_value: float) -> float:
@@ -260,11 +284,35 @@ def relativistic_or_bosonic_bound(inputs: BoundInputs) -> float:
 
 
 def crossover_z(inputs: BoundInputs) -> int:
-    """Smallest integer charge where coeff*Z + 3 Z^(1/3) beats 2Z + 1."""
-    for z in range(1, CROSSOVER_SCAN_CAP + 1):
-        if inputs.coeff * z + 3.0 * z ** (1.0 / 3.0) < 2.0 * z + 1.0:
-            return z
-    raise NoCrossoverError(f"no crossover below {CROSSOVER_SCAN_CAP}")
+    """Smallest integer charge where coeff*Z + 3 Z^(1/3) beats 2Z + 1.
+
+    With t = Z^(1/3) and a = 2 - coeff the inequality reads a t^3 - 3t + 1 > 0.
+    For Z >= 1 it holds exactly past the cube of that cubic's largest root,
+    which places the answer; the integer test 27 Z < (a Z + 1)^3, exact in
+    the rational a, then settles it.
+    """
+    if inputs.coeff >= 2.0:
+        raise NoCrossoverError(f"coeff = {inputs.coeff!r} >= 2 never beats 2Z + 1")
+    m, q = inputs.coeff.as_integer_ratio()
+    p = 2 * q - m  # a = p / q exactly
+
+    def beats(z: int) -> bool:
+        return 27 * z * q**3 < (p * z + q) ** 3
+
+    a = p / q
+    t = 2.0 / math.sqrt(a) * math.cos(math.acos(-0.5 * math.sqrt(a)) / 3.0)
+    # gallop out from the float root to integers lo < hi with beats(hi) and
+    # lo = 0 or not beats(lo), then bisect; the root is good to ~1e-15 relative
+    hi = max(1, math.ceil(t**3))
+    lo, step = hi - 1, 1
+    while not beats(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while lo > 0 and beats(lo):
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if beats(mid) else (mid, hi)
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +337,8 @@ class LemmaGrid:
             raise DegenerateGridError("grid counts must be >= 1")
         if not all(map(math.isfinite, (*self.z_range, *self.ratio_range, *self.beta_range))):
             raise DomainError("grid ranges must be finite")
+        if min(*self.z_range, *self.ratio_range) <= 0:
+            raise DomainError("z and ratio grid ranges must be positive")
         if self.beta_range[0] < DEFAULT_BETA_LOWER:
             raise DomainError(f"beta grid values must be >= {DEFAULT_BETA_LOWER}")
         if self.ratio_range[1] >= 7.0 / 3.0:
@@ -373,23 +423,24 @@ def verify_lemma(lemma: str, grid: Optional[LemmaGrid] = None) -> LemmaReport:
         min_margin = math.inf
         witness = ()
         out_of_hypothesis = 0
+        z = grid.zs()[:, None]
         for beta in grid.betas():
             beta = float(beta)
-            for z in grid.zs():
-                z = float(z)
-                threshold = float(lemma4_threshold(z, beta))
-                first = math.ceil(threshold)
-                ints = np.arange(first, first + grid.n_above, dtype=float)
-                margins = _lemma4_margin(ints, z, beta)
-                i = int(np.argmin(margins))
-                if margins[i] < min_margin:
-                    min_margin = float(margins[i])
-                    witness = (z, float(ints[i]), beta)
-                if grid.real_n:
-                    reals = np.linspace(threshold, threshold + grid.n_above, 4 * grid.n_above + 1)
-                    out_of_hypothesis += int(
-                        np.sum((_lemma4_margin(reals, z, beta) <= 0) & (reals != np.round(reals)))
-                    )
+            threshold = lemma4_threshold(z[:, 0], beta)
+            ints = np.ceil(threshold)[:, None] + np.arange(grid.n_above, dtype=float)
+            margins = _lemma4_margin(ints, z, beta)
+            # first minimum in C order: the smallest Z, then the smallest N
+            i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
+            if margins[i, j] < min_margin:
+                min_margin = float(margins[i, j])
+                witness = (float(z[i, 0]), float(ints[i, j]), beta)
+            if grid.real_n:
+                reals = np.linspace(
+                    threshold, threshold + grid.n_above, 4 * grid.n_above + 1, axis=1
+                )
+                out_of_hypothesis += int(
+                    np.sum((_lemma4_margin(reals, z, beta) <= 0) & (reals != np.round(reals)))
+                )
         return LemmaReport(
             lemma="lemma4",
             grid=grid.as_dict(),

@@ -27,7 +27,8 @@ from .beta import DEFAULT_BETA_LOWER, BetaSettings, bracket_detail, g_of_lambda
 from .bounds import (
     BoundInputs,
     LemmaGrid,
-    bound_row,
+    bound_row,  # unused here, but bench/tracing.py spans cli.bound_row by name
+    implicit_bound,
     magnetic_bound,
     relativistic_or_bosonic_bound,
     verify_lemma,
@@ -255,22 +256,24 @@ _MODEL_FLAGS = {"nonrel": "nonrel", "magnetic": "magnetic-homogeneous",
                 "relativistic": "relativistic", "bosonic": "bosonic-magnetic"}
 
 
+def _model_inputs(z: float, args) -> BoundInputs:
+    return BoundInputs(
+        Z=z, model=_MODEL_FLAGS[args.model], B=args.B, beta_lower=args.beta, coeff=args.coeff,
+        C_universal=args.C, C_kappa=args.Ckappa, C_2=args.C2,
+    )
+
+
 def _bounds_rows(zs: list[float], args) -> list[list]:
-    model = _MODEL_FLAGS[args.model]
+    # lieb and main stay in Python floats: numpy's z ** (1/3) differs in the last bit
+    implicit = implicit_bound(zs, args.beta).tolist()
     rows = []
-    for z in zs:
-        row = bound_row(BoundInputs(Z=z, beta_lower=args.beta, coeff=args.coeff))
+    for z, implicit_n in zip(zs, implicit):
         extra = ""
-        if model != "nonrel":
-            inputs = BoundInputs(
-                Z=z, model=model, B=args.B, beta_lower=args.beta, coeff=args.coeff,
-                C_universal=args.C, C_kappa=args.Ckappa, C_2=args.C2,
-            )
-            if model == "magnetic-homogeneous":
-                extra = magnetic_bound(inputs)
-            else:
-                extra = relativistic_or_bosonic_bound(inputs)
-        rows.append([z, row.lieb, row.main, row.implicit_n, extra])
+        if args.model == "magnetic":
+            extra = magnetic_bound(_model_inputs(z, args))
+        elif args.model != "nonrel":
+            extra = relativistic_or_bosonic_bound(_model_inputs(z, args))
+        rows.append([z, 2.0 * z + 1.0, args.coeff * z + 3.0 * z ** (1.0 / 3.0), implicit_n, extra])
     return rows
 
 
@@ -278,6 +281,10 @@ def _bounds_job(args):
     zs = _parse_float_range(args.z)
     if zs[0] <= 0:
         raise DomainError("Z must be positive")
+    # --beta, --coeff, --B and the constants are checked once, here; implicit_bound checks every Z
+    BoundInputs(Z=zs[0], beta_lower=args.beta, coeff=args.coeff)
+    if args.model != "nonrel":
+        _model_inputs(zs[0], args)
     return lambda: _bounds_rows(zs, args)
 
 

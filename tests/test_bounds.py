@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ionbound.bounds import (
     bound_row,
     crossover_z,
     derived_constants,
+    implicit_bound,
     ionization_lemma_margin,
     lemma4_threshold,
     magnetic_bound,
@@ -84,6 +86,50 @@ def test_implicit_bound_is_a_root():
         assert float(_implicit_lhs(row.implicit_n, 0.8218)) == pytest.approx(
             z, rel=1e-7
         )
+
+
+def _scalar_implicit_bound(z: float, beta: float) -> float:
+    """Oracle: the one-row bisection bound_row ran before implicit_bound."""
+    lo = max(2.0, z / beta)
+    hi = 2.0 * lo
+    for _ in range(200):
+        if _implicit_lhs(hi, beta) > z:
+            break
+        hi *= 2.0
+    else:
+        raise AssertionError(f"no bracket at Z={z}")
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if _implicit_lhs(mid, beta) < z:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("beta", [0.8218, 0.95])
+def test_implicit_bound_matches_scalar_bisection_bit_for_bit(beta):
+    zs = np.concatenate([
+        np.geomspace(1e-3, 2.0 * beta, 60, endpoint=False),  # the lo = 2 clamp
+        [1.0 + i * 0.01 for i in range(2950, 3150)],  # a stretch of --z 1:118:0.01
+        np.geomspace(118.0, 1e6, 60),
+    ])
+    assert np.any(zs / beta < 2.0) and zs.max() == pytest.approx(1e6)
+    got = implicit_bound(zs, beta)
+    want = [_scalar_implicit_bound(float(z), beta) for z in zs]
+    assert got.tolist() == want
+    for z in (0.5, 30.5, 1e6):
+        row = bound_row(BoundInputs(Z=z, beta_lower=beta, coeff=1 / beta))
+        assert row.implicit_n == implicit_bound(np.array([z]), beta)[0]
+
+
+def test_implicit_bound_rejects_bad_inputs():
+    for zs in ([1.0, 0.0], [1.0, -2.0], [math.nan], [1.0, math.inf]):
+        with pytest.raises(DomainError):
+            implicit_bound(zs, 0.8218)
+    for beta in (0.0, 1.0, math.nan):
+        with pytest.raises(DomainError):
+            implicit_bound([1.0], beta)
 
 
 def test_main_dominates_implicit_for_z_at_least_4():
@@ -235,6 +281,24 @@ def test_crossover_smaller_coeff_not_later():
     assert crossover_z(BoundInputs(Z=1.0, coeff=1 / 0.8218)) <= 6
 
 
+def test_crossover_matches_integer_scan():
+    for coeff in np.linspace(1 / 0.99, 1.95, 40):
+        coeff = float(coeff)
+        beats = lambda z: coeff * z + 3.0 * z ** (1 / 3) < 2.0 * z + 1.0
+        scan = next(z for z in range(1, 10**5) if beats(z))
+        assert crossover_z(BoundInputs(Z=1.0, beta_lower=0.99, coeff=coeff)) == scan, coeff
+
+
+def test_crossover_near_coeff_two():
+    """The crossover moves out like 3^(3/2) (2 - coeff)^(-3/2): near Z = 1.6e11 here."""
+    coeff = 1.9999999
+    z = crossover_z(BoundInputs(Z=1.0, coeff=coeff))
+    assert 1.6e11 < z < 1.7e11
+    a = 2 - Fraction(coeff)
+    beats = lambda n: 27 * n < (a * n + 1) ** 3  # coeff n + 3 n^(1/3) < 2n + 1, exactly
+    assert beats(z) and not beats(z - 1)
+
+
 def test_crossover_none_below_cap():
     with pytest.raises(NoCrossoverError):
         crossover_z(BoundInputs(Z=1.0, beta_lower=0.5, coeff=2.0))
@@ -298,6 +362,34 @@ def test_lemma4_real_n_failures_flagged_separately():
     assert report.min_margin == integer_only.min_margin
 
 
+def _lemma4_per_charge(grid: LemmaGrid):
+    """Oracle: lemma4 as one (beta, Z) pair at a time, before the broadcast."""
+    min_margin, witness, out_of_hypothesis = math.inf, (), 0
+    for beta in map(float, grid.betas()):
+        for z in map(float, grid.zs()):
+            threshold = float(lemma4_threshold(z, beta))
+            first = math.ceil(threshold)
+            ints = np.arange(first, first + grid.n_above, dtype=float)
+            margins = _lemma4_margin(ints, z, beta)
+            i = int(np.argmin(margins))
+            if margins[i] < min_margin:
+                min_margin, witness = float(margins[i]), (z, float(ints[i]), beta)
+            reals = np.linspace(threshold, threshold + grid.n_above, 4 * grid.n_above + 1)
+            out_of_hypothesis += int(
+                np.sum((_lemma4_margin(reals, z, beta) <= 0) & (reals != np.round(reals)))
+            )
+    return min_margin, witness, out_of_hypothesis
+
+
+@pytest.mark.parametrize("grid", [
+    LemmaGrid(real_n=True),
+    LemmaGrid(z_points=300, beta_points=3, beta_range=(0.8218, 0.95), n_above=7, real_n=True),
+])
+def test_lemma4_matches_per_charge_loop(grid):
+    report = verify_lemma("lemma4", grid)
+    assert (report.min_margin, report.witness, report.out_of_hypothesis) == _lemma4_per_charge(grid)
+
+
 def test_lemma4_margin_positive_for_large_charges():
     """Away from the small pockets the printed inequality does hold."""
     for z in np.geomspace(20.0, 120.0, 25):
@@ -319,6 +411,8 @@ def test_lemma_grid_validation():
         dict(beta_range=(0.9, math.inf)),
         dict(z_range=(0.5, math.inf)),
         dict(ratio_range=(math.nan, 2.0)),
+        dict(z_range=(-5.0, -1.0)),
+        dict(ratio_range=(0.0, 2.0)),
     ):
         with pytest.raises(DomainError):
             LemmaGrid(**bad)
