@@ -1,11 +1,12 @@
 """Two-sided bracketing of the statistical-limit ratio constant.
 
-The lower side is the maximum of the scalar reduction g(lambda) of the
-blended-kernel maximin problem on [0.8, 1]; a grid maximin of the kernel
-itself is reported beside it as a cross-check.  The upper side comes from a
-closed-form trial measure and from fractional quadratic programming over
-discretized radial measures (Dinkelbach iteration whose parametric
-subproblems are solved exactly by an active-set method on the weight simplex).
+The lower side is the maximum g_max of the scalar reduction g(lambda) of the
+blended-kernel maximin problem on [0.8, 1]; the kernel's exact inner minimum
+at the maximizing lambda, a one-dimensional quasiconvex search, is reported
+beside it as a cross-check.  The upper side comes from a closed-form trial
+measure and from fractional quadratic programming over discretized radial
+measures (Dinkelbach iteration whose parametric subproblems are solved
+exactly by an active-set method on the weight simplex).
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import (
-    DegenerateGridError,
     DomainError,
     InconsistentBracketError,
     IterationLimitError,
     NegativeRadicandError,
 )
+from .kernels import w_lambda_reduced
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -37,6 +38,8 @@ DEFAULT_BETA_LOWER = 0.8218
 
 DEFAULT_NODE_COUNT = 200
 DEFAULT_NODE_RANGE = (0.05, 20.0)
+# the radial kernel is count x count; 5000 nodes already take 200 MB
+MAX_NODE_COUNT = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +121,6 @@ class BetaSettings:
     """Grid sizes and tolerances for the bracket computation."""
 
     g_tolerance: float = 1e-10
-    lambda_grid: int = 101
     node_count: int = DEFAULT_NODE_COUNT
     node_range: tuple[float, float] = DEFAULT_NODE_RANGE
     dinkelbach_tolerance: float = 1e-10
@@ -127,8 +129,8 @@ class BetaSettings:
 
 class WMaximinResult(NamedTuple):
     value: float
-    grid_error: float
-    lambda_at_max: float
+    gap: float
+    b_at_min: float
 
 
 # ---------------------------------------------------------------------------
@@ -150,76 +152,64 @@ def g_of_lambda(lam: float) -> LambdaPoint:
     return LambdaPoint(lam=lam, lambda_prime=lambda_prime, g=lam - lambda_prime)
 
 
-def maximize_g(tolerance: float) -> tuple[float, float]:
-    """Golden-section maximization of g over [0.8, 1] to the given bracket width.
-
-    A width below the float spacing near the maximum cannot be reached; the
-    search then stops once the bracket stops shrinking.
-    """
-    if not tolerance > 0:  # also rejects NaN
-        raise DomainError("tolerance must be positive")
-    lo, hi = LAMBDA_DOMAIN
+def _golden_max(f, lo: float, hi: float, tolerance: float) -> float:
+    """Golden section for the maximizer of a unimodal f on [lo, hi]: the midpoint of
+    the final bracket, once it is ``tolerance`` wide or stops shrinking."""
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
-    gc = g_of_lambda(c).g
-    gd = g_of_lambda(d).g
+    fc, fd = f(c), f(d)
     while hi - lo > tolerance:
         width = hi - lo
-        if gc > gd:
-            hi, d, gd = d, c, gc
+        if fc > fd:
+            hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)
-            gc = g_of_lambda(c).g
+            fc = f(c)
         else:
-            lo, c, gc = c, d, gd
+            lo, c, fc = c, d, fd
             d = lo + _INV_PHI * (hi - lo)
-            gd = g_of_lambda(d).g
+            fd = f(d)
         if hi - lo >= width:
             break  # float spacing reached; no tolerance below it can be met
-    lam0 = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def maximize_g(tolerance: float) -> tuple[float, float]:
+    """Golden-section maximization of g over [0.8, 1] to the given bracket width."""
+    if not tolerance > 0:  # also rejects NaN
+        raise DomainError("tolerance must be positive")
+    lam0 = _golden_max(lambda lam: g_of_lambda(lam).g, *LAMBDA_DOMAIN, tolerance)
     return lam0, g_of_lambda(lam0).g
 
 
 # ---------------------------------------------------------------------------
-# blended-kernel maximin on the reduced (a=1, b, c) domain
+# blended-kernel inner minimum on the reduced (a=1, b, c) domain
 # ---------------------------------------------------------------------------
 
-def _inner_min_over_bc(lams: np.ndarray, b_grid: int, c_grid: int) -> np.ndarray:
-    """min over b in [0,1], c in [max(1-b, 1e-9), 1+b] of W_lambda(1,b,c)/(1+b), per lambda."""
-    mins = np.full(lams.shape, np.inf)
-    for b in np.linspace(0.0, 1.0, b_grid):
-        c = np.linspace(max(1.0 - b, 1e-9), 1.0 + b, c_grid)
-        k1 = 1.0 + b * b / c
-        k2 = c + (2.0 / 3.0) * b * b
-        w = np.outer(lams, k1) + np.outer(1.0 - lams, k2)
-        np.minimum(mins, w.min(axis=1) / (1.0 + b), out=mins)
-    return mins
+def _min_over_c(lam: float, b: float) -> float:
+    """min over c in [max(1-b, 1e-9), 1+b] of W_lambda(1,b,c)/(1+b).
+
+    The kernel is convex in c with stationary point b sqrt(lam/(1-lam)), so
+    the minimizer is that point clamped to the interval (its top at lam = 1).
+    """
+    lo, hi = max(1.0 - b, 1e-9), 1.0 + b
+    c = hi if lam == 1.0 else min(max(b * math.sqrt(lam / (1.0 - lam)), lo), hi)
+    return w_lambda_reduced(lam, 1.0, b, c) / (1.0 + b)
 
 
-def w_maximin(lambda_grid: int, b_grid: int = 201, c_grid: int = 201) -> WMaximinResult:
-    """Grid maximin of the normalized blended kernel on the reduced domain.
+def w_maximin(lam: float) -> WMaximinResult:
+    """Exact inner minimum over b in [0, 1] of the normalized blended kernel at lambda.
 
     Scaling to a = 1 is exact (the normalized kernel is homogeneous of degree
-    zero).  The inner min over a finite grid is an upper estimate of the true
-    infimum, so ``value`` may exceed g_max and bounds nothing: it is a
-    cross-check on g_max.  ``grid_error`` is a heuristic, not a bound; it
-    combines the observed drop under nested (b, c) refinement with the
-    resolution of the lambda grid against the golden-section maximum of g.
+    zero).  The numerator is jointly convex in (b, c) on a convex domain, so
+    its minimum over c is convex in b and, over 1 + b > 0, quasiconvex:
+    golden section in b, run to the float spacing, finds the global minimum.
+    ``gap`` is the value less g(lambda).  At the maximizer of g it is the gap
+    to g_max, 0 up to rounding, so the maximin over lambda is at least g_max.
     """
-    if lambda_grid < 2 or b_grid < 2 or c_grid < 2:
-        raise DegenerateGridError("all grid counts must be >= 2")
-    lams = np.linspace(*LAMBDA_DOMAIN, lambda_grid)
-    coarse = _inner_min_over_bc(lams, b_grid, c_grid)
-    fine = _inner_min_over_bc(lams, 2 * b_grid - 1, 2 * c_grid - 1)
-    i = int(np.argmax(coarse))
-    value = float(coarse[i])
-    bc_drop = value - float(fine.max())
-    _, g_max = maximize_g(1e-12)
-    lambda_resolution = max(0.0, g_max - max(g_of_lambda(l).g for l in lams))
-    return WMaximinResult(
-        value=value,
-        grid_error=bc_drop + lambda_resolution,
-        lambda_at_max=float(lams[i]),
-    )
+    g = g_of_lambda(lam).g  # also checks that lambda lies in [0.8, 1]
+    b = _golden_max(lambda b: -_min_over_c(lam, b), 0.0, 1.0, 0.0)
+    value = _min_over_c(lam, b)
+    return WMaximinResult(value=value, gap=value - g, b_at_min=b)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +269,7 @@ def trial_measure_value(quadrature_points: int) -> TrialMeasureValue:
         vals = 0.75 * r ** (-1.5) * (r**2 + (sb**2)[:, None])
         inner[lo : lo + 512] = (sb - 1.0) * (vals @ wt)
     numerator = float(ws @ (density_s * inner / s))
-    return TrialMeasureValue(
-        analytic=TRIAL_MEASURE_ANALYTIC,
-        quadrature=numerator / denominator,
-        normalization=normalization,
-    )
+    return TrialMeasureValue(TRIAL_MEASURE_ANALYTIC, numerator / denominator, normalization)
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -302,8 +288,11 @@ def default_nodes(
 ) -> np.ndarray:
     """Log-spaced node grid; only its dynamic range matters by dilation invariance."""
     lo, hi = node_range
-    if count < 1 or lo <= 0 or hi <= lo:
-        raise DomainError("need count >= 1 and 0 < lo < hi")
+    if not 1 <= count <= MAX_NODE_COUNT:
+        raise DomainError(f"node count must lie in [1, {MAX_NODE_COUNT}], got {count}")
+    # the radial kernel sums squared nodes: lo^2 must not underflow nor 2 hi^2 overflow
+    if not (0 < lo < hi and lo * lo > 0 and math.isfinite(2.0 * hi * hi)):
+        raise DomainError(f"node range {lo:g}:{hi:g} needs 0 < lo < hi, lo^2 > 0, 2 hi^2 finite")
     if count == 1:
         return np.array([math.sqrt(lo * hi)])
     return np.geomspace(lo, hi, count)
@@ -316,11 +305,9 @@ def trial_weights_on_nodes(nodes: np.ndarray) -> np.ndarray:
         return np.ones(1)
     cell = np.gradient(nodes)
     w = np.where((nodes >= 1.0) & (nodes <= 9.0), 0.75 * nodes ** (-1.5) * cell, 0.0)
-    total = w.sum()
-    if total <= 0:
+    if w.sum() <= 0:
         w = np.ones_like(nodes)
-        total = w.sum()
-    return w / total
+    return w / w.sum()
 
 
 def minimize_radial_ratio(
@@ -425,20 +412,15 @@ def bracket_detail(settings: Optional[BetaSettings] = None) -> BracketDetail:
     if settings is None:
         settings = BetaSettings()
     lambda_0, g_max = maximize_g(settings.g_tolerance)
-    maximin = w_maximin(settings.lambda_grid)
+    maximin = w_maximin(lambda_0)
     history: list = []
     measure, optimized = minimize_radial_ratio(None, settings, history)
     if TRIAL_MEASURE_ANALYTIC <= optimized:
         upper, upper_source, certificate = TRIAL_MEASURE_ANALYTIC, "trial-measure", None
     else:
         upper, upper_source, certificate = optimized, "optimized-measure", measure
-    bracket = BetaBracket(
-        lower=g_max,
-        lower_source="g_max",
-        upper=upper,
-        upper_source=upper_source,
-        certificate_measure=certificate,
-    )
+    bracket = BetaBracket(lower=g_max, lower_source="g_max", upper=upper,
+                          upper_source=upper_source, certificate_measure=certificate)
     return BracketDetail(
         bracket=bracket,
         lambda_0=lambda_0,
@@ -454,8 +436,9 @@ def bracket_detail(settings: Optional[BetaSettings] = None) -> BracketDetail:
 def beta_bracket(settings: Optional[BetaSettings] = None) -> BetaBracket:
     """Best available lower and upper estimates with provenance of each side.
 
-    Lower: the g maximum; bracket_detail also reports the grid maximin, as a
-    cross-check only.  Upper: the smaller of the trial-measure closed form
-    and the optimized radial measure, which then becomes the certificate.
+    Lower: the g maximum; bracket_detail also reports the kernel's exact inner
+    minimum at its maximizer, as a cross-check.  Upper: the smaller of the
+    trial-measure closed form and the optimized radial measure, which then
+    becomes the certificate.
     """
     return bracket_detail(settings).bracket

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .alpha import OptimizerSettings, estimate_alpha
-from .beta import DEFAULT_BETA_LOWER, BetaSettings, bracket_detail, g_of_lambda
+from .beta import DEFAULT_BETA_LOWER, BetaSettings, bracket_detail, default_nodes, g_of_lambda
 from .bounds import (
     BoundInputs,
     LemmaGrid,
@@ -212,8 +212,9 @@ def _alpha_panel(estimates) -> Panel:
 
 
 def _beta_job(args):
-    settings = BetaSettings(g_tolerance=args.tol, lambda_grid=args.lambda_grid,
-                            node_count=args.nodes, node_range=_parse_pair(args.range))
+    settings = BetaSettings(g_tolerance=args.tol, node_count=args.nodes,
+                            node_range=_parse_pair(args.range))
+    default_nodes(settings.node_count, settings.node_range)  # checked here, before any stage runs
     return lambda: bracket_detail(settings)
 
 
@@ -223,7 +224,7 @@ def _beta_section(detail) -> dict:
         "lower": b.lower, "lower_source": b.lower_source,
         "upper": b.upper, "upper_source": b.upper_source,
         "g": {"lambda_0": detail.lambda_0, "g_max": detail.g_max},
-        "maximin": detail.maximin._asdict(),  # value, grid_error, lambda_at_max
+        "maximin": detail.maximin._asdict(),  # value, gap, b_at_min
         "radial_minimum": detail.radial_minimum,
         "diagnostics": detail.diagnostics,
     }
@@ -238,10 +239,10 @@ def _beta_section(detail) -> dict:
 def _beta_csv(detail, args) -> str:
     b, m = detail.bracket, detail.maximin
     row = [b.lower, b.lower_source, b.upper, b.upper_source, detail.lambda_0, detail.g_max,
-           m.value, m.grid_error, detail.radial_minimum]
+           m.value, m.gap, detail.radial_minimum]
     header = ("lower,lower_source,upper,upper_source,lambda_0,g_max,"
-              "maximin,maximin_grid_error,radial_minimum")
-    return _csv_text("ionbound.beta.v1", header, [row])
+              "maximin,maximin_gap,radial_minimum")
+    return _csv_text("ionbound.beta.v2", header, [row])
 
 
 def _g_panel(detail) -> Panel:
@@ -364,10 +365,9 @@ BETA = Stage(
     flags=(
         ("--nodes", dict(type=int, default=200, help="radial node count")),
         ("--range", dict(default="0.05:20", help="node range lo:hi")),
-        ("--lambda-grid", dict(type=int, default=101)),
         _TOL_FLAG,
     ),
-    params=_echo("nodes", "range", "lambda_grid"),
+    params=_echo("nodes", "range"),
     prepare=_beta_job,
     section=_beta_section,
     csv=_beta_csv,

@@ -19,7 +19,7 @@ from ionbound.beta import (
     trial_weights_on_nodes,
     w_maximin,
 )
-from ionbound.errors import DegenerateGridError, DomainError
+from ionbound.errors import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -73,49 +73,77 @@ def test_maximize_g_below_float_spacing_terminates():
 
 
 # ---------------------------------------------------------------------------
-# maximin grid search
+# exact inner minimum of the blended kernel
 # ---------------------------------------------------------------------------
 
-def test_w_maximin_coarse_grid():
-    result = w_maximin(51, 101, 101)
-    assert 0.8218 <= result.value <= 0.83
+def _inner_min_on_b_grid(lam: float, b: np.ndarray) -> np.ndarray:
+    """W_lambda(1, b, c*)/(1+b) on a b-grid, with the closed-form clamped c*."""
+    lo, hi = np.maximum(1.0 - b, 1e-9), 1.0 + b
+    c = hi if lam == 1.0 else np.clip(b * math.sqrt(lam / (1.0 - lam)), lo, hi)
+    return (lam * (1.0 + b * b / c) + (1.0 - lam) * (c + (2.0 / 3.0) * b * b)) / (1.0 + b)
+
+
+def test_w_maximin_at_lambda_0_is_g_max():
+    lam0, g_max = maximize_g(1e-10)
+    result = w_maximin(lam0)
+    assert abs(result.value - g_max) <= 1e-15
+    assert abs(result.gap) <= 1e-15
+    dense = _inner_min_on_b_grid(lam0, np.linspace(0.0, 1.0, 2 * 10**5 + 1))
+    assert result.value <= dense.min() + 1e-15
+    assert _inner_min_on_b_grid(lam0, np.array([result.b_at_min]))[0] == result.value
+
+
+@pytest.mark.parametrize("lam, b", [(0.8, 0.1), (0.8, 0.7), (0.8434764, 0.4557), (0.9, 0.05),
+                                    (0.95, 0.6), (1.0, 0.5)])
+def test_closed_form_c_minimizes_the_kernel(lam, b):
+    """A bounded scalar search and a dense c-grid find no lower kernel value than c*."""
+    from ionbound.beta import _min_over_c
+    from ionbound.kernels import w_lambda_reduced
+
+    optimize = pytest.importorskip("scipy.optimize")
+    lo, hi = max(1.0 - b, 1e-9), 1.0 + b
+    kernel = lambda c: w_lambda_reduced(lam, 1.0, b, float(c)) / (1.0 + b)
+    at_c_star = _min_over_c(lam, b)
+    found = optimize.minimize_scalar(kernel, bounds=(lo, hi), method="bounded",
+                                     options={"xatol": 1e-12})
+    assert at_c_star <= found.fun + 1e-15
+    assert at_c_star <= min(kernel(c) for c in np.linspace(lo, hi, 10**4)) + 1e-15
+
+
+def test_inner_minimum_lies_between_g_and_g_max():
+    """g minorizes the inner minimum m and touches it near lambda_0, so max m = g_max."""
     _, g_max = maximize_g(1e-10)
-    assert result.value >= g_max - result.grid_error
-    assert 0.8 <= result.lambda_at_max <= 1.0
+    lams = np.linspace(0.8, 1.0, 201)
+    m = np.array([w_maximin(float(l)).value for l in lams])
+    g = np.array([g_of_lambda(float(l)).g for l in lams])
+    assert np.all(g - 1e-15 <= m) and np.all(m <= g_max + 1e-15)
+    contact = (lams >= 0.835) & (lams <= 0.86)
+    assert contact.sum() == 26
+    assert np.all(np.abs(m - g)[contact] <= 1e-15)
 
 
-def test_w_maximin_lambda_one_row():
-    """With the blend fully on the first kernel, (b=0, c=1) caps the row min at 1."""
-    from ionbound.beta import _inner_min_over_bc
-
-    row = _inner_min_over_bc(np.array([1.0]), 101, 101)
-    assert row[0] <= 1.0 + 1e-15
-
-
-def test_w_maximin_refinement_decreases_inner_min():
-    from ionbound.beta import _inner_min_over_bc
-
-    lams = np.linspace(0.8, 1.0, 11)
-    coarse = _inner_min_over_bc(lams, 41, 41)
-    fine = _inner_min_over_bc(lams, 81, 81)
-    assert np.all(fine <= coarse + 1e-15)
+def test_w_maximin_lambda_one():
+    """With the blend fully on the first kernel, the minimum 3/4 sits at b = 1,
+    where its slope vanishes, so b is located only to about sqrt(eps)."""
+    result = w_maximin(1.0)
+    assert result.value == pytest.approx(0.75, abs=1e-15)
+    assert result.b_at_min == pytest.approx(1.0, abs=1e-7)
 
 
-def test_w_maximin_degenerate_grid():
-    with pytest.raises(DegenerateGridError):
-        w_maximin(1, 101, 101)
+@pytest.mark.parametrize("lam", [0.79, 1.01, math.nan])
+def test_w_maximin_domain(lam):
+    with pytest.raises(DomainError):
+        w_maximin(lam)
 
 
-def test_lower_side_is_g_max_where_the_grid_maximin_overshoots():
-    """At lambda grid 24 the grid maximin, an upper estimate of the inner
-    infimum, ends up above g_max even after its grid_error is taken off."""
+def test_bracket_detail_reports_the_inner_minimum_at_lambda_0():
     from ionbound.beta import bracket_detail
 
-    detail = bracket_detail(BetaSettings(lambda_grid=24))
+    detail = bracket_detail(BetaSettings(node_count=30))
     assert detail.bracket.lower == detail.g_max
     assert detail.bracket.lower_source == "g_max"
-    assert detail.maximin.value == 0.82180693671339
-    assert detail.maximin.grid_error == 2.3154881301223895e-07
+    assert detail.maximin == w_maximin(detail.lambda_0)
+    assert abs(detail.maximin.value - detail.g_max) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +259,23 @@ def test_minimize_single_node_is_forced():
     assert measure.weights[0] == pytest.approx(1.0)
 
 
+def test_default_nodes_rejects_counts_above_the_cap():
+    from ionbound.beta import MAX_NODE_COUNT
+
+    assert MAX_NODE_COUNT >= 5000
+    assert default_nodes(MAX_NODE_COUNT, (1.0, 2.0)).size == MAX_NODE_COUNT
+    # by message only: the check comes before any array exists
+    with pytest.raises(DomainError, match=f"node count must lie in \\[1, {MAX_NODE_COUNT}\\]"):
+        default_nodes(10**8)
+
+
+@pytest.mark.parametrize("node_range", [(1e100, 1e160), (1e-200, 1e-100), (1.0, 1.3e154),
+                                        (1e-170, 1.0), (0.0, 1.0), (2.0, 1.0)])
+def test_default_nodes_rejects_ranges_whose_squares_leave_the_floats(node_range):
+    with pytest.raises(DomainError, match="node range"):
+        default_nodes(10, node_range)
+
+
 def test_minimize_radial_ratio_default_grid(radial_minimum_default):
     measure, value, history, _ = radial_minimum_default
     assert value == pytest.approx(0.8702, abs=5e-4)
@@ -256,7 +301,7 @@ def test_beta_bracket_defaults(radial_minimum_default):
     assert bracket.lower >= 0.8218 - 1e-4
     assert bracket.upper < 0.8705
     assert bracket.lower <= bracket.upper
-    assert bracket.lower_source in ("g_max", "maximin-grid")
+    assert bracket.lower_source == "g_max"
     assert bracket.upper_source in ("trial-measure", "optimized-measure")
     _, value, _, _ = radial_minimum_default
     assert bracket.upper == pytest.approx(min(TRIAL_MEASURE_ANALYTIC, value), abs=1e-9)

@@ -116,11 +116,11 @@ def test_beta_json_diagnostics(tmp_path):
 
 def test_beta_lower_side_is_g_max(tmp_path):
     out = tmp_path / "beta.json"
-    assert run_cli(["beta", "--lambda-grid", "24", "--out", str(out)]) == 0
+    assert run_cli(["beta", "--out", str(out)]) == 0
     beta = json.loads(out.read_text())["results"]["beta"]
     assert beta["lower"] == beta["g"]["g_max"]
     out = tmp_path / "beta.csv"
-    assert run_cli(["beta", "--lambda-grid", "24", "--format", "csv", "--out", str(out)]) == 0
+    assert run_cli(["beta", "--format", "csv", "--out", str(out)]) == 0
     header, row = (line.split(",") for line in out.read_text().splitlines()[1:3])
     assert dict(zip(header, row))["lower_source"] == "g_max"
 
@@ -129,6 +129,7 @@ def test_beta_csv_numeric_cells_parse(tmp_path):
     out = tmp_path / "beta.csv"
     assert run_cli(["beta", "--nodes", "30", "--format", "csv", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
+    assert lines[0] == "#schema=ionbound.beta.v2"
     header, row = lines[1].split(","), lines[2].split(",")
     assert len(header) == len(row) == 9
     for name, cell in zip(header, row):
@@ -307,7 +308,7 @@ def test_unknown_flag_exit_1(capsys):
 @pytest.mark.parametrize(
     "args",
     [["bounds", "--seed", "1"], ["bounds", "--tol", "1e-3"], ["verify", "--seed", "1"],
-     ["verify", "--tol", "1e-3"], ["beta", "--seed", "1"]],
+     ["verify", "--tol", "1e-3"], ["beta", "--seed", "1"], ["beta", "--lambda-grid", "24"]],
     ids=" ".join,
 )
 def test_flags_a_command_never_reads_are_rejected(capsys, args):
@@ -372,6 +373,21 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["beta", "--nodes", "100000000"], ["beta", "--range", "1e100:1e160"],
+     ["beta", "--range", "1e-200:1e-100"],
+     ["report", "--n", "2:2", "--restarts", "1", "--nodes", "100000000"]],
+    ids=" ".join,
+)
+def test_out_of_domain_beta_nodes_are_a_one_line_domain_error(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert run_cli(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: node ") and err.count("\n") == 1
     assert not out.exists()
 
 
