@@ -31,6 +31,7 @@ from .kernels import (
 # term is not smooth there); configurations are kept at scale sum|x_i| = N.
 ORIGIN_GUARD = 1e-9
 
+_MAX_ITERATIONS = 5000  # descent steps per restart
 _STEP_FLOOR = 1e-15
 _VALUE_TIE = 1e-15
 _BASIN_TIE = 1e-9  # restarts this close to the best value hit its basin
@@ -46,15 +47,12 @@ class OptimizerSettings:
     restart takes 10-100 steps for N <= 12."""
 
     restarts: int = 64
-    max_iterations: int = 5000
     ratio_tolerance: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise DomainError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
         if self.ratio_tolerance <= 0:
             raise DomainError("ratio_tolerance must be positive")
 
@@ -157,7 +155,7 @@ def _minimize_raw(
     trace.append(ratio)
     pairs: deque = deque(maxlen=_MEMORY)
     converged, iterations, evaluations = False, 0, 0
-    for iterations in range(1, settings.max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         direction = _lbfgs_direction(grad, pairs)
         step = 1.0
         while step > _STEP_FLOOR:

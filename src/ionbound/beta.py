@@ -40,6 +40,10 @@ DEFAULT_NODE_COUNT = 200
 DEFAULT_NODE_RANGE = (0.05, 20.0)
 # the radial kernel is count x count; 5000 nodes already take 200 MB
 MAX_NODE_COUNT = 5000
+# widest node range hi/lo; the ratio is dilation invariant, so only hi/lo matters
+MAX_NODE_SPAN = 1e100
+_DINKELBACH_TOLERANCE = 1e-10
+_OUTER_ITERATIONS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +122,11 @@ class BetaBracket:
 
 @dataclass(frozen=True)
 class BetaSettings:
-    """Grid sizes and tolerances for the bracket computation."""
+    """Radial node grid and g tolerance of the bracket computation."""
 
     g_tolerance: float = 1e-10
     node_count: int = DEFAULT_NODE_COUNT
     node_range: tuple[float, float] = DEFAULT_NODE_RANGE
-    dinkelbach_tolerance: float = 1e-10
-    outer_iterations: int = 500
 
 
 class WMaximinResult(NamedTuple):
@@ -293,6 +295,8 @@ def default_nodes(
     # the radial kernel sums squared nodes: lo^2 must not underflow nor 2 hi^2 overflow
     if not (0 < lo < hi and lo * lo > 0 and math.isfinite(2.0 * hi * hi)):
         raise DomainError(f"node range {lo:g}:{hi:g} needs 0 < lo < hi, lo^2 > 0, 2 hi^2 finite")
+    if hi / lo > MAX_NODE_SPAN:
+        raise DomainError(f"node range {lo:g}:{hi:g} spans more than hi/lo = {MAX_NODE_SPAN:g}")
     if count == 1:
         return np.array([math.sqrt(lo * hi)])
     return np.geomspace(lo, hi, count)
@@ -337,7 +341,7 @@ def minimize_radial_ratio(
     theta = float(w @ q @ w) / float(w @ r)
     history = [] if history is None else history
     history.append(theta)
-    for _ in range(settings.outer_iterations):
+    for _ in range(_OUTER_ITERATIONS):
         v, free = w.copy(), w > 0
         for _ in range(4 * r.size + 10):
             idx = np.flatnonzero(free)
@@ -375,7 +379,7 @@ def minimize_radial_ratio(
             raise IterationLimitError("active-set cap reached", best=(RadialMeasure(r, w), theta))
         v /= v.sum()
         theta_new = float(v @ q @ v) / float(v @ r)
-        done = theta - theta_new < settings.dinkelbach_tolerance
+        done = theta - theta_new < _DINKELBACH_TOLERANCE
         if theta_new < theta:
             w, theta = v, theta_new
         history.append(theta)
@@ -408,7 +412,9 @@ class BracketDetail(NamedTuple):
 
 
 def bracket_detail(settings: Optional[BetaSettings] = None) -> BracketDetail:
-    """Bracket plus the individual estimates it was assembled from."""
+    """Bracket plus the individual estimates it was assembled from: the lower side is
+    g_max, the upper the smaller of the trial-measure value and the optimized radial
+    measure, which then becomes the certificate."""
     if settings is None:
         settings = BetaSettings()
     lambda_0, g_max = maximize_g(settings.g_tolerance)
@@ -431,14 +437,3 @@ def bracket_detail(settings: Optional[BetaSettings] = None) -> BracketDetail:
                      "support_size": int(np.count_nonzero(measure.weights)),
                      "kkt_residual": kkt_residual(measure)},
     )
-
-
-def beta_bracket(settings: Optional[BetaSettings] = None) -> BetaBracket:
-    """Best available lower and upper estimates with provenance of each side.
-
-    Lower: the g maximum; bracket_detail also reports the kernel's exact inner
-    minimum at its maximizer, as a cross-check.  Upper: the smaller of the
-    trial-measure closed form and the optimized radial measure, which then
-    becomes the certificate.
-    """
-    return bracket_detail(settings).bracket

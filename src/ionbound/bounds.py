@@ -59,7 +59,8 @@ class PhysicalConstants:
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Per-charge model parameters for the bound calculators.
+    """Model parameters that every row of a bound table shares; each
+    calculator takes the charge Z as its own argument.
 
     The universal constants C_universal, C_kappa and C_2 have no derived
     values; the defaults of 1.0 are placeholders the caller should override.
@@ -67,7 +68,6 @@ class BoundInputs:
     for the general magnetic bound.
     """
 
-    Z: float
     model: str = "nonrel"
     B: float = 0.0
     k: float = 2.0
@@ -80,14 +80,12 @@ class BoundInputs:
     n_c: Optional[float] = None
 
     def __post_init__(self):
-        numbers = (self.Z, self.B, self.k, self.beta_lower, self.coeff, self.C_universal,
+        numbers = (self.B, self.k, self.beta_lower, self.coeff, self.C_universal,
                    self.C_kappa, self.C_2, self.kappa, 0.0 if self.n_c is None else self.n_c)
         if not all(map(math.isfinite, numbers)):
             raise DomainError("bound inputs must be finite")
         if self.model not in MODELS:
             raise DomainError(f"unknown model {self.model!r}")
-        if self.Z <= 0:
-            raise DomainError("Z must be positive")
         if self.B < 0:
             raise DomainError("B must be non-negative")
         if self.k <= 1:
@@ -185,10 +183,8 @@ def implicit_bound(z, beta: float) -> np.ndarray:
     end until the left side exceeds Z, and freezes once hi - lo <= 1e-9 hi.
     """
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise DomainError("bound inputs must be finite")
-    if not np.all(z > 0):
-        raise DomainError("Z must be positive")
+    if not np.all(np.isfinite(z) & (z > 0)):
+        raise DomainError("Z must be positive and finite")
     if not 0.0 < beta < 1.0:
         raise DomainError("beta_lower must lie in (0, 1)")
     # Z near the float maximum overflows to inf rows, as Python floats would
@@ -212,13 +208,18 @@ def implicit_bound(z, beta: float) -> np.ndarray:
         return 0.5 * (lo + hi)
 
 
-def bound_row(inputs: BoundInputs) -> BoundRow:
+def _check_charge(z: float) -> None:
+    if not (math.isfinite(z) and z > 0):
+        raise DomainError("Z must be positive and finite")
+
+
+def bound_row(z: float, inputs: BoundInputs) -> BoundRow:
     """Classical bound 2Z+1, closed-form bound coeff*Z + 3 Z^(1/3), and the
-    implicit particle-count bound of ``implicit_bound``.
+    implicit particle-count bound of ``implicit_bound``, at charge ``z``.
     """
     if inputs.model != "nonrel":
         raise DomainError("bound_row applies to the nonrel model")
-    z = inputs.Z
+    _check_charge(z)
     return BoundRow(
         lieb=2.0 * z + 1.0,
         main=inputs.coeff * z + 3.0 * z ** (1.0 / 3.0),
@@ -237,36 +238,37 @@ def ionization_lemma_margin(n: int, z: float, alpha_value: float) -> float:
     return z * (1.0 + KINETIC_COEFF * n ** (-2.0 / 3.0)) - alpha_value * (n - 1)
 
 
-def magnetic_bound(inputs: BoundInputs, energy_gap: Optional[float] = None) -> float:
-    """Particle-count bound for atoms in a magnetic field.
+def magnetic_bound(z: float, inputs: BoundInputs, energy_gap: Optional[float] = None) -> float:
+    """Particle-count bound at charge ``z`` for atoms in a magnetic field.
 
     The general form needs the externally computed ground-state energy gap
     E(N_c, Z, B) - E(N_c, kZ, B) together with N_c.  The homogeneous-field
     form is closed except for the universal constant C_universal; its
     logarithmic branch is never evaluated at B = 0, where the min is 0.
     """
-    base = inputs.coeff * inputs.Z + 3.0 * inputs.Z ** (1.0 / 3.0)
+    _check_charge(z)
+    base = inputs.coeff * z + 3.0 * z ** (1.0 / 3.0)
     if inputs.model == "magnetic-general":
         if energy_gap is None or inputs.n_c is None:
             raise MissingEnergyGapError(
                 "magnetic-general needs energy_gap and n_c supplied"
             )
-        return base * (1.0 + energy_gap / (inputs.n_c * inputs.Z**2 * (inputs.k - 1.0)))
+        return base * (1.0 + energy_gap / (inputs.n_c * z**2 * (inputs.k - 1.0)))
     if inputs.model == "magnetic-homogeneous":
         if inputs.B == 0.0:
             field_term = 0.0
         else:
-            t = inputs.B / inputs.Z**3
+            t = inputs.B / z**3
             field_term = min(
                 0.42 * t**0.4, inputs.C_universal * (1.0 + math.log(t) ** 2)
             )
-        return base * (1.0 + 11.8 * inputs.Z ** (-2.0 / 3.0) + field_term)
+        return base * (1.0 + 11.8 * z ** (-2.0 / 3.0) + field_term)
     raise DomainError("magnetic_bound applies to the magnetic models")
 
 
-def relativistic_or_bosonic_bound(inputs: BoundInputs) -> float:
-    """Particle-count bound for the pseudo-relativistic and bosonic models."""
-    z = inputs.Z
+def relativistic_or_bosonic_bound(z: float, inputs: BoundInputs) -> float:
+    """Particle-count bound at charge ``z`` for the pseudo-relativistic and bosonic models."""
+    _check_charge(z)
     if inputs.model == "relativistic":
         if inputs.kappa >= 2.0 / math.pi:
             raise KappaDomainError(
@@ -319,14 +321,17 @@ def crossover_z(inputs: BoundInputs) -> int:
 # lemma verifiers
 # ---------------------------------------------------------------------------
 
+# fixed geometric spans of the Z and N/Z axes; N/Z stays below 7/3, the lemma3 hypothesis
+_Z_RANGE = (0.5, 120.0)
+_RATIO_RANGE = (0.1, 2.33)
+
+
 @dataclass(frozen=True)
 class LemmaGrid:
     """Grid specification for verify_lemma; unused axes are ignored per lemma."""
 
     z_points: int = 120
-    z_range: tuple[float, float] = (0.5, 120.0)
     ratio_points: int = 120
-    ratio_range: tuple[float, float] = (0.1, 2.33)
     beta_points: int = 1
     beta_range: tuple[float, float] = (DEFAULT_BETA_LOWER, DEFAULT_BETA_LOWER)
     n_above: int = 24
@@ -335,29 +340,23 @@ class LemmaGrid:
     def __post_init__(self):
         if min(self.z_points, self.ratio_points, self.beta_points, self.n_above) < 1:
             raise DegenerateGridError("grid counts must be >= 1")
-        if not all(map(math.isfinite, (*self.z_range, *self.ratio_range, *self.beta_range))):
+        if not all(map(math.isfinite, self.beta_range)):
             raise DomainError("grid ranges must be finite")
-        if min(*self.z_range, *self.ratio_range) <= 0:
-            raise DomainError("z and ratio grid ranges must be positive")
         if self.beta_range[0] < DEFAULT_BETA_LOWER:
             raise DomainError(f"beta grid values must be >= {DEFAULT_BETA_LOWER}")
-        if self.ratio_range[1] >= 7.0 / 3.0:
-            raise DomainError("ratio grid must stay below 7/3, the lemma3 hypothesis")
 
     def betas(self) -> np.ndarray:
-        if self.beta_points == 1:
-            return np.array([self.beta_range[0]])
-        return np.linspace(*self.beta_range, self.beta_points)
+        return np.linspace(*self.beta_range, self.beta_points)  # [lo] at one point
 
     def zs(self) -> np.ndarray:
-        return np.geomspace(*self.z_range, self.z_points)
+        return np.geomspace(*_Z_RANGE, self.z_points)
 
     def as_dict(self) -> dict:
         return {
             "z_points": self.z_points,
-            "z_range": list(self.z_range),
+            "z_range": list(_Z_RANGE),
             "ratio_points": self.ratio_points,
-            "ratio_range": list(self.ratio_range),
+            "ratio_range": list(_RATIO_RANGE),
             "beta_points": self.beta_points,
             "beta_range": list(self.beta_range),
             "n_above": self.n_above,
@@ -365,15 +364,18 @@ class LemmaGrid:
         }
 
 
-def _lemma3_margins(z: np.ndarray, ratio: np.ndarray, beta: float):
+# Each margin function maps (grid, beta) to the margins at that beta, the
+# witness of an index into them, and the count of out-of-hypothesis failures.
+
+def _lemma3_margins(grid: LemmaGrid, beta: float):
     """Margin of the closed-form bound over min(N, implicit branch) on a (Z, N/Z) grid."""
-    zz, rr = np.meshgrid(z, ratio, indexing="ij")
+    zz, rr = np.meshgrid(grid.zs(), np.geomspace(*_RATIO_RANGE, grid.ratio_points), indexing="ij")
     nn = zz * rr
     u = nn ** (-2.0 / 3.0)
     denom = beta - _beta1(beta) * u
     branch2 = np.where(denom > 0, zz * (1.0 + KINETIC_COEFF * u) / np.where(denom > 0, denom, 1.0), np.inf)
-    bound = np.minimum(nn, branch2)
-    return (1.0 / beta) * zz + 3.0 * zz ** (1.0 / 3.0) - bound, zz, nn
+    margins = (1.0 / beta) * zz + 3.0 * zz ** (1.0 / 3.0) - np.minimum(nn, branch2)
+    return margins, lambda i: (float(zz[i]), float(nn[i]), beta), 0
 
 
 def _lemma4_margin(n, z, beta: float):
@@ -387,11 +389,33 @@ def lemma4_threshold(z, beta: float):
     return z / beta + 3.0 * z ** (-2.0 / 3.0)
 
 
-def _cubic(x, beta: float):
-    return KINETIC_COEFF - 3.0 * beta * np.asarray(x, dtype=float) ** 2 + _beta1(beta) * np.asarray(x, dtype=float) ** 3
+def _lemma4_margins(grid: LemmaGrid, beta: float):
+    """Margins at the first n_above integers N past the threshold of each Z; with
+    ``real_n``, failures at non-integer N there are counted as out-of-hypothesis."""
+    z = grid.zs()[:, None]
+    threshold = lemma4_threshold(z[:, 0], beta)
+    ints = np.ceil(threshold)[:, None] + np.arange(grid.n_above, dtype=float)
+    outside = 0
+    if grid.real_n:
+        reals = np.linspace(threshold, threshold + grid.n_above, 4 * grid.n_above + 1, axis=1)
+        outside = int(np.sum((_lemma4_margin(reals, z, beta) <= 0) & (reals != np.round(reals))))
+    return _lemma4_margin(ints, z, beta), lambda i: (float(z[i[0], 0]), float(ints[i]), beta), outside
 
 
-def verify_lemma(lemma: str, grid: Optional[LemmaGrid] = None) -> LemmaReport:
+_CUBIC_CHECKS = ("h(0) > 0", "h(beta^(-1/3)) < 0", "h((7/3)^(1/3)) < 0")
+
+
+def _cubic_sign_margins(grid: LemmaGrid, beta: float):
+    """h(x) = 0.68 - 3 beta x^2 + beta1 x^3 at 0, and -h at beta^(-1/3) and (7/3)^(1/3)."""
+    x = np.array([0.0, beta ** (-1.0 / 3.0), (7.0 / 3.0) ** (1.0 / 3.0)])
+    margins = np.array([1.0, -1.0, -1.0]) * (KINETIC_COEFF - 3.0 * beta * x**2 + _beta1(beta) * x**3)
+    return margins, lambda i: (beta, _CUBIC_CHECKS[i[0]]), 0
+
+
+_MARGINS = {"lemma3": _lemma3_margins, "lemma4": _lemma4_margins, "cubic-signs": _cubic_sign_margins}
+
+
+def verify_lemma(lemma: str, grid: LemmaGrid = LemmaGrid()) -> LemmaReport:
     """Evaluate one supporting inequality over a parameter grid.
 
     lemma3: the closed-form bound must exceed min(N, implicit branch) for
@@ -399,75 +423,24 @@ def verify_lemma(lemma: str, grid: Optional[LemmaGrid] = None) -> LemmaReport:
     hypothesis threshold; with ``real_n`` the same margins are scanned at
     non-integer N and failures there are only counted as out-of-hypothesis.
     cubic-signs: the cubic h(x) = 0.68 - 3 beta x^2 + beta1 x^3 must be
-    positive at 0 and negative at beta^(-1/3) and (7/3)^(1/3).
+    positive at 0 and negative at beta^(-1/3) and (7/3)^(1/3).  The witness
+    is the first minimum in C order (the smallest Z, then the smallest N) at
+    the first beta that attains it.
     """
-    if grid is None:
-        grid = LemmaGrid()
-    if lemma == "lemma3":
-        min_margin = math.inf
-        witness = ()
-        for beta in grid.betas():
-            margins, zz, nn = _lemma3_margins(grid.zs(), np.geomspace(*grid.ratio_range, grid.ratio_points), float(beta))
-            i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
-            if margins[i, j] < min_margin:
-                min_margin = float(margins[i, j])
-                witness = (float(zz[i, j]), float(nn[i, j]), float(beta))
-        return LemmaReport(
-            lemma="lemma3",
-            grid=grid.as_dict(),
-            min_margin=min_margin,
-            passed=min_margin > 0,
-            witness=witness,
-        )
-    if lemma == "lemma4":
-        min_margin = math.inf
-        witness = ()
-        out_of_hypothesis = 0
-        z = grid.zs()[:, None]
-        for beta in grid.betas():
-            beta = float(beta)
-            threshold = lemma4_threshold(z[:, 0], beta)
-            ints = np.ceil(threshold)[:, None] + np.arange(grid.n_above, dtype=float)
-            margins = _lemma4_margin(ints, z, beta)
-            # first minimum in C order: the smallest Z, then the smallest N
-            i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
-            if margins[i, j] < min_margin:
-                min_margin = float(margins[i, j])
-                witness = (float(z[i, 0]), float(ints[i, j]), beta)
-            if grid.real_n:
-                reals = np.linspace(
-                    threshold, threshold + grid.n_above, 4 * grid.n_above + 1, axis=1
-                )
-                out_of_hypothesis += int(
-                    np.sum((_lemma4_margin(reals, z, beta) <= 0) & (reals != np.round(reals)))
-                )
-        return LemmaReport(
-            lemma="lemma4",
-            grid=grid.as_dict(),
-            min_margin=min_margin,
-            passed=min_margin > 0,
-            witness=witness,
-            out_of_hypothesis=out_of_hypothesis,
-        )
-    if lemma == "cubic-signs":
-        min_margin = math.inf
-        witness = ()
-        for beta in grid.betas():
-            beta = float(beta)
-            checks = (
-                ("h(0) > 0", float(_cubic(0.0, beta))),
-                ("h(beta^(-1/3)) < 0", -float(_cubic(beta ** (-1.0 / 3.0), beta))),
-                ("h((7/3)^(1/3)) < 0", -float(_cubic((7.0 / 3.0) ** (1.0 / 3.0), beta))),
-            )
-            for name, margin in checks:
-                if margin < min_margin:
-                    min_margin = margin
-                    witness = (beta, name)
-        return LemmaReport(
-            lemma="cubic-signs",
-            grid=grid.as_dict(),
-            min_margin=min_margin,
-            passed=min_margin > 0,
-            witness=witness,
-        )
-    raise DomainError(f"unknown lemma id {lemma!r}")
+    if lemma not in _MARGINS:
+        raise DomainError(f"unknown lemma id {lemma!r}")
+    min_margin, witness, out_of_hypothesis = math.inf, (), 0
+    for beta in grid.betas():
+        margins, witness_at, outside = _MARGINS[lemma](grid, float(beta))
+        i = np.unravel_index(int(np.argmin(margins)), margins.shape)
+        if margins[i] < min_margin:
+            min_margin, witness = float(margins[i]), witness_at(i)
+        out_of_hypothesis += outside
+    return LemmaReport(
+        lemma=lemma,
+        grid=grid.as_dict(),
+        min_margin=min_margin,
+        passed=min_margin > 0,
+        witness=witness,
+        out_of_hypothesis=out_of_hypothesis,
+    )

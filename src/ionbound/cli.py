@@ -257,24 +257,17 @@ _MODEL_FLAGS = {"nonrel": "nonrel", "magnetic": "magnetic-homogeneous",
                 "relativistic": "relativistic", "bosonic": "bosonic-magnetic"}
 
 
-def _model_inputs(z: float, args) -> BoundInputs:
-    return BoundInputs(
-        Z=z, model=_MODEL_FLAGS[args.model], B=args.B, beta_lower=args.beta, coeff=args.coeff,
-        C_universal=args.C, C_kappa=args.Ckappa, C_2=args.C2,
-    )
-
-
-def _bounds_rows(zs: list[float], args) -> list[list]:
+def _bounds_rows(zs: list[float], inputs: BoundInputs) -> list[list]:
     # lieb and main stay in Python floats: numpy's z ** (1/3) differs in the last bit
-    implicit = implicit_bound(zs, args.beta).tolist()
+    implicit = implicit_bound(zs, inputs.beta_lower).tolist()
     rows = []
     for z, implicit_n in zip(zs, implicit):
         extra = ""
-        if args.model == "magnetic":
-            extra = magnetic_bound(_model_inputs(z, args))
-        elif args.model != "nonrel":
-            extra = relativistic_or_bosonic_bound(_model_inputs(z, args))
-        rows.append([z, 2.0 * z + 1.0, args.coeff * z + 3.0 * z ** (1.0 / 3.0), implicit_n, extra])
+        if inputs.model == "magnetic-homogeneous":
+            extra = magnetic_bound(z, inputs)
+        elif inputs.model != "nonrel":
+            extra = relativistic_or_bosonic_bound(z, inputs)
+        rows.append([z, 2.0 * z + 1.0, inputs.coeff * z + 3.0 * z ** (1.0 / 3.0), implicit_n, extra])
     return rows
 
 
@@ -282,11 +275,12 @@ def _bounds_job(args):
     zs = _parse_float_range(args.z)
     if zs[0] <= 0:
         raise DomainError("Z must be positive")
-    # --beta, --coeff, --B and the constants are checked once, here; implicit_bound checks every Z
-    BoundInputs(Z=zs[0], beta_lower=args.beta, coeff=args.coeff)
-    if args.model != "nonrel":
-        _model_inputs(zs[0], args)
-    return lambda: _bounds_rows(zs, args)
+    # one validated parameter set per table; nonrel reads only --beta and --coeff
+    model = _MODEL_FLAGS[args.model]
+    field = {} if model == "nonrel" else dict(B=args.B, C_universal=args.C, C_kappa=args.Ckappa,
+                                              C_2=args.C2)
+    inputs = BoundInputs(model=model, beta_lower=args.beta, coeff=args.coeff, **field)
+    return lambda: _bounds_rows(zs, inputs)
 
 
 def _bounds_section(rows) -> list:

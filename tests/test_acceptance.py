@@ -15,7 +15,7 @@ from conftest import random_configuration
 from ionbound.alpha import OptimizerSettings, alpha_sandwich, estimate_alpha
 from ionbound.beta import (
     TRIAL_MEASURE_ANALYTIC,
-    beta_bracket,
+    bracket_detail,
     g_of_lambda,
     maximize_g,
     trial_measure_value,
@@ -136,7 +136,7 @@ def test_criterion_07_radial_minimization(radial_minimum_default):
 
 
 def test_criterion_08_bracket():
-    bracket = beta_bracket()
+    bracket = bracket_detail().bracket
     ok = (
         abs(bracket.lower - 0.8218) <= 1e-4
         and bracket.upper < 0.8705
@@ -167,7 +167,7 @@ def test_criterion_09_constant_chain():
 
 
 def test_criterion_10_crossover():
-    z = crossover_z(BoundInputs(Z=1.0))
+    z = crossover_z(BoundInputs())
     _criterion(10, "smallest Z with 1.22 Z + 3 Z^(1/3) < 2Z + 1 is 6", z == 6, f"Z={z}")
 
 

@@ -311,8 +311,10 @@ def test_initial_points_unchanged(key):
     assert hashlib.sha256(pts.tobytes()).hexdigest() == INITIAL_POINTS_SHA256[key]
 
 
-def test_diagnostics_count_cap_hits():
-    capped = estimate_alpha(4, OptimizerSettings(restarts=3, max_iterations=1, seed=2))
+def test_diagnostics_count_cap_hits(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(alpha, "_MAX_ITERATIONS", 1)
+        capped = estimate_alpha(4, OptimizerSettings(restarts=3, seed=2))
     assert capped.converged_restarts == 0
     assert capped.diagnostics["cap_hits"] == 3
     assert capped.diagnostics["iterations_total"] == 3

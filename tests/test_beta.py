@@ -8,7 +8,7 @@ from ionbound.beta import (
     TRIAL_MEASURE_ANALYTIC,
     BetaSettings,
     RadialMeasure,
-    beta_bracket,
+    bracket_detail,
     default_nodes,
     g_of_lambda,
     maximize_g,
@@ -276,6 +276,16 @@ def test_default_nodes_rejects_ranges_whose_squares_leave_the_floats(node_range)
         default_nodes(10, node_range)
 
 
+def test_default_nodes_rejects_spans_above_1e100():
+    from ionbound.beta import MAX_NODE_SPAN
+
+    assert MAX_NODE_SPAN == 1e100
+    assert default_nodes(3, (1e-50, 1e50))[-1] == 1e50  # hi/lo = 1e100 is admitted
+    for node_range in [(1.0, 1.0000001e100), (1e-150, 1e150), (1e-160, 1e150)]:
+        with pytest.raises(DomainError, match="spans more than"):
+            default_nodes(10, node_range)
+
+
 def test_minimize_radial_ratio_default_grid(radial_minimum_default):
     measure, value, history, _ = radial_minimum_default
     assert value == pytest.approx(0.8702, abs=5e-4)
@@ -296,7 +306,7 @@ def test_dinkelbach_history_monotone(radial_minimum_default):
 
 
 def test_beta_bracket_defaults(radial_minimum_default):
-    bracket = beta_bracket()
+    bracket = bracket_detail().bracket
     assert bracket.lower == pytest.approx(0.8218066, abs=1e-6)
     assert bracket.lower >= 0.8218 - 1e-4
     assert bracket.upper < 0.8705
@@ -318,14 +328,16 @@ def test_bracket_sandwich_g_below_radial(radial_minimum_default):
     assert g_max <= radial_value
 
 
-def test_dinkelbach_iteration_limit_carries_best():
+def test_dinkelbach_iteration_limit_carries_best(monkeypatch):
+    from ionbound import beta
     from ionbound.beta import BetaBracket
     from ionbound.errors import InconsistentBracketError, IterationLimitError
 
     # a zero tolerance can never be met, so the outer cap must trip
-    settings = BetaSettings(node_count=20, outer_iterations=2, dinkelbach_tolerance=0.0)
+    monkeypatch.setattr(beta, "_OUTER_ITERATIONS", 2)
+    monkeypatch.setattr(beta, "_DINKELBACH_TOLERANCE", 0.0)
     with pytest.raises(IterationLimitError) as info:
-        minimize_radial_ratio(settings=settings)
+        minimize_radial_ratio(settings=BetaSettings(node_count=20))
     measure, value = info.value.best
     assert isinstance(measure, RadialMeasure)
     assert 0.8 < value < 1.1

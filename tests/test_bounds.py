@@ -61,20 +61,20 @@ def test_mean_radius_examples():
 # ---------------------------------------------------------------------------
 
 def test_bound_row_z6_beats_classical():
-    row = bound_row(BoundInputs(Z=6.0))
+    row = bound_row(6.0, BoundInputs())
     assert row.lieb == 13.0
     assert row.main == pytest.approx(1.22 * 6 + 3 * 6 ** (1 / 3), rel=1e-14)
     assert row.main < row.lieb
 
 
 def test_bound_row_z1_classical_wins():
-    row = bound_row(BoundInputs(Z=1.0))
+    row = bound_row(1.0, BoundInputs())
     assert row.main == pytest.approx(4.22, rel=1e-14)
     assert row.main > row.lieb == 3.0
 
 
 def test_implicit_bound_against_grid_scan():
-    row = bound_row(BoundInputs(Z=10.0))
+    row = bound_row(10.0, BoundInputs())
     grid = np.arange(2.0, 40.0, 1e-4)
     crossing = grid[np.nonzero(_implicit_lhs(grid, 0.8218) >= 10.0)[0][0]]
     assert abs(row.implicit_n - crossing) <= 1e-4
@@ -82,7 +82,7 @@ def test_implicit_bound_against_grid_scan():
 
 def test_implicit_bound_is_a_root():
     for z in (0.5, 3.0, 42.0, 118.0):
-        row = bound_row(BoundInputs(Z=z))
+        row = bound_row(z, BoundInputs())
         assert float(_implicit_lhs(row.implicit_n, 0.8218)) == pytest.approx(
             z, rel=1e-7
         )
@@ -119,7 +119,7 @@ def test_implicit_bound_matches_scalar_bisection_bit_for_bit(beta):
     want = [_scalar_implicit_bound(float(z), beta) for z in zs]
     assert got.tolist() == want
     for z in (0.5, 30.5, 1e6):
-        row = bound_row(BoundInputs(Z=z, beta_lower=beta, coeff=1 / beta))
+        row = bound_row(z, BoundInputs(beta_lower=beta, coeff=1 / beta))
         assert row.implicit_n == implicit_bound(np.array([z]), beta)[0]
 
 
@@ -134,7 +134,7 @@ def test_implicit_bound_rejects_bad_inputs():
 
 def test_main_dominates_implicit_for_z_at_least_4():
     for z in range(4, 121):
-        row = bound_row(BoundInputs(Z=float(z)))
+        row = bound_row(float(z), BoundInputs())
         assert row.main >= row.implicit_n - 1e-6, f"Z={z}"
 
 
@@ -142,13 +142,13 @@ def test_main_vs_implicit_small_z_counterexamples():
     """For Z in {1, 2, 3} the implicit bound exceeds N/Z = 7/3, outside the
     domain where the closed form provably dominates, and indeed it loses."""
     for z in (1.0, 2.0, 3.0):
-        row = bound_row(BoundInputs(Z=z))
+        row = bound_row(z, BoundInputs())
         assert row.main < row.implicit_n, f"Z={z}"
 
 
 def test_main_bound_monotone_and_asymptotic():
     zs = np.geomspace(0.5, 1e8, 300)
-    mains = [bound_row(BoundInputs(Z=float(z))).main for z in zs]
+    mains = [bound_row(float(z), BoundInputs()).main for z in zs]
     assert all(b > a for a, b in zip(mains, mains[1:]))
     assert mains[-1] / zs[-1] == pytest.approx(1.22, abs=1e-3)
 
@@ -176,16 +176,14 @@ def test_margin_linear_increasing_in_z():
 
 def test_magnetic_homogeneous_at_field_z_cubed():
     z = 10.0
-    value = magnetic_bound(
-        BoundInputs(Z=z, model="magnetic-homogeneous", B=z**3, C_universal=1.0)
-    )
+    value = magnetic_bound(z, BoundInputs(model="magnetic-homogeneous", B=z**3, C_universal=1.0))
     base = 1.22 * z + 3 * z ** (1 / 3)
     assert value == pytest.approx(base * (1 + 11.8 * z ** (-2 / 3) + 0.42), rel=1e-12)
 
 
 def test_magnetic_homogeneous_zero_field():
     z = 100.0
-    value = magnetic_bound(BoundInputs(Z=z, model="magnetic-homogeneous", B=0.0))
+    value = magnetic_bound(z, BoundInputs(model="magnetic-homogeneous", B=0.0))
     base = 1.22 * z + 3 * z ** (1 / 3)
     assert value == pytest.approx(base * (1 + 11.8 * z ** (-2 / 3)), rel=1e-14)
 
@@ -193,8 +191,8 @@ def test_magnetic_homogeneous_zero_field():
 def test_magnetic_ratio_sweep_approaches_coeff():
     ratios = []
     for z in np.geomspace(1e2, 1e8, 13):
-        inputs = BoundInputs(Z=float(z), model="magnetic-homogeneous", B=float(z**2.5))
-        ratios.append(magnetic_bound(inputs) / z)
+        inputs = BoundInputs(model="magnetic-homogeneous", B=float(z**2.5))
+        ratios.append(magnetic_bound(float(z), inputs) / z)
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] < 1.24
 
@@ -203,42 +201,35 @@ def test_magnetic_monotone_in_field():
     z = 5.0
     fields = np.geomspace(1e-3, 1e5, 60)
     vals = [
-        magnetic_bound(BoundInputs(Z=z, model="magnetic-homogeneous", B=float(b), C_universal=0.42))
+        magnetic_bound(z, BoundInputs(model="magnetic-homogeneous", B=float(b), C_universal=0.42))
         for b in fields
     ]
     assert all(y >= x - 1e-12 for x, y in zip(vals, vals[1:]))
 
 
 def test_magnetic_general_needs_gap():
-    inputs = BoundInputs(Z=3.0, model="magnetic-general", k=2.0, n_c=5.0)
-    value = magnetic_bound(inputs, energy_gap=9.0)
+    inputs = BoundInputs(model="magnetic-general", k=2.0, n_c=5.0)
+    value = magnetic_bound(3.0, inputs, energy_gap=9.0)
     base = 1.22 * 3 + 3 * 3 ** (1 / 3)
     assert value == pytest.approx(base * (1 + 9.0 / (5.0 * 9.0 * 1.0)), rel=1e-12)
     with pytest.raises(MissingEnergyGapError):
-        magnetic_bound(BoundInputs(Z=3.0, model="magnetic-general"))
+        magnetic_bound(3.0, BoundInputs(model="magnetic-general"))
 
 
 def test_relativistic_example():
-    value = relativistic_or_bosonic_bound(
-        BoundInputs(Z=50.0, model="relativistic", C_kappa=3.0)
-    )
+    value = relativistic_or_bosonic_bound(50.0, BoundInputs(model="relativistic", C_kappa=3.0))
     assert value == pytest.approx(1.22 * 50 + 3 * 50 ** (1 / 3), rel=1e-12)
     assert value == pytest.approx(72.05, abs=5e-3)
 
 
 def test_relativistic_kappa_domain():
     with pytest.raises(KappaDomainError):
-        relativistic_or_bosonic_bound(
-            BoundInputs(Z=50.0, model="relativistic", kappa=0.7)
-        )
+        relativistic_or_bosonic_bound(50.0, BoundInputs(model="relativistic", kappa=0.7))
 
 
 def test_bosonic_weak_field_limit():
     ratios = [
-        relativistic_or_bosonic_bound(
-            BoundInputs(Z=float(z), model="bosonic-magnetic", B=1.0)
-        )
-        / z
+        relativistic_or_bosonic_bound(float(z), BoundInputs(model="bosonic-magnetic", B=1.0)) / z
         for z in (1e2, 1e4, 1e6)
     ]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
@@ -248,23 +239,33 @@ def test_bosonic_weak_field_limit():
 
 def test_bound_inputs_validation():
     with pytest.raises(DomainError):
-        BoundInputs(Z=-1.0)
+        BoundInputs(model="bogus")
     with pytest.raises(DomainError):
-        BoundInputs(Z=1.0, model="bogus")
-    with pytest.raises(DomainError):
-        BoundInputs(Z=1.0, coeff=1.0)  # below 1/beta_lower
-    BoundInputs(Z=1.0, coeff=1 / 0.8218)  # exact boundary admitted
+        BoundInputs(coeff=1.0)  # below 1/beta_lower
+    BoundInputs(coeff=1 / 0.8218)  # exact boundary admitted
     for bad in (
-        dict(Z=math.nan),
-        dict(Z=math.inf),
-        dict(Z=1.0, coeff=math.nan),
-        dict(Z=1.0, B=math.inf),
-        dict(Z=1.0, beta_lower=math.nan),
-        dict(Z=1.0, C_2=math.nan),
-        dict(Z=1.0, n_c=math.inf),
+        dict(coeff=math.nan),
+        dict(B=math.inf),
+        dict(B=-1.0),
+        dict(beta_lower=math.nan),
+        dict(C_2=math.nan),
+        dict(n_c=math.inf),
     ):
         with pytest.raises(DomainError):
             BoundInputs(**bad)
+
+
+@pytest.mark.parametrize("z", [-1.0, 0.0, math.nan, math.inf])
+def test_calculators_reject_a_bad_charge(z):
+    calls = (
+        lambda: bound_row(z, BoundInputs()),
+        lambda: magnetic_bound(z, BoundInputs(model="magnetic-homogeneous", B=1.0)),
+        lambda: relativistic_or_bosonic_bound(z, BoundInputs(model="relativistic")),
+        lambda: relativistic_or_bosonic_bound(z, BoundInputs(model="bosonic-magnetic", B=1.0)),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="Z must be positive"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +273,13 @@ def test_bound_inputs_validation():
 # ---------------------------------------------------------------------------
 
 def test_crossover_default_coeff():
-    assert crossover_z(BoundInputs(Z=1.0)) == 6
+    assert crossover_z(BoundInputs()) == 6
     # one step before the crossover the classical bound still wins
     assert 1.22 * 5 + 3 * 5 ** (1 / 3) > 11
 
 
 def test_crossover_smaller_coeff_not_later():
-    assert crossover_z(BoundInputs(Z=1.0, coeff=1 / 0.8218)) <= 6
+    assert crossover_z(BoundInputs(coeff=1 / 0.8218)) <= 6
 
 
 def test_crossover_matches_integer_scan():
@@ -286,13 +287,13 @@ def test_crossover_matches_integer_scan():
         coeff = float(coeff)
         beats = lambda z: coeff * z + 3.0 * z ** (1 / 3) < 2.0 * z + 1.0
         scan = next(z for z in range(1, 10**5) if beats(z))
-        assert crossover_z(BoundInputs(Z=1.0, beta_lower=0.99, coeff=coeff)) == scan, coeff
+        assert crossover_z(BoundInputs(beta_lower=0.99, coeff=coeff)) == scan, coeff
 
 
 def test_crossover_near_coeff_two():
     """The crossover moves out like 3^(3/2) (2 - coeff)^(-3/2): near Z = 1.6e11 here."""
     coeff = 1.9999999
-    z = crossover_z(BoundInputs(Z=1.0, coeff=coeff))
+    z = crossover_z(BoundInputs(coeff=coeff))
     assert 1.6e11 < z < 1.7e11
     a = 2 - Fraction(coeff)
     beats = lambda n: 27 * n < (a * n + 1) ** 3  # coeff n + 3 n^(1/3) < 2n + 1, exactly
@@ -301,7 +302,7 @@ def test_crossover_near_coeff_two():
 
 def test_crossover_none_below_cap():
     with pytest.raises(NoCrossoverError):
-        crossover_z(BoundInputs(Z=1.0, beta_lower=0.5, coeff=2.0))
+        crossover_z(BoundInputs(beta_lower=0.5, coeff=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +404,10 @@ def test_lemma_grid_validation():
     with pytest.raises(DomainError):
         LemmaGrid(beta_range=(0.8, 0.9))
     with pytest.raises(DomainError):
-        LemmaGrid(ratio_range=(0.1, 7 / 3))  # hypothesis needs N/Z < 7/3
-    with pytest.raises(DomainError):
         verify_lemma("bogus")
     for bad in (
         dict(beta_range=(math.nan, math.nan)),
         dict(beta_range=(0.9, math.inf)),
-        dict(z_range=(0.5, math.inf)),
-        dict(ratio_range=(math.nan, 2.0)),
-        dict(z_range=(-5.0, -1.0)),
-        dict(ratio_range=(0.0, 2.0)),
     ):
         with pytest.raises(DomainError):
             LemmaGrid(**bad)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import subprocess
 import sys
@@ -6,8 +5,8 @@ import xml.dom.minidom
 
 import pytest
 
-from ionbound import cli
-from ionbound.alpha import estimate_alpha
+from ionbound import alpha, bounds, cli
+from ionbound.bounds import BoundInputs
 from ionbound.cli import _json_text, _payload, build_parser, main
 
 
@@ -68,10 +67,7 @@ def test_alpha_json_diagnostics_without_cap_hits(tmp_path, capsys):
 
 
 def test_alpha_cap_hits_are_flagged(tmp_path, capsys, monkeypatch):
-    def capped(n, settings):
-        return estimate_alpha(n, dataclasses.replace(settings, max_iterations=1))
-
-    monkeypatch.setattr(cli, "estimate_alpha", capped)
+    monkeypatch.setattr(alpha, "_MAX_ITERATIONS", 1)
     out = tmp_path / "alpha.json"
     assert run_cli(["alpha", "--n", "3:4", "--restarts", "2", "--format", "json",
                     "--out", str(out)]) == 0
@@ -163,6 +159,55 @@ def test_bounds_magnetic_extra_column(tmp_path):
     row = out.read_text().splitlines()[2].split(",")
     base = 1.22 * 10 + 3 * 10 ** (1 / 3)
     assert float(row[4]) == pytest.approx(base * (1 + 11.8 * 10 ** (-2 / 3) + 0.42), rel=1e-12)
+
+
+# (flags, the per-charge function that fills model_extra, the parameters it gets)
+_MODEL_TABLES = {
+    "magnetic B=0": (["--model", "magnetic", "--B", "0"], "magnetic_bound",
+                     BoundInputs(model="magnetic-homogeneous")),
+    "magnetic B=10": (["--model", "magnetic", "--B", "10"], "magnetic_bound",
+                      BoundInputs(model="magnetic-homogeneous", B=10.0)),
+    "bosonic B=0": (["--model", "bosonic", "--B", "0"], "relativistic_or_bosonic_bound",
+                    BoundInputs(model="bosonic-magnetic")),
+    "bosonic B=10": (["--model", "bosonic", "--B", "10"], "relativistic_or_bosonic_bound",
+                     BoundInputs(model="bosonic-magnetic", B=10.0)),
+    "relativistic": (["--model", "relativistic"], "relativistic_or_bosonic_bound",
+                     BoundInputs(model="relativistic")),
+}
+
+
+@pytest.mark.parametrize("case", list(_MODEL_TABLES))
+def test_model_table_matches_its_per_charge_function(tmp_path, monkeypatch, case):
+    flags, name, inputs = _MODEL_TABLES[case]
+    calls = {"magnetic_bound": [], "relativistic_or_bosonic_bound": []}
+    for function in calls:
+        def counted(z, *rest, _original=getattr(cli, function), _calls=calls[function]):
+            _calls.append(z)
+            return _original(z, *rest)
+        monkeypatch.setattr(cli, function, counted)
+    out = tmp_path / "bounds.json"
+    assert run_cli(["bounds", "--z", "1:20:0.5", *flags, "--format", "json",
+                    "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["results"]["bounds"]
+    zs = [r["Z"] for r in rows]
+    (other,) = set(calls) - {name}
+    assert len(rows) == 39 and calls[name] == zs and calls[other] == []
+    per_charge = getattr(bounds, name)
+    assert [r["model_extra"] for r in rows] == [per_charge(z, inputs) for z in zs]
+
+
+@pytest.mark.parametrize("flags, code", [
+    ("--model nonrel --B -1", 0),  # nonrel reads only --beta and --coeff
+    ("--model nonrel --C 0 --Ckappa -1 --C2 0", 0),
+    ("--model magnetic --B -1", 1),
+    ("--model bosonic --B -1", 1),
+    ("--model relativistic --Ckappa 0", 1),
+    ("--model nonrel --coeff 1.2", 1),  # below 1/beta
+])
+def test_bounds_checks_the_parameters_its_model_reads(tmp_path, capsys, flags, code):
+    assert run_cli(["bounds", "--z", "1:3", *flags.split(), "--out", str(tmp_path / "b.csv")]) == code
+    err = [l for l in capsys.readouterr().err.splitlines() if not l.startswith(("stage", "wrote"))]
+    assert len(err) == code and all(l.startswith("domain error: ") for l in err)
 
 
 def test_bounds_domain_error_writes_nothing(tmp_path):
@@ -379,7 +424,7 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, args):
 @pytest.mark.parametrize(
     "args",
     [["beta", "--nodes", "100000000"], ["beta", "--range", "1e100:1e160"],
-     ["beta", "--range", "1e-200:1e-100"],
+     ["beta", "--range", "1e-200:1e-100"], ["beta", "--range", "1e-150:1e150", "--nodes", "50"],
      ["report", "--n", "2:2", "--restarts", "1", "--nodes", "100000000"]],
     ids=" ".join,
 )
@@ -389,6 +434,15 @@ def test_out_of_domain_beta_nodes_are_a_one_line_domain_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("domain error: node ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("node_range", ["1:1e100", "1e-50:1e50"])
+def test_beta_at_the_widest_node_span_runs_without_warnings(tmp_path, node_range):
+    out = tmp_path / "beta.json"
+    assert run_cli(["beta", "--range", node_range, "--nodes", "50", "--out", str(out)]) == 0
+    beta = json.loads(out.read_text())["results"]["beta"]
+    assert beta["lower"] <= beta["upper"]
 
 
 def test_unwritable_out_exits_1(tmp_path, capsys):
