@@ -243,8 +243,9 @@ def magnetic_bound(z: float, inputs: BoundInputs, energy_gap: Optional[float] = 
 
     The general form needs the externally computed ground-state energy gap
     E(N_c, Z, B) - E(N_c, kZ, B) together with N_c.  The homogeneous-field
-    form is closed except for the universal constant C_universal; its
-    logarithmic branch is never evaluated at B = 0, where the min is 0.
+    form is closed except for the universal constant C_universal; where
+    B / Z^3 is 0 (B = 0, or underflow) the field term is its limit 0, and
+    the logarithm is never evaluated.
     """
     _check_charge(z)
     base = inputs.coeff * z + 3.0 * z ** (1.0 / 3.0)
@@ -255,10 +256,10 @@ def magnetic_bound(z: float, inputs: BoundInputs, energy_gap: Optional[float] = 
             )
         return base * (1.0 + energy_gap / (inputs.n_c * z**2 * (inputs.k - 1.0)))
     if inputs.model == "magnetic-homogeneous":
-        if inputs.B == 0.0:
+        t = inputs.B / z**3
+        if t == 0.0:  # B = 0, or B / Z^3 below the smallest float
             field_term = 0.0
         else:
-            t = inputs.B / z**3
             field_term = min(
                 0.42 * t**0.4, inputs.C_universal * (1.0 + math.log(t) ** 2)
             )
@@ -276,10 +277,10 @@ def relativistic_or_bosonic_bound(z: float, inputs: BoundInputs) -> float:
             )
         return inputs.coeff * z + inputs.C_kappa * z ** (1.0 / 3.0)
     if inputs.model == "bosonic-magnetic":
-        if inputs.B == 0.0:
+        t = inputs.B / z**2
+        if t == 0.0:  # B = 0, or B / Z^2 below the smallest float
             field_term = 1.0
         else:
-            t = inputs.B / z**2
             field_term = min(1.0 + 4.0 * t, inputs.C_2 * math.log(t) ** 2)
         return (z / inputs.beta_lower + 3.0 * z ** (1.0 / 3.0)) * (1.0 + field_term)
     raise DomainError("applies to the relativistic and bosonic-magnetic models")
@@ -325,6 +326,12 @@ def crossover_z(inputs: BoundInputs) -> int:
 _Z_RANGE = (0.5, 120.0)
 _RATIO_RANGE = (0.1, 2.33)
 
+# Largest grid array accepted: lemma3 holds five float arrays of
+# z_points * ratio_points, so 10^7 points keep it near 0.4 GB.
+MAX_GRID_POINTS = 10_000_000
+# the beta axis is one linspace array
+MAX_BETA_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class LemmaGrid:
@@ -340,6 +347,12 @@ class LemmaGrid:
     def __post_init__(self):
         if min(self.z_points, self.ratio_points, self.beta_points, self.n_above) < 1:
             raise DegenerateGridError("grid counts must be >= 1")
+        # the (Z, N/Z) arrays of lemma3 and the (Z, real N) arrays of lemma4
+        points = self.z_points * max(self.ratio_points, 4 * self.n_above + 1)
+        if points > MAX_GRID_POINTS:
+            raise DomainError(f"grid arrays must hold at most {MAX_GRID_POINTS} points, got {points}")
+        if self.beta_points > MAX_BETA_POINTS:
+            raise DomainError(f"beta grid must have at most {MAX_BETA_POINTS} points, got {self.beta_points}")
         if not all(map(math.isfinite, self.beta_range)):
             raise DomainError("grid ranges must be finite")
         if self.beta_range[0] < DEFAULT_BETA_LOWER:
@@ -364,18 +377,34 @@ class LemmaGrid:
         }
 
 
-# Each margin function maps (grid, beta) to the margins at that beta, the
-# witness of an index into them, and the count of out-of-hypothesis failures.
+# Each margin factory takes the grid, builds what every beta shares, and returns a
+# function that maps beta to the margins at that beta, the witness of an index
+# into them, and the count of out-of-hypothesis failures.
 
-def _lemma3_margins(grid: LemmaGrid, beta: float):
-    """Margin of the closed-form bound over min(N, implicit branch) on a (Z, N/Z) grid."""
-    zz, rr = np.meshgrid(grid.zs(), np.geomspace(*_RATIO_RANGE, grid.ratio_points), indexing="ij")
-    nn = zz * rr
+def _lemma3_margins(grid: LemmaGrid):
+    """Margin of the closed-form bound over min(N, implicit branch) on a (Z, N/Z) grid.
+
+    The beta-independent arrays are built once; each beta then writes into two
+    work arrays, so the margins it returns are overwritten by the next call.
+    """
+    z = grid.zs()[:, None]
+    nn = z * np.geomspace(*_RATIO_RANGE, grid.ratio_points)
     u = nn ** (-2.0 / 3.0)
-    denom = beta - _beta1(beta) * u
-    branch2 = np.where(denom > 0, zz * (1.0 + KINETIC_COEFF * u) / np.where(denom > 0, denom, 1.0), np.inf)
-    margins = (1.0 / beta) * zz + 3.0 * zz ** (1.0 / 3.0) - np.minimum(nn, branch2)
-    return margins, lambda i: (float(zz[i]), float(nn[i]), beta), 0
+    numerator = z * (1.0 + KINETIC_COEFF * u)
+    cube_root_term = 3.0 * z ** (1.0 / 3.0)
+    denom, margins = np.empty_like(nn), np.empty_like(nn)
+    positive = np.empty(nn.shape, dtype=bool)
+
+    def margins_at(beta: float):
+        np.subtract(beta, np.multiply(_beta1(beta), u, out=denom), out=denom)
+        np.greater(denom, 0.0, out=positive)
+        margins.fill(np.inf)  # the implicit branch, infinite where denom <= 0
+        np.divide(numerator, denom, out=margins, where=positive)
+        np.minimum(nn, margins, out=margins)
+        np.subtract((1.0 / beta) * z + cube_root_term, margins, out=margins)
+        return margins, lambda i: (float(z[i[0], 0]), float(nn[i]), beta), 0
+
+    return margins_at
 
 
 def _lemma4_margin(n, z, beta: float):
@@ -389,30 +418,38 @@ def lemma4_threshold(z, beta: float):
     return z / beta + 3.0 * z ** (-2.0 / 3.0)
 
 
-def _lemma4_margins(grid: LemmaGrid, beta: float):
+def _lemma4_margins(grid: LemmaGrid):
     """Margins at the first n_above integers N past the threshold of each Z; with
     ``real_n``, failures at non-integer N there are counted as out-of-hypothesis."""
     z = grid.zs()[:, None]
-    threshold = lemma4_threshold(z[:, 0], beta)
-    ints = np.ceil(threshold)[:, None] + np.arange(grid.n_above, dtype=float)
-    outside = 0
-    if grid.real_n:
-        reals = np.linspace(threshold, threshold + grid.n_above, 4 * grid.n_above + 1, axis=1)
-        outside = int(np.sum((_lemma4_margin(reals, z, beta) <= 0) & (reals != np.round(reals))))
-    return _lemma4_margin(ints, z, beta), lambda i: (float(z[i[0], 0]), float(ints[i]), beta), outside
+
+    def margins_at(beta: float):
+        threshold = lemma4_threshold(z[:, 0], beta)
+        ints = np.ceil(threshold)[:, None] + np.arange(grid.n_above, dtype=float)
+        outside = 0
+        if grid.real_n:
+            reals = np.linspace(threshold, threshold + grid.n_above, 4 * grid.n_above + 1, axis=1)
+            outside = int(np.sum((_lemma4_margin(reals, z, beta) <= 0) & (reals != np.round(reals))))
+        return _lemma4_margin(ints, z, beta), lambda i: (float(z[i[0], 0]), float(ints[i]), beta), outside
+
+    return margins_at
 
 
 _CUBIC_CHECKS = ("h(0) > 0", "h(beta^(-1/3)) < 0", "h((7/3)^(1/3)) < 0")
 
 
-def _cubic_sign_margins(grid: LemmaGrid, beta: float):
+def _cubic_sign_margins(beta: float):
     """h(x) = 0.68 - 3 beta x^2 + beta1 x^3 at 0, and -h at beta^(-1/3) and (7/3)^(1/3)."""
     x = np.array([0.0, beta ** (-1.0 / 3.0), (7.0 / 3.0) ** (1.0 / 3.0)])
     margins = np.array([1.0, -1.0, -1.0]) * (KINETIC_COEFF - 3.0 * beta * x**2 + _beta1(beta) * x**3)
     return margins, lambda i: (beta, _CUBIC_CHECKS[i[0]]), 0
 
 
-_MARGINS = {"lemma3": _lemma3_margins, "lemma4": _lemma4_margins, "cubic-signs": _cubic_sign_margins}
+_MARGINS = {
+    "lemma3": _lemma3_margins,
+    "lemma4": _lemma4_margins,
+    "cubic-signs": lambda grid: _cubic_sign_margins,
+}
 
 
 def verify_lemma(lemma: str, grid: LemmaGrid = LemmaGrid()) -> LemmaReport:
@@ -423,15 +460,17 @@ def verify_lemma(lemma: str, grid: LemmaGrid = LemmaGrid()) -> LemmaReport:
     hypothesis threshold; with ``real_n`` the same margins are scanned at
     non-integer N and failures there are only counted as out-of-hypothesis.
     cubic-signs: the cubic h(x) = 0.68 - 3 beta x^2 + beta1 x^3 must be
-    positive at 0 and negative at beta^(-1/3) and (7/3)^(1/3).  The witness
-    is the first minimum in C order (the smallest Z, then the smallest N) at
-    the first beta that attains it.
+    positive at 0 and negative at beta^(-1/3) and (7/3)^(1/3).  The grid's
+    beta-independent arrays are built once per call and shared by every
+    beta.  The witness is the first minimum in C order (the smallest Z, then
+    the smallest N) at the first beta that attains it.
     """
     if lemma not in _MARGINS:
         raise DomainError(f"unknown lemma id {lemma!r}")
+    margins_at = _MARGINS[lemma](grid)
     min_margin, witness, out_of_hypothesis = math.inf, (), 0
     for beta in grid.betas():
-        margins, witness_at, outside = _MARGINS[lemma](grid, float(beta))
+        margins, witness_at, outside = margins_at(float(beta))
         i = np.unravel_index(int(np.argmin(margins)), margins.shape)
         if margins[i] < min_margin:
             min_margin, witness = float(margins[i]), witness_at(i)

@@ -135,11 +135,9 @@ def _json_text(payload: dict) -> str:
 
 
 def _csv_text(schema_id: str, header: str, rows: list[list]) -> str:
+    # cells are Python int, float or str; str(float) is the shortest round-trip repr
     lines = [f"#schema={schema_id}", header]
-    lines.extend(
-        ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
-        for row in rows
-    )
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

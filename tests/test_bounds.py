@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from ionbound.bounds import (
+    KINETIC_COEFF,
     BoundInputs,
     LemmaGrid,
+    LemmaReport,
     bound_row,
     crossover_z,
     derived_constants,
@@ -18,7 +20,7 @@ from ionbound.bounds import (
     relativistic_or_bosonic_bound,
     verify_lemma,
 )
-from ionbound.bounds import _implicit_lhs, _lemma4_margin
+from ionbound.bounds import _RATIO_RANGE, _beta1, _implicit_lhs, _lemma3_margins, _lemma4_margin
 from ionbound.errors import (
     DomainError,
     KappaDomainError,
@@ -319,6 +321,36 @@ def test_lemma3_grid_passes():
     assert 0.5 <= z <= 120 and n / z <= 2.33 + 1e-9 and beta == 0.8218
 
 
+def _lemma3_meshgrid(grid: LemmaGrid, beta: float):
+    """Oracle: lemma3's margins from full (Z, N/Z) meshgrid copies, rebuilt at every beta."""
+    zz, rr = np.meshgrid(grid.zs(), np.geomspace(*_RATIO_RANGE, grid.ratio_points), indexing="ij")
+    nn = zz * rr
+    u = nn ** (-2.0 / 3.0)
+    denom = beta - _beta1(beta) * u
+    branch2 = np.where(denom > 0, zz * (1.0 + KINETIC_COEFF * u) / np.where(denom > 0, denom, 1.0), np.inf)
+    return (1.0 / beta) * zz + 3.0 * zz ** (1.0 / 3.0) - np.minimum(nn, branch2), zz, nn
+
+
+def test_lemma3_matches_the_meshgrid_oracle_at_every_beta():
+    # a non-square grid, so that a swap of the Z and N/Z axes cannot pass
+    grid = LemmaGrid(z_points=37, ratio_points=53, beta_points=5, beta_range=(0.8218, 0.99))
+    margins_at = _lemma3_margins(grid)
+    min_margin, witness = math.inf, ()
+    for beta in map(float, grid.betas()):
+        expected, zz, nn = _lemma3_meshgrid(grid, beta)
+        margins, witness_at, outside = margins_at(beta)
+        assert margins.shape == (37, 53) and outside == 0
+        np.testing.assert_array_equal(margins, expected)
+        i = np.unravel_index(int(np.argmin(expected)), expected.shape)
+        assert witness_at(i) == (float(zz[i]), float(nn[i]), beta)
+        if expected[i] < min_margin:
+            min_margin, witness = float(expected[i]), witness_at(i)
+    assert verify_lemma("lemma3", grid) == LemmaReport(
+        lemma="lemma3", grid=grid.as_dict(), min_margin=min_margin, passed=min_margin > 0,
+        witness=witness, out_of_hypothesis=0,
+    )
+
+
 def test_cubic_signs_at_reference_beta():
     report = verify_lemma("cubic-signs", LemmaGrid())
     assert report.passed
@@ -408,6 +440,9 @@ def test_lemma_grid_validation():
     for bad in (
         dict(beta_range=(math.nan, math.nan)),
         dict(beta_range=(0.9, math.inf)),
+        dict(z_points=10**4, ratio_points=10**4),  # checked before any array is built
+        dict(z_points=10**4, n_above=10**3),
+        dict(beta_points=10**9),
     ):
         with pytest.raises(DomainError):
             LemmaGrid(**bad)

@@ -217,6 +217,18 @@ def test_bounds_domain_error_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["magnetic", "bosonic"])
+def test_underflowing_field_ratio_takes_the_zero_field_limit(tmp_path, model):
+    # 5e-324 / Z^3 (magnetic) and 5e-324 / Z^2 (bosonic) round to 0 at Z = 2
+    extras = []
+    for field in ("5e-324", "0"):
+        out = tmp_path / f"bounds-{field}.json"
+        assert run_cli(["bounds", "--model", model, "--B", field, "--z", "2:2", "--format", "json",
+                        "--out", str(out)]) == 0
+        extras.append(json.loads(out.read_text())["results"]["bounds"][0]["model_extra"])
+    assert extras[0] == extras[1]
+
+
 def test_report_rejects_nonpositive_z_before_any_stage(tmp_path, capsys, monkeypatch):
     def stage_ran(*_):
         raise AssertionError("a stage ran before the bounds input was checked")
@@ -249,6 +261,23 @@ def test_verify_lemma4_exits_2(tmp_path):
     report = payload["results"]["lemmas"][0]
     assert report["pass"] is False
     assert report["min_margin"] < 0
+
+
+@pytest.mark.parametrize("flags", [
+    "--grid-z 100000 --grid-ratio 100000",  # 10^10 lemma3 points, 74.5 GiB per array
+    "--grid-z 1000 --n-above 1000000",  # 4 * 10^9 lemma4 real-N points
+    "--grid-beta 1000000000",
+])
+def test_oversized_verify_grid_is_a_one_line_domain_error(tmp_path, capsys, monkeypatch, flags):
+    def lemma_ran(*_):
+        raise AssertionError("a lemma ran on a grid that should have been rejected")
+
+    monkeypatch.setattr(cli, "verify_lemma", lemma_ran)
+    out = tmp_path / "lemmas.json"
+    assert run_cli(["verify", "--lemma", "all", *flags.split(), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_verify_all_contains_three_reports(tmp_path):
