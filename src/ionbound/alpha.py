@@ -20,11 +20,11 @@ from .kernels import (
     COINCIDENCE_RTOL,
     ParticleConfiguration,
     RatioValue,
-    _energy_normalizer,
     _norms,
     _pair_geometry,
     _ratio_and_gradient,
     _triu,
+    ratio_value,
 )
 
 # Steps moving any point this close to the origin are rejected (the radial
@@ -195,10 +195,9 @@ def local_minimize(
         raise DomainError("local_minimize needs every start point off the origin")
     pts, ratio, converged, iterations, _ = _minimize_raw(start.points, settings, history)
     config = ParticleConfiguration(pts)
-    energy, normalizer = _energy_normalizer(pts)
     return LocalMinimizeResult(
         config=config,
-        value=RatioValue(energy=energy, normalizer=normalizer, ratio=energy / normalizer),
+        value=ratio_value(config),
         converged=converged,
         iterations=iterations,
     )

@@ -229,51 +229,6 @@ def _radial_kernel(r: np.ndarray) -> np.ndarray:
     return 0.5 * (r[:, None] ** 2 + r[None, :] ** 2) / np.maximum.outer(r, r)
 
 
-def _composite_gauss(points: int, order: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0, 1] with about ``points`` nodes."""
-    panels = max(1, points // order)
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    widths = np.diff(edges)
-    nodes = (edges[:-1][:, None] + widths[:, None] * (x[None, :] + 1.0) / 2.0).ravel()
-    weights = (widths[:, None] * w[None, :] / 2.0).ravel()
-    return nodes, weights
-
-
-class TrialMeasureValue(NamedTuple):
-    analytic: float
-    quadrature: float
-    normalization: float
-
-
-def trial_measure_value(quadrature_points: int) -> TrialMeasureValue:
-    """Closed-form and quadrature values of the radial trial density (3/4) r^(-3/2) on [1, 9].
-
-    The quadrature integrates the ordered double integral (inner radius below
-    the outer one) with composite Gauss-Legendre rules of about
-    ``quadrature_points`` nodes per dimension, and also reports the density
-    normalization integral, which must be 1.
-    """
-    if quadrature_points < 16:
-        raise DomainError("quadrature_points must be >= 16")
-    t, wt = _composite_gauss(quadrature_points)
-    s = 1.0 + 8.0 * t
-    ws = 8.0 * wt
-    density_s = 0.75 * s ** (-1.5)
-    normalization = float(ws @ density_s)
-    denominator = float(ws @ (s * density_s))
-    # inner integral over r in [1, s]: (r^2 + s^2)/s against the density;
-    # chunked over the outer nodes to keep the (s, r) matrices small
-    inner = np.empty_like(s)
-    for lo in range(0, s.size, 512):
-        sb = s[lo : lo + 512]
-        r = 1.0 + np.outer(sb - 1.0, t)
-        vals = 0.75 * r ** (-1.5) * (r**2 + (sb**2)[:, None])
-        inner[lo : lo + 512] = (sb - 1.0) * (vals @ wt)
-    numerator = float(ws @ (density_s * inner / s))
-    return TrialMeasureValue(TRIAL_MEASURE_ANALYTIC, numerator / denominator, normalization)
-
-
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (exact, sort-based)."""
     v = np.asarray(v, dtype=float)

@@ -265,7 +265,12 @@ def _bounds_rows(zs: list[float], inputs: BoundInputs) -> list[list]:
             extra = magnetic_bound(z, inputs)
         elif inputs.model != "nonrel":
             extra = relativistic_or_bosonic_bound(z, inputs)
-        rows.append([z, 2.0 * z + 1.0, inputs.coeff * z + 3.0 * z ** (1.0 / 3.0), implicit_n, extra])
+        lieb, main = 2.0 * z + 1.0, inputs.coeff * z + 3.0 * z ** (1.0 / 3.0)
+        # an overflowed cell would be written as CSV inf or as JSON Infinity, which is not JSON
+        if not (math.isfinite(lieb) and math.isfinite(main) and math.isfinite(implicit_n)
+                and (extra == "" or math.isfinite(extra))):
+            raise DomainError(f"the bounds at Z = {z:g} overflow the floats")
+        rows.append([z, lieb, main, implicit_n, extra])
     return rows
 
 

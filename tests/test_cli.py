@@ -203,11 +203,18 @@ def test_model_table_matches_its_per_charge_function(tmp_path, monkeypatch, case
     ("--model bosonic --B -1", 1),
     ("--model relativistic --Ckappa 0", 1),
     ("--model nonrel --coeff 1.2", 1),  # below 1/beta
+    # rows whose cells overflow to inf
+    ("--model magnetic --B 1e308 --z 0.001:0.001 --format json", 1),
+    ("--model bosonic --B 1e308 --z 0.5:0.5", 1),
+    ("--z 1e308:1e308 --format json", 1),
+    ("--model relativistic --Ckappa 1e300 --z 1e300:1e300", 1),
 ])
 def test_bounds_checks_the_parameters_its_model_reads(tmp_path, capsys, flags, code):
-    assert run_cli(["bounds", "--z", "1:3", *flags.split(), "--out", str(tmp_path / "b.csv")]) == code
+    out = tmp_path / "b.csv"
+    assert run_cli(["bounds", "--z", "1:3", *flags.split(), "--out", str(out)]) == code
     err = [l for l in capsys.readouterr().err.splitlines() if not l.startswith(("stage", "wrote"))]
     assert len(err) == code and all(l.startswith("domain error: ") for l in err)
+    assert out.exists() == (code == 0)
 
 
 def test_bounds_domain_error_writes_nothing(tmp_path):
@@ -491,3 +498,15 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_runtime_imports_are_numpy_only():
+    # scipy and mpmath may serve the tests and the bench as oracles, never the package
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ionbound, ionbound.cli; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

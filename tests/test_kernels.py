@@ -14,9 +14,6 @@ from ionbound.errors import (
 from ionbound.kernels import (
     ParticleConfiguration,
     inequality_probe,
-    mc_dipole,
-    mc_inverse_distance,
-    mc_radial_kernel_triple,
     pair_energy,
     radial_kernel_triple,
     ratio_gradient,
@@ -26,6 +23,7 @@ from ionbound.kernels import (
     w_lambda_reduced,
 )
 from ionbound.kernels import _energy_normalizer, _distance_extremes
+from oracles import mc_dipole, mc_inverse_distance, mc_radial_kernel_triple
 
 ANTIPODAL = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
 
