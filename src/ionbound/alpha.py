@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .beta import DEFAULT_BETA_LOWER
+from . import DEFAULT_BETA_LOWER
 from .errors import DegenerateNormalizerError, DomainError
 from .kernels import (
     COINCIDENCE_RTOL,
@@ -140,7 +140,8 @@ def _minimize_raw(
     """L-BFGS descent on the normalized scale manifold sum|x_i| = N.
 
     Backtracking by _STEP_SHRINK from the full step accepts the first trial
-    that passes the guards with a strictly lower ratio.  Each accepted step
+    that passes the guards with a strictly lower ratio, and gives up at the
+    step floor or once the step no longer moves the points.  Each accepted step
     gives a curvature pair, built after renormalization and kept, up to the
     last _MEMORY, if sᵀy > 1e-12 |s||y|.  Stops at the iteration cap, or when
     a step along -_STEP_INIT * gradient improves by less than ratio_tolerance
@@ -160,10 +161,12 @@ def _minimize_raw(
         step = 1.0
         while step > _STEP_FLOOR:
             evaluations += 1
-            trial = _evaluate_trial(pts + step * direction)
+            candidate = pts + step * direction
+            trial = _evaluate_trial(candidate)
             if trial is not None and trial[0] < ratio:
                 break
-            step *= _STEP_SHRINK
+            # once the step rounds away, every shorter one gives pts and this same trial
+            step = 0.0 if np.array_equal(candidate, pts) else step * _STEP_SHRINK
         else:
             trial = None
         if trial is None or ratio - trial[0] < settings.ratio_tolerance:

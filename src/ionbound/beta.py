@@ -17,6 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import DEFAULT_BETA_LOWER  # re-exported: the bounds default, kept beside __version__
 from .errors import (
     DomainError,
     InconsistentBracketError,
@@ -31,10 +32,6 @@ LAMBDA_DOMAIN = (0.8, 1.0)
 
 # Analytic value of the radial trial measure (3/4) r^(-3/2) on [1, 9].
 TRIAL_MEASURE_ANALYTIC = 115.0 / 81.0 - math.log(3.0) / 2.0
-
-# g_max = 0.8218066... rounded down: the lower bracket the bounds use by
-# default, so their coefficient must be at least 1/0.8218.
-DEFAULT_BETA_LOWER = 0.8218
 
 DEFAULT_NODE_COUNT = 200
 DEFAULT_NODE_RANGE = (0.05, 20.0)
@@ -296,14 +293,22 @@ def minimize_radial_ratio(
     theta = float(w @ q @ w) / float(w @ r)
     history = [] if history is None else history
     history.append(theta)
+    # the bordered system [2 Q_SS 1; 1ᵀ 0] and its right-hand side [-g; 0], filled in place
+    bordered_buffer, rhs_buffer = np.empty((r.size + 1, r.size + 1)), np.empty(r.size + 1)
     for _ in range(_OUTER_ITERATIONS):
         v, free = w.copy(), w > 0
         for _ in range(4 * r.size + 10):
             idx = np.flatnonzero(free)
             g, q_ss = 2.0 * (q[idx] @ v) - theta * r[idx], q[np.ix_(idx, idx)]
-            bordered = np.block([[2.0 * q_ss, np.ones((idx.size, 1))], [np.ones(idx.size), 0.0]])
+            k = idx.size
+            bordered, rhs = bordered_buffer[:k + 1, :k + 1], rhs_buffer[:k + 1]
+            np.multiply(q_ss, 2.0, out=bordered[:k, :k])
+            bordered[k, :k] = bordered[:k, k] = 1.0
+            bordered[k, k] = 0.0
+            np.negative(g, out=rhs[:k])
+            rhs[k] = 0.0
             try:
-                d = np.linalg.solve(bordered, np.append(-g, 0.0))[:-1]
+                d = np.linalg.solve(bordered, rhs)[:-1]
             except np.linalg.LinAlgError:
                 d = np.zeros(idx.size)
             curvature = float(d @ q_ss @ d)
@@ -348,7 +353,8 @@ def kkt_residual(measure: RadialMeasure) -> float:
     g's spread on the support and its largest drop off the support below its mean there,
     over the largest node (so dilation leaves it unchanged)."""
     r, w = measure.nodes, measure.weights
-    g = 2.0 * (_radial_kernel(r) @ w) - radial_ratio(measure) * r
+    q = _radial_kernel(r)
+    g = 2.0 * (q @ w) - float(w @ q @ w) / float(w @ r) * r  # radial_ratio(measure), same kernel
     on = w > 0
     return float(max(np.ptp(g[on]), g[on].mean() - g[~on].min(initial=np.inf)) / r.max())
 

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .beta import DEFAULT_BETA_LOWER
+from . import DEFAULT_BETA_LOWER
 from .errors import (
     DegenerateGridError,
     DomainError,

@@ -11,6 +11,8 @@ byte-level reproducibility.
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
 import json
 import math
 import os
@@ -19,22 +21,37 @@ import tempfile
 import time
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
-from . import __version__
-from .alpha import OptimizerSettings, estimate_alpha
-from .beta import DEFAULT_BETA_LOWER, BetaSettings, bracket_detail, default_nodes, g_of_lambda
-from .bounds import (
-    BoundInputs,
-    LemmaGrid,
-    bound_row,  # unused here, but bench/tracing.py spans cli.bound_row by name
-    implicit_bound,
-    magnetic_bound,
-    relativistic_or_bosonic_bound,
-    verify_lemma,
-)
+from . import DEFAULT_BETA_LOWER, __version__
 from .errors import DomainError, IonboundError
-from .plots import Band, Panel, Series, render_svg
+
+# The library names the stages call, by layer.  A call loads only the layers of
+# its command's stages (and plots only for --format svg), so --version, --help
+# and argument parse errors return before numpy loads.  _load binds the names as module
+# globals, and a job looks them up when it runs, so cli.<name> can be rebound.
+_LAYER_NAMES = {
+    "alpha": ("OptimizerSettings", "estimate_alpha"),
+    "beta": ("BetaSettings", "bracket_detail", "default_nodes", "g_of_lambda"),
+    # bound_row is not called here, but bench/tracing.py spans cli.bound_row by name
+    "bounds": ("BoundInputs", "LemmaGrid", "bound_row", "implicit_bound", "magnetic_bound",
+               "relativistic_or_bosonic_bound", "verify_lemma"),
+    "plots": ("Band", "Panel", "Series", "render_svg"),
+}
+
+
+def _load(layer: str) -> None:
+    """Import a layer and bind its names here, keeping any already rebound."""
+    module = importlib.import_module(f"{__package__}.{layer}")
+    for name in _LAYER_NAMES[layer]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for layer, names in _LAYER_NAMES.items():
+        if name in names:
+            _load(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _BETA_UPPER_DEFAULT = 0.8705
 
@@ -102,7 +119,7 @@ def _parse_float_range(text: str) -> list[float]:
         raise UsageError(f"empty range {text!r}")
     if not (b - a) / step < _MAX_RANGE:
         raise UsageError(f"range {text!r} is longer than {_MAX_RANGE} values")
-    count = int(np.floor((b - a) / step + 1e-9)) + 1
+    count = math.floor((b - a) / step + 1e-9) + 1
     return [a + i * step for i in range(count)]
 
 
@@ -155,6 +172,7 @@ class Stage(NamedTuple):
 
     name: str  # stderr "stage <name>" line and JSON timings key
     key: str  # JSON results key
+    layer: str  # the library layer _run loads before any stage prepares
     flags: tuple  # (flag, add_argument options) pairs
     params: Callable  # args -> config-echo parameters
     prepare: Callable  # args -> job; job() -> result
@@ -244,7 +262,8 @@ def _beta_csv(detail, args) -> str:
 
 
 def _g_panel(detail) -> Panel:
-    lams = list(np.linspace(0.8, 1.0, 201))
+    # the values of np.linspace(0.8, 1.0, 201), bit for bit
+    lams = [0.8 + i * ((1.0 - 0.8) / 200) for i in range(200)] + [1.0]
     return Panel(
         "scalar reduction g over the blend parameter", "lambda", "g",
         series=[Series("g", lams, [g_of_lambda(l).g for l in lams])],
@@ -342,7 +361,7 @@ _SEED_FLAG = ("--seed", dict(type=_u64, default=0, help="64-bit seed for stochas
 _TOL_FLAG = ("--tol", dict(type=_finite, default=1e-10, help="solver tolerance"))
 
 ALPHA = Stage(
-    "alpha", "alpha",
+    "alpha", "alpha", layer="alpha",
     flags=(
         ("--n", dict(default="2:8", help="inclusive N range a:b")),
         ("--restarts", dict(type=int, default=64)),
@@ -358,7 +377,7 @@ ALPHA = Stage(
 )
 
 BETA = Stage(
-    "beta", "beta",
+    "beta", "beta", layer="beta",
     flags=(
         ("--nodes", dict(type=int, default=200, help="radial node count")),
         ("--range", dict(default="0.05:20", help="node range lo:hi")),
@@ -372,7 +391,7 @@ BETA = Stage(
 )
 
 BOUNDS = Stage(
-    "bounds", "bounds",
+    "bounds", "bounds", layer="bounds",
     flags=(
         ("--z", dict(default="1:118", help="charge range a:b[:step]")),
         ("--model", dict(choices=tuple(_MODEL_FLAGS), default="nonrel")),
@@ -392,7 +411,7 @@ BOUNDS = Stage(
 )
 
 VERIFY = Stage(
-    "verify", "lemmas",
+    "verify", "lemmas", layer="bounds",
     flags=(
         ("--lemma", dict(choices=tuple(_LEMMA_FLAGS), default="all")),
         ("--grid-z", dict(type=int, default=120)),
@@ -413,7 +432,7 @@ VERIFY = Stage(
 
 # report's fixed lemma check: the lemmas that pass as printed, at default grids
 REPORT_CHECK = Stage(
-    "verify", "lemmas", flags=(), params=_echo(), section=_lemma_section,
+    "verify", "lemmas", layer="bounds", flags=(), params=_echo(), section=_lemma_section,
     prepare=lambda args: lambda: [verify_lemma(l, LemmaGrid()) for l in ("lemma3", "cubic-signs")],
 )
 
@@ -483,6 +502,8 @@ def _render(args, results: dict, timings: dict) -> str:
 
 def _run(args) -> int:
     stages = _COMMANDS[args.command].stages
+    for layer in [stage.layer for stage in stages] + (["plots"] if args.format == "svg" else []):
+        _load(layer)
     jobs = [stage.prepare(args) for stage in stages]
     results, timings = {}, {}
     for stage, job in zip(stages, jobs):
@@ -526,5 +547,17 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Process entry point: exit with main()'s code without tearing down the heap.
+
+    gc.freeze() moves every live object out of the collector's reach, so the
+    interpreter's final collections skip them and the OS reclaims the memory.
+    Output files are closed by then, and stdio is still flushed at exit.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

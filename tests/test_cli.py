@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import xml.dom.minidom
 
 import pytest
 
+import ionbound
 from ionbound import alpha, bounds, cli
 from ionbound.bounds import BoundInputs
 from ionbound.cli import _json_text, _payload, build_parser, main
@@ -510,3 +512,81 @@ def test_runtime_imports_are_numpy_only():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# start-up: each call loads only its command's layers, and the process exit
+# ---------------------------------------------------------------------------
+
+def _loaded_after(argv) -> list:
+    """numpy and the ionbound modules a fresh process holds after main(argv)."""
+    code = ("import json, sys, ionbound, ionbound.cli\n"
+            f"if {argv!r}: ionbound.cli.main({argv!r})\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m == 'numpy' or m.startswith('ionbound.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv, layers", [
+    ([], []),
+    (["bounds", "--coeff", "nan"], []),  # a parse error returns before any layer loads
+    (["bogus"], []),
+    (["bounds", "--z", "1:3"], ["bounds"]),
+    (["bounds", "--z", "1:3", "--format", "svg"], ["bounds", "plots"]),
+    (["verify", "--lemma", "cubic"], ["bounds"]),
+    (["beta", "--nodes", "10"], ["beta", "kernels"]),
+    (["alpha", "--n", "2:2", "--restarts", "1"], ["alpha", "kernels"]),
+])
+def test_a_call_loads_only_its_commands_layers(argv, layers):
+    modules = ["ionbound.cli", "ionbound.errors", *(f"ionbound.{l}" for l in layers)]
+    assert _loaded_after(argv) == sorted(modules + (["numpy"] if layers else []))
+
+
+def test_every_public_name_resolves_lazily():
+    code = ("import sys, ionbound\n"
+            "assert 'ionbound.alpha' not in sys.modules\n"
+            "from ionbound import *\n"
+            "from ionbound.beta import DEFAULT_BETA_LOWER as beta_default\n"
+            "assert beta_default == ionbound.DEFAULT_BETA_LOWER == 0.8218\n"
+            "assert set(ionbound.__all__) <= set(dir(ionbound))\n"
+            "print(sorted(n for n in ionbound.__all__ if n not in globals()))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    with pytest.raises(AttributeError):
+        ionbound.no_such_name
+
+
+def test_process_exit_writes_what_main_writes(tmp_path):
+    # the __main__ path freezes the heap before exiting; main itself never does
+    in_process, spawned = tmp_path / "main.csv", tmp_path / "spawned.csv"
+    frozen = gc.get_freeze_count()
+    assert main(["bounds", "--z", "1:3", "--format", "csv", "--out", str(in_process)]) == 0
+    assert gc.get_freeze_count() == frozen
+    proc = subprocess.run(
+        [sys.executable, "-m", "ionbound.cli", "bounds", "--z", "1:3", "--format", "csv",
+         "--out", str(spawned)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert spawned.read_bytes() == in_process.read_bytes()
+    err = proc.stderr.splitlines()
+    assert err[-2].startswith("stage bounds: ") and err[-1] == f"wrote {spawned}"
+
+
+def test_process_exit_code_is_mains():
+    proc = subprocess.run([sys.executable, "-m", "ionbound.cli", "bounds", "--z", "0:5"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "domain error: Z must be positive\n"
+
+
+def test_g_panel_grid_is_linspace():
+    import numpy as np
+
+    cli._load("beta")
+    cli._load("plots")
+    panel = cli._g_panel(None)
+    assert panel.series[0].x == np.linspace(0.8, 1.0, 201).tolist()
