@@ -18,10 +18,10 @@ _LAYERS = {
               "local_minimize", "normalize_config"),
     "beta": ("BetaBracket", "BetaSettings", "RadialMeasure", "g_of_lambda", "maximize_g",
              "minimize_radial_ratio", "radial_ratio", "w_maximin"),
-    "bounds": ("BoundInputs", "LemmaGrid", "LemmaReport", "PhysicalConstants", "bound_row",
-               "crossover_z", "derived_constants", "implicit_bound", "ionization_lemma_margin",
-               "magnetic_bound", "mean_radius_lower", "relativistic_or_bosonic_bound",
-               "verify_lemma"),
+    "bounds": ("BoundInputs", "PhysicalConstants", "bound_row", "crossover_z",
+               "derived_constants", "implicit_bound", "ionization_lemma_margin",
+               "magnetic_bound", "mean_radius_lower", "relativistic_or_bosonic_bound"),
+    "lemmas": ("LemmaGrid", "LemmaReport", "verify_lemma"),
     "kernels": ("ParticleConfiguration", "ProbeReport", "RatioValue", "inequality_probe",
                 "pair_energy", "radial_kernel_triple", "ratio_gradient", "ratio_value",
                 "sphere_average_dipole", "sphere_average_inverse_distance", "w_lambda_reduced"),

@@ -1,11 +1,11 @@
 """Closed-form ionization bound calculators, the derived constant chain, and
-grid verifiers for the supporting inequalities.
+the implicit particle-count bound.
 
-All calculators are total on their stated domains and deterministic.  The
-implicit particle-count bound (``implicit_N`` of the bounds table) comes from
-one vectorised bisection over the whole Z grid, to 1e-9 relative.  Grid
-verifications reduce with value-then-lexicographic-witness order, so reports
-are reproducible.
+All calculators are total on their stated domains and deterministic, and the
+module is pure Python: a bounds table never imports numpy.  The implicit bound
+(``implicit_N`` of the bounds table) is solved row by row by a safeguarded
+Newton iteration, to within a few ulps of the root.  The grid verifiers of the
+supporting inequalities live in ``lemmas``.
 """
 
 from __future__ import annotations
@@ -14,11 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from . import DEFAULT_BETA_LOWER
 from .errors import (
-    DegenerateGridError,
     DomainError,
     KappaDomainError,
     MissingEnergyGapError,
@@ -99,24 +96,6 @@ class BoundInputs:
             raise DomainError("universal constants must be positive")
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    """Outcome of one grid verification.
-
-    ``passed`` is exactly (min_margin > 0) over the in-hypothesis grid;
-    ``out_of_hypothesis`` counts flagged failures at points that do not
-    satisfy the inequality's hypothesis (real particle counts) and never
-    affects ``passed``.
-    """
-
-    lemma: str
-    grid: dict
-    min_margin: float
-    passed: bool
-    witness: tuple
-    out_of_hypothesis: int = 0
-
-
 class BoundRow(NamedTuple):
     lieb: float
     main: float
@@ -168,44 +147,57 @@ def _beta1(beta: float) -> float:
     return 3.0 * (beta / 6.0) ** (1.0 / 3.0)
 
 
-def _implicit_lhs(n, beta: float):
-    """N (beta - beta1 N^(-2/3)) / (1 + 0.68 N^(-2/3)); increasing past its zero."""
-    u = np.asarray(n, dtype=float) ** (-2.0 / 3.0)
-    return np.asarray(n, dtype=float) * (beta - _beta1(beta) * u) / (1.0 + KINETIC_COEFF * u)
+# Newton steps per row.  5 suffice on a 1:118:0.01 table and 6 on charges from
+# 1e-300 to 1e300 (beta 0.5 to 0.999); the cap ends a row whose bracket overflowed.
+_NEWTON_CAP = 100
 
 
-def implicit_bound(z, beta: float) -> np.ndarray:
+def implicit_bound(z, beta: float) -> list[float]:
     """Implicit particle-count bound for every charge of ``z``: the root N of
-    N (beta - beta1 N^(-2/3)) / (1 + 0.68 N^(-2/3)) = Z, by one bisection over
-    the array to 1e-9 relative.
+    N (beta - beta1 N^(-2/3)) / (1 + 0.68 N^(-2/3)) = Z, to within a few ulps.
 
-    Each row starts from [max(2, Z/beta), 2 max(2, Z/beta)], doubles its upper
-    end until the left side exceeds Z, and freezes once hi - lo <= 1e-9 hi.
+    Each row starts from [max(2, Z/beta), 2 max(2, Z/beta)] and doubles its
+    upper end until the left side exceeds Z.  Newton's method then runs from
+    that upper end and keeps the bracket: a step that would leave it is
+    replaced by bisection.  A Newton step below 1e-9 relative ends the row;
+    convergence is quadratic, so the point it lands on is good to rounding.
+    A row whose bracket overflows the floats gets inf.
     """
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z) & (z > 0)):
-        raise DomainError("Z must be positive and finite")
     if not 0.0 < beta < 1.0:
         raise DomainError("beta_lower must lie in (0, 1)")
-    # Z near the float maximum overflows to inf rows, as Python floats would
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo = np.maximum(2.0, z / beta)
+    beta1 = _beta1(beta)
+    # with u = N^(-2/3), d = 1 + 0.68 u and a = (beta - beta1 u) / d, the left
+    # side is N a and its slope is a + curve u / d^2
+    curve = (2.0 / 3.0) * (beta1 + KINETIC_COEFF * beta)
+    roots = []
+    for charge in map(float, z):
+        if not 0.0 < charge < math.inf:
+            raise DomainError("Z must be positive and finite")
+        lo = max(2.0, charge / beta)
         hi = 2.0 * lo
         for _ in range(200):
-            short = _implicit_lhs(hi, beta) <= z
-            if not short.any():
+            u = hi ** (-2.0 / 3.0)
+            if hi * (beta - beta1 * u) / (1.0 + KINETIC_COEFF * u) > charge:
                 break
-            hi = np.where(short, 2.0 * hi, hi)
+            hi *= 2.0
         else:
             raise RootBracketError("could not bracket the implicit bound")
-        active = hi - lo > 1e-9 * hi
-        while active.any():
-            mid = 0.5 * (lo + hi)
-            below = _implicit_lhs(mid, beta) < z
-            lo = np.where(active & below, mid, lo)
-            hi = np.where(active & ~below, mid, hi)
-            active = hi - lo > 1e-9 * hi
-        return 0.5 * (lo + hi)
+        x = hi
+        for _ in range(_NEWTON_CAP):
+            u = x ** (-2.0 / 3.0)
+            d = 1.0 + KINETIC_COEFF * u
+            a = (beta - beta1 * u) / d
+            excess = x * a - charge
+            lo, hi = (x, hi) if excess < 0.0 else (lo, x)
+            step = excess / (a + curve * u / (d * d))
+            if not lo <= x - step <= hi:  # also a nan step, at an overflowed hi
+                x = 0.5 * (lo + hi)
+                continue
+            x -= step
+            if abs(step) <= 1e-9 * x:
+                break
+        roots.append(x)
+    return roots
 
 
 def _check_charge(z: float) -> None:
@@ -223,7 +215,7 @@ def bound_row(z: float, inputs: BoundInputs) -> BoundRow:
     return BoundRow(
         lieb=2.0 * z + 1.0,
         main=inputs.coeff * z + 3.0 * z ** (1.0 / 3.0),
-        implicit_n=float(implicit_bound([z], inputs.beta_lower)[0]),
+        implicit_n=implicit_bound([z], inputs.beta_lower)[0],
     )
 
 
@@ -316,170 +308,3 @@ def crossover_z(inputs: BoundInputs) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if beats(mid) else (mid, hi)
     return hi
-
-
-# ---------------------------------------------------------------------------
-# lemma verifiers
-# ---------------------------------------------------------------------------
-
-# fixed geometric spans of the Z and N/Z axes; N/Z stays below 7/3, the lemma3 hypothesis
-_Z_RANGE = (0.5, 120.0)
-_RATIO_RANGE = (0.1, 2.33)
-
-# Largest grid array accepted: lemma3 holds five float arrays of
-# z_points * ratio_points, so 10^7 points keep it near 0.4 GB.
-MAX_GRID_POINTS = 10_000_000
-# the beta axis is one linspace array
-MAX_BETA_POINTS = 1_000_000
-
-
-@dataclass(frozen=True)
-class LemmaGrid:
-    """Grid specification for verify_lemma; unused axes are ignored per lemma."""
-
-    z_points: int = 120
-    ratio_points: int = 120
-    beta_points: int = 1
-    beta_range: tuple[float, float] = (DEFAULT_BETA_LOWER, DEFAULT_BETA_LOWER)
-    n_above: int = 24
-    real_n: bool = False
-
-    def __post_init__(self):
-        if min(self.z_points, self.ratio_points, self.beta_points, self.n_above) < 1:
-            raise DegenerateGridError("grid counts must be >= 1")
-        # the (Z, N/Z) arrays of lemma3 and the (Z, real N) arrays of lemma4
-        points = self.z_points * max(self.ratio_points, 4 * self.n_above + 1)
-        if points > MAX_GRID_POINTS:
-            raise DomainError(f"grid arrays must hold at most {MAX_GRID_POINTS} points, got {points}")
-        if self.beta_points > MAX_BETA_POINTS:
-            raise DomainError(f"beta grid must have at most {MAX_BETA_POINTS} points, got {self.beta_points}")
-        if not all(map(math.isfinite, self.beta_range)):
-            raise DomainError("grid ranges must be finite")
-        if self.beta_range[0] < DEFAULT_BETA_LOWER:
-            raise DomainError(f"beta grid values must be >= {DEFAULT_BETA_LOWER}")
-
-    def betas(self) -> np.ndarray:
-        return np.linspace(*self.beta_range, self.beta_points)  # [lo] at one point
-
-    def zs(self) -> np.ndarray:
-        return np.geomspace(*_Z_RANGE, self.z_points)
-
-    def as_dict(self) -> dict:
-        return {
-            "z_points": self.z_points,
-            "z_range": list(_Z_RANGE),
-            "ratio_points": self.ratio_points,
-            "ratio_range": list(_RATIO_RANGE),
-            "beta_points": self.beta_points,
-            "beta_range": list(self.beta_range),
-            "n_above": self.n_above,
-            "real_n": self.real_n,
-        }
-
-
-# Each margin factory takes the grid, builds what every beta shares, and returns a
-# function that maps beta to the margins at that beta, the witness of an index
-# into them, and the count of out-of-hypothesis failures.
-
-def _lemma3_margins(grid: LemmaGrid):
-    """Margin of the closed-form bound over min(N, implicit branch) on a (Z, N/Z) grid.
-
-    The beta-independent arrays are built once; each beta then writes into two
-    work arrays, so the margins it returns are overwritten by the next call.
-    """
-    z = grid.zs()[:, None]
-    nn = z * np.geomspace(*_RATIO_RANGE, grid.ratio_points)
-    u = nn ** (-2.0 / 3.0)
-    numerator = z * (1.0 + KINETIC_COEFF * u)
-    cube_root_term = 3.0 * z ** (1.0 / 3.0)
-    denom, margins = np.empty_like(nn), np.empty_like(nn)
-    positive = np.empty(nn.shape, dtype=bool)
-
-    def margins_at(beta: float):
-        np.subtract(beta, np.multiply(_beta1(beta), u, out=denom), out=denom)
-        np.greater(denom, 0.0, out=positive)
-        margins.fill(np.inf)  # the implicit branch, infinite where denom <= 0
-        np.divide(numerator, denom, out=margins, where=positive)
-        np.minimum(nn, margins, out=margins)
-        np.subtract((1.0 / beta) * z + cube_root_term, margins, out=margins)
-        return margins, lambda i: (float(z[i[0], 0]), float(nn[i]), beta), 0
-
-    return margins_at
-
-
-def _lemma4_margin(n, z, beta: float):
-    u = np.asarray(n, dtype=float) ** (-2.0 / 3.0)
-    return (beta - _beta1(beta) * u) * (1.0 / beta + 3.0 * np.asarray(z, dtype=float) ** (-2.0 / 3.0)) - 1.0
-
-
-def lemma4_threshold(z, beta: float):
-    """Hypothesis threshold beta^-1 Z + 3 Z^(-2/3), with the exponent as printed."""
-    z = np.asarray(z, dtype=float)
-    return z / beta + 3.0 * z ** (-2.0 / 3.0)
-
-
-def _lemma4_margins(grid: LemmaGrid):
-    """Margins at the first n_above integers N past the threshold of each Z; with
-    ``real_n``, failures at non-integer N there are counted as out-of-hypothesis."""
-    z = grid.zs()[:, None]
-
-    def margins_at(beta: float):
-        threshold = lemma4_threshold(z[:, 0], beta)
-        ints = np.ceil(threshold)[:, None] + np.arange(grid.n_above, dtype=float)
-        outside = 0
-        if grid.real_n:
-            reals = np.linspace(threshold, threshold + grid.n_above, 4 * grid.n_above + 1, axis=1)
-            outside = int(np.sum((_lemma4_margin(reals, z, beta) <= 0) & (reals != np.round(reals))))
-        return _lemma4_margin(ints, z, beta), lambda i: (float(z[i[0], 0]), float(ints[i]), beta), outside
-
-    return margins_at
-
-
-_CUBIC_CHECKS = ("h(0) > 0", "h(beta^(-1/3)) < 0", "h((7/3)^(1/3)) < 0")
-
-
-def _cubic_sign_margins(beta: float):
-    """h(x) = 0.68 - 3 beta x^2 + beta1 x^3 at 0, and -h at beta^(-1/3) and (7/3)^(1/3)."""
-    x = np.array([0.0, beta ** (-1.0 / 3.0), (7.0 / 3.0) ** (1.0 / 3.0)])
-    margins = np.array([1.0, -1.0, -1.0]) * (KINETIC_COEFF - 3.0 * beta * x**2 + _beta1(beta) * x**3)
-    return margins, lambda i: (beta, _CUBIC_CHECKS[i[0]]), 0
-
-
-_MARGINS = {
-    "lemma3": _lemma3_margins,
-    "lemma4": _lemma4_margins,
-    "cubic-signs": lambda grid: _cubic_sign_margins,
-}
-
-
-def verify_lemma(lemma: str, grid: LemmaGrid = LemmaGrid()) -> LemmaReport:
-    """Evaluate one supporting inequality over a parameter grid.
-
-    lemma3: the closed-form bound must exceed min(N, implicit branch) for
-    N/Z < 7/3.  lemma4: the product inequality at integer N above the printed
-    hypothesis threshold; with ``real_n`` the same margins are scanned at
-    non-integer N and failures there are only counted as out-of-hypothesis.
-    cubic-signs: the cubic h(x) = 0.68 - 3 beta x^2 + beta1 x^3 must be
-    positive at 0 and negative at beta^(-1/3) and (7/3)^(1/3).  The grid's
-    beta-independent arrays are built once per call and shared by every
-    beta.  The witness is the first minimum in C order (the smallest Z, then
-    the smallest N) at the first beta that attains it.
-    """
-    if lemma not in _MARGINS:
-        raise DomainError(f"unknown lemma id {lemma!r}")
-    margins_at = _MARGINS[lemma](grid)
-    min_margin, witness, out_of_hypothesis = math.inf, (), 0
-    for beta in grid.betas():
-        margins, witness_at, outside = margins_at(float(beta))
-        i = np.unravel_index(int(np.argmin(margins)), margins.shape)
-        if margins[i] < min_margin:
-            min_margin, witness = float(margins[i]), witness_at(i)
-        out_of_hypothesis += outside
-    return LemmaReport(
-        lemma=lemma,
-        grid=grid.as_dict(),
-        min_margin=min_margin,
-        passed=min_margin > 0,
-        witness=witness,
-        out_of_hypothesis=out_of_hypothesis,
-    )

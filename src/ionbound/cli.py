@@ -26,14 +26,16 @@ from .errors import DomainError, IonboundError
 
 # The library names the stages call, by layer.  A call loads only the layers of
 # its command's stages (and plots only for --format svg), so --version, --help
-# and argument parse errors return before numpy loads.  _load binds the names as module
-# globals, and a job looks them up when it runs, so cli.<name> can be rebound.
+# and argument parse errors return before numpy loads, and bounds, which is pure
+# Python, never loads it.  _load binds the names as module globals, and a job
+# looks them up when it runs, so cli.<name> can be rebound.
 _LAYER_NAMES = {
     "alpha": ("OptimizerSettings", "estimate_alpha"),
     "beta": ("BetaSettings", "bracket_detail", "default_nodes", "g_of_lambda"),
     # bound_row is not called here, but bench/tracing.py spans cli.bound_row by name
-    "bounds": ("BoundInputs", "LemmaGrid", "bound_row", "implicit_bound", "magnetic_bound",
-               "relativistic_or_bosonic_bound", "verify_lemma"),
+    "bounds": ("BoundInputs", "bound_row", "implicit_bound", "magnetic_bound",
+               "relativistic_or_bosonic_bound"),
+    "lemmas": ("LemmaGrid", "verify_lemma"),
     "plots": ("Band", "Panel", "Series", "render_svg"),
 }
 
@@ -275,10 +277,8 @@ _MODEL_FLAGS = {"nonrel": "nonrel", "magnetic": "magnetic-homogeneous",
 
 
 def _bounds_rows(zs: list[float], inputs: BoundInputs) -> list[list]:
-    # lieb and main stay in Python floats: numpy's z ** (1/3) differs in the last bit
-    implicit = implicit_bound(zs, inputs.beta_lower).tolist()
     rows = []
-    for z, implicit_n in zip(zs, implicit):
+    for z, implicit_n in zip(zs, implicit_bound(zs, inputs.beta_lower)):
         extra = ""
         if inputs.model == "magnetic-homogeneous":
             extra = magnetic_bound(z, inputs)
@@ -411,7 +411,7 @@ BOUNDS = Stage(
 )
 
 VERIFY = Stage(
-    "verify", "lemmas", layer="bounds",
+    "verify", "lemmas", layer="lemmas",
     flags=(
         ("--lemma", dict(choices=tuple(_LEMMA_FLAGS), default="all")),
         ("--grid-z", dict(type=int, default=120)),
@@ -432,7 +432,7 @@ VERIFY = Stage(
 
 # report's fixed lemma check: the lemmas that pass as printed, at default grids
 REPORT_CHECK = Stage(
-    "verify", "lemmas", layer="bounds", flags=(), params=_echo(), section=_lemma_section,
+    "verify", "lemmas", layer="lemmas", flags=(), params=_echo(), section=_lemma_section,
     prepare=lambda args: lambda: [verify_lemma(l, LemmaGrid()) for l in ("lemma3", "cubic-signs")],
 )
 

@@ -19,7 +19,7 @@ from ionbound.beta import (
     g_of_lambda,
     maximize_g,
 )
-from ionbound.bounds import BoundInputs, LemmaGrid, crossover_z, derived_constants, verify_lemma
+from ionbound.bounds import BoundInputs, crossover_z, derived_constants
 from ionbound.cli import main as cli_main
 from ionbound.kernels import (
     ParticleConfiguration,
@@ -30,6 +30,7 @@ from ionbound.kernels import (
     sphere_average_inverse_distance,
 )
 from ionbound.kernels import _distance_extremes, _energy_normalizer
+from ionbound.lemmas import LemmaGrid, verify_lemma
 from oracles import trial_measure_quadrature
 
 

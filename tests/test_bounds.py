@@ -7,25 +7,30 @@ import pytest
 from ionbound.bounds import (
     KINETIC_COEFF,
     BoundInputs,
-    LemmaGrid,
-    LemmaReport,
+    _beta1,
     bound_row,
     crossover_z,
     derived_constants,
     implicit_bound,
     ionization_lemma_margin,
-    lemma4_threshold,
     magnetic_bound,
     mean_radius_lower,
     relativistic_or_bosonic_bound,
-    verify_lemma,
 )
-from ionbound.bounds import _RATIO_RANGE, _beta1, _implicit_lhs, _lemma3_margins, _lemma4_margin
 from ionbound.errors import (
     DomainError,
     KappaDomainError,
     MissingEnergyGapError,
     NoCrossoverError,
+)
+from ionbound.lemmas import (
+    _RATIO_RANGE,
+    LemmaGrid,
+    LemmaReport,
+    _lemma3_margins,
+    _lemma4_margin,
+    lemma4_threshold,
+    verify_lemma,
 )
 
 
@@ -75,6 +80,12 @@ def test_bound_row_z1_classical_wins():
     assert row.main > row.lieb == 3.0
 
 
+def _implicit_lhs(n, beta: float):
+    """N (beta - beta1 N^(-2/3)) / (1 + 0.68 N^(-2/3)), on floats or arrays."""
+    u = n ** (-2.0 / 3.0)
+    return n * (beta - _beta1(beta) * u) / (1.0 + KINETIC_COEFF * u)
+
+
 def test_implicit_bound_against_grid_scan():
     row = bound_row(10.0, BoundInputs())
     grid = np.arange(2.0, 40.0, 1e-4)
@@ -91,7 +102,7 @@ def test_implicit_bound_is_a_root():
 
 
 def _scalar_implicit_bound(z: float, beta: float) -> float:
-    """Oracle: the one-row bisection bound_row ran before implicit_bound."""
+    """Oracle: the bisection to 1e-9 relative that implicit_bound ran before Newton."""
     lo = max(2.0, z / beta)
     hi = 2.0 * lo
     for _ in range(200):
@@ -109,20 +120,47 @@ def _scalar_implicit_bound(z: float, beta: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _implicit_charges(beta: float) -> list[float]:
+    zs = [
+        *np.geomspace(1e-3, 2.0 * beta, 60, endpoint=False),  # the lo = 2 clamp
+        *(1.0 + i * 0.01 for i in range(2950, 3150)),  # a stretch of --z 1:118:0.01
+        *np.geomspace(118.0, 1e6, 60),
+        1e300,
+    ]
+    assert min(zs) / beta < 2.0
+    return [float(z) for z in zs]
+
+
 @pytest.mark.parametrize("beta", [0.8218, 0.95])
-def test_implicit_bound_matches_scalar_bisection_bit_for_bit(beta):
-    zs = np.concatenate([
-        np.geomspace(1e-3, 2.0 * beta, 60, endpoint=False),  # the lo = 2 clamp
-        [1.0 + i * 0.01 for i in range(2950, 3150)],  # a stretch of --z 1:118:0.01
-        np.geomspace(118.0, 1e6, 60),
-    ])
-    assert np.any(zs / beta < 2.0) and zs.max() == pytest.approx(1e6)
-    got = implicit_bound(zs, beta)
-    want = [_scalar_implicit_bound(float(z), beta) for z in zs]
-    assert got.tolist() == want
+def test_implicit_bound_is_within_4_ulps_of_the_root(beta):
+    mpmath = pytest.importorskip("mpmath")
+
+    def excess_sign(n: float, z: float) -> int:
+        """Sign of the left side minus Z at the float n, in 60-digit arithmetic."""
+        n, b = mpmath.mpf(n), mpmath.mpf(beta)
+        u = n ** (mpmath.mpf(-2) / 3)
+        return int(mpmath.sign(n * (b - 3 * mpmath.cbrt(b / 6) * u)
+                               / (1 + mpmath.mpf(KINETIC_COEFF) * u) - z))
+
+    zs = _implicit_charges(beta)
+    roots = implicit_bound(zs, beta)
+    assert type(roots) is list and all(math.isfinite(n) for n in roots)
+    with mpmath.workdps(60):
+        for z, n in zip(zs, roots):
+            below, above = n, n
+            for _ in range(4):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            assert (excess_sign(below, z), excess_sign(above, z)) == (-1, 1), z
+
+
+@pytest.mark.parametrize("beta", [0.8218, 0.95])
+def test_implicit_bound_is_within_1e_9_of_the_scalar_bisection(beta):
+    zs = _implicit_charges(beta)
+    for z, n in zip(zs, implicit_bound(np.array(zs), beta)):
+        assert n == pytest.approx(_scalar_implicit_bound(z, beta), rel=1e-9, abs=0.0), z
     for z in (0.5, 30.5, 1e6):
         row = bound_row(z, BoundInputs(beta_lower=beta, coeff=1 / beta))
-        assert row.implicit_n == implicit_bound(np.array([z]), beta)[0]
+        assert row.implicit_n == implicit_bound([z], beta)[0]
 
 
 def test_implicit_bound_rejects_bad_inputs():

@@ -209,6 +209,7 @@ def test_model_table_matches_its_per_charge_function(tmp_path, monkeypatch, case
     ("--model magnetic --B 1e308 --z 0.001:0.001 --format json", 1),
     ("--model bosonic --B 1e308 --z 0.5:0.5", 1),
     ("--z 1e308:1e308 --format json", 1),
+    ("--z 1e308:1e308", 1),
     ("--model relativistic --Ckappa 1e300 --z 1e300:1e300", 1),
 ])
 def test_bounds_checks_the_parameters_its_model_reads(tmp_path, capsys, flags, code):
@@ -529,19 +530,25 @@ def _loaded_after(argv) -> list:
     return json.loads(proc.stdout)
 
 
+# each case lists the layers and, explicitly, numpy when the call must load it
 @pytest.mark.parametrize("argv, layers", [
     ([], []),
     (["bounds", "--coeff", "nan"], []),  # a parse error returns before any layer loads
     (["bogus"], []),
-    (["bounds", "--z", "1:3"], ["bounds"]),
+    (["bounds", "--z", "1:3"], ["bounds"]),  # bounds is pure Python, in every format
     (["bounds", "--z", "1:3", "--format", "svg"], ["bounds", "plots"]),
-    (["verify", "--lemma", "cubic"], ["bounds"]),
-    (["beta", "--nodes", "10"], ["beta", "kernels"]),
-    (["alpha", "--n", "2:2", "--restarts", "1"], ["alpha", "kernels"]),
+    (["verify", "--lemma", "cubic"], ["bounds", "lemmas", "numpy"]),
+    (["beta", "--nodes", "10"], ["beta", "kernels", "numpy"]),
+    (["alpha", "--n", "2:2", "--restarts", "1"], ["alpha", "kernels", "numpy"]),
+    (["bounds", "--z", "1:3", "--format", "json"], ["bounds"]),
+    (["bounds", "--z", "nan:3"], ["bounds"]),  # the range is parsed after the layer loads
+    (["report", "--n", "2:2", "--restarts", "1", "--nodes", "10", "--z", "1:3", "--format", "svg"],
+     ["alpha", "beta", "bounds", "kernels", "lemmas", "plots", "numpy"]),
 ])
 def test_a_call_loads_only_its_commands_layers(argv, layers):
-    modules = ["ionbound.cli", "ionbound.errors", *(f"ionbound.{l}" for l in layers)]
-    assert _loaded_after(argv) == sorted(modules + (["numpy"] if layers else []))
+    modules = ["ionbound.cli", "ionbound.errors"]
+    modules += [l if l == "numpy" else f"ionbound.{l}" for l in layers]
+    assert _loaded_after(argv) == sorted(modules)
 
 
 def test_every_public_name_resolves_lazily():
