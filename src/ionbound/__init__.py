@@ -15,16 +15,16 @@ DEFAULT_BETA_LOWER = 0.8218
 
 _LAYERS = {
     "alpha": ("AlphaEstimate", "OptimizerSettings", "alpha_sandwich", "estimate_alpha",
-              "local_minimize", "normalize_config"),
+              "local_minimize"),
     "beta": ("BetaBracket", "BetaSettings", "RadialMeasure", "g_of_lambda", "maximize_g",
              "minimize_radial_ratio", "radial_ratio", "w_maximin"),
     "bounds": ("BoundInputs", "PhysicalConstants", "bound_row", "crossover_z",
-               "derived_constants", "implicit_bound", "ionization_lemma_margin",
-               "magnetic_bound", "mean_radius_lower", "relativistic_or_bosonic_bound"),
+               "derived_constants", "implicit_bound", "magnetic_bound",
+               "relativistic_or_bosonic_bound"),
     "lemmas": ("LemmaGrid", "LemmaReport", "verify_lemma"),
-    "kernels": ("ParticleConfiguration", "ProbeReport", "RatioValue", "inequality_probe",
-                "pair_energy", "radial_kernel_triple", "ratio_gradient", "ratio_value",
-                "sphere_average_dipole", "sphere_average_inverse_distance", "w_lambda_reduced"),
+    "kernels": ("ParticleConfiguration", "RatioValue", "radial_kernel_triple", "ratio_gradient",
+                "ratio_value", "sphere_average_dipole", "sphere_average_inverse_distance",
+                "w_lambda_reduced"),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
 

@@ -30,6 +30,10 @@ from .kernels import (
 # Steps moving any point this close to the origin are rejected (the radial
 # term is not smooth there); configurations are kept at scale sum|x_i| = N.
 ORIGIN_GUARD = 1e-9
+# largest N; a descent step holds (N, N, 3) pair differences, 24 MB at this N
+MAX_POINT_COUNT = 1000
+# most restarts per N; estimate_alpha allocates its per-restart arrays up front
+MAX_RESTARTS = 10**6
 
 _MAX_ITERATIONS = 5000  # descent steps per restart
 _STEP_FLOOR = 1e-15
@@ -51,8 +55,8 @@ class OptimizerSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise DomainError("restarts must be >= 1")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise DomainError(f"restarts must lie in [1, {MAX_RESTARTS}]")
         if self.ratio_tolerance <= 0:
             raise DomainError("ratio_tolerance must be positive")
 
@@ -80,13 +84,6 @@ class LocalMinimizeResult(NamedTuple):
 
 class SandwichBound(NamedTuple):
     lower: float
-    lower_at_r: Optional[float]
-
-
-def normalize_config(config: ParticleConfiguration) -> ParticleConfiguration:
-    """Rescale so that sum|x_i| = N; the ratio is unchanged."""
-    pts = _normalized(config.points)
-    return ParticleConfiguration(pts)
 
 
 def _normalized(points: np.ndarray) -> np.ndarray:
@@ -230,8 +227,8 @@ def estimate_alpha(
     (settings.seed, n, k) and the reduction keeps the lowest restart index
     among values within 1e-15 of the minimum, so it is order-independent.
     """
-    if n < 2:
-        raise DomainError("n must be >= 2")
+    if not 2 <= n <= MAX_POINT_COUNT:
+        raise DomainError(f"n must lie in [2, {MAX_POINT_COUNT}]")
     if settings is None:
         settings = OptimizerSettings()
     values = np.empty(settings.restarts)
@@ -258,14 +255,11 @@ def estimate_alpha(
     )
 
 
-def alpha_sandwich(
-    n: int, beta_lower: float, r: Optional[float] = None
-) -> SandwichBound:
-    """Closed-form lower bounds for the N-point ratio from a statistical-limit bracket.
+def alpha_sandwich(n: int, beta_lower: float) -> SandwichBound:
+    """Closed-form lower bound for the N-point ratio from a statistical-limit bracket.
 
-    ``lower`` uses the shell radius r* = (4 beta N / 3)^(-1/3) that maximizes
-    the r-parametrized family; ``lower_at_r`` evaluates that family at a
-    caller-chosen r in (0, 1].
+    ``lower`` is the r-parametrized family of shell bounds at its maximizing
+    shell radius r* = (4 beta N / 3)^(-1/3).
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -273,16 +267,4 @@ def alpha_sandwich(
         raise DomainError("beta_lower must lie in (0, 1)")
     scale = n / (n - 1)
     lower = scale * (beta_lower - 3.0 * (beta_lower / 6.0) ** (1.0 / 3.0) * n ** (-2.0 / 3.0))
-    lower_at_r = None
-    if r is not None:
-        if not 0.0 < r <= 1.0:
-            raise DomainError("r must lie in (0, 1]")
-        lower_at_r = scale * (
-            beta_lower - (2.0 * r * r / 3.0) * beta_lower - 1.0 / (r * n)
-        )
-    return SandwichBound(lower=lower, lower_at_r=lower_at_r)
-
-
-def sandwich_default_r(n: int, beta_lower: float) -> float:
-    """The maximizing shell radius (4 beta N / 3)^(-1/3) of the r-family."""
-    return (4.0 * beta_lower * n / 3.0) ** (-1.0 / 3.0)
+    return SandwichBound(lower=lower)

@@ -70,11 +70,6 @@ class RadialMeasure:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    def dilated(self, t: float) -> "RadialMeasure":
-        if t <= 0:
-            raise DomainError("dilation factor must be positive")
-        return RadialMeasure(self.nodes * t, self.weights)
-
 
 @dataclass(frozen=True)
 class LambdaPoint:

@@ -35,8 +35,6 @@ MODELS = (
 # construction relative to the exact constant chain below.
 KINETIC_COEFF = 0.68
 
-MEAN_RADIUS_COEFF = 0.553
-
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -110,7 +108,7 @@ def derived_constants() -> PhysicalConstants:
     """Evaluate the closed-form constant chain.
 
     c_radius multiplies Z^-1 N^(2/3) in the mean-radius lower bound and
-    exceeds the rounded 0.553 used by the calculators; c_kinetic = (3/8) /
+    exceeds 0.553, the paper's rounded radius constant; c_kinetic = (3/8) /
     c_radius stays below the rounded 0.68.
     """
     L = 1.0 / (math.pi * 3.0**1.5 * 5.0)
@@ -128,15 +126,6 @@ def derived_constants() -> PhysicalConstants:
     return PhysicalConstants(
         L=L, A=A, K=K, C1=C1, c_radius=c_radius, c_kinetic=(3.0 / 8.0) / c_radius
     )
-
-
-def mean_radius_lower(n: int, z: float) -> float:
-    """Lower bound 0.553 Z^-1 N^(2/3) on the mean electron-nucleus distance."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if z <= 0:
-        raise DomainError("z must be positive")
-    return MEAN_RADIUS_COEFF * n ** (2.0 / 3.0) / z
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +206,6 @@ def bound_row(z: float, inputs: BoundInputs) -> BoundRow:
         main=inputs.coeff * z + 3.0 * z ** (1.0 / 3.0),
         implicit_n=implicit_bound([z], inputs.beta_lower)[0],
     )
-
-
-def ionization_lemma_margin(n: int, z: float, alpha_value: float) -> float:
-    """Margin Z (1 + 0.68 N^(-2/3)) - alpha*(N-1); positive means (N, Z) survives."""
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    if z <= 0:
-        raise DomainError("z must be positive")
-    if not 0.0 < alpha_value < 1.0:
-        raise DomainError("alpha_value must lie in (0, 1)")
-    return z * (1.0 + KINETIC_COEFF * n ** (-2.0 / 3.0)) - alpha_value * (n - 1)
 
 
 def magnetic_bound(z: float, inputs: BoundInputs, energy_gap: Optional[float] = None) -> float:

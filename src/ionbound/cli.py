@@ -24,13 +24,13 @@ from typing import Callable, NamedTuple, Optional
 from . import DEFAULT_BETA_LOWER, __version__
 from .errors import DomainError, IonboundError
 
-# The library names the stages call, by layer.  A call loads only the layers of
+# The library names the stages use, by layer.  A call loads only the layers of
 # its command's stages (and plots only for --format svg), so --version, --help
 # and argument parse errors return before numpy loads, and bounds, which is pure
 # Python, never loads it.  _load binds the names as module globals, and a job
 # looks them up when it runs, so cli.<name> can be rebound.
 _LAYER_NAMES = {
-    "alpha": ("OptimizerSettings", "estimate_alpha"),
+    "alpha": ("MAX_POINT_COUNT", "OptimizerSettings", "estimate_alpha"),
     "beta": ("BetaSettings", "bracket_detail", "default_nodes", "g_of_lambda"),
     # bound_row is not called here, but bench/tracing.py spans cli.bound_row by name
     "bounds": ("BoundInputs", "bound_row", "implicit_bound", "magnetic_bound",
@@ -190,8 +190,8 @@ def _echo(*names: str) -> Callable:
 
 def _alpha_job(args):
     ns = _parse_int_range(args.n)
-    if ns[0] < 2:
-        raise DomainError("alpha needs N >= 2")
+    if ns[0] < 2 or ns[-1] > MAX_POINT_COUNT:
+        raise DomainError(f"alpha needs 2 <= N <= {MAX_POINT_COUNT}")
     settings = OptimizerSettings(restarts=args.restarts, ratio_tolerance=args.tol, seed=args.seed)
     return lambda: [estimate_alpha(n, settings) for n in ns]
 

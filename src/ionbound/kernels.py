@@ -1,4 +1,4 @@
-"""Pair kernels, spherical-average identities, and discrete inequality probes.
+"""Pair kernels, the configuration ratio, and spherical-average identities.
 
 The central object is the energy-to-normalizer ratio of a labelled point
 configuration: the pair kernel (|x|^2+|y|^2)/|x-y| summed over pairs, divided
@@ -9,7 +9,7 @@ function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,11 +64,6 @@ class ParticleConfiguration:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def scaled(self, t: float) -> "ParticleConfiguration":
-        if t <= 0:
-            raise DomainError("scale factor must be positive")
-        return ParticleConfiguration(self.points * t)
-
 
 @dataclass(frozen=True)
 class RatioValue:
@@ -77,21 +72,6 @@ class RatioValue:
     energy: float
     normalizer: float
     ratio: float
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Outcome of a discrete inequality probe at one configuration.
-
-    ``margin`` is the exact left-minus-right of the probed inequality; it may
-    legitimately be negative at small N.
-    """
-
-    inequality: str
-    n: int
-    epsilon: float
-    margin: float
-    witness: ParticleConfiguration = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +93,8 @@ def _pair_geometry(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diff, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _pair_distance_matrix(points: np.ndarray) -> np.ndarray:
-    return _pair_geometry(points)[1]
-
-
 def _distance_extremes(points: np.ndarray) -> tuple[float, float]:
-    d = _pair_distance_matrix(points)[_triu(points.shape[0])]
+    d = _pair_geometry(points)[1][_triu(points.shape[0])]
     return float(d.min()), float(d.max())
 
 
@@ -127,7 +103,7 @@ def _energy_normalizer(points: np.ndarray) -> tuple[float, float]:
     # the point labelling (bit-exact permutation invariance)
     n = points.shape[0]
     iu = _triu(n)
-    d = _pair_distance_matrix(points)[iu]
+    d = _pair_geometry(points)[1][iu]
     norms2 = np.einsum("ij,ij->i", points, points)
     energy = math.fsum((norms2[:, None] + norms2[None, :])[iu] / d)
     normalizer = (n - 1) * math.fsum(np.sqrt(norms2))
@@ -163,22 +139,6 @@ def _ratio_and_gradient(points: np.ndarray, geometry=None) -> tuple[float, np.nd
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def pair_energy(x, y) -> float:
-    """(|x|^2 + |y|^2) / |x - y| for two distinct points of R^3.
-
-    Symmetric in its arguments and linear under joint scaling.  Raises
-    CoincidentPointsError when the separation falls below the coincidence
-    threshold relative to the pair's own scale.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = float(np.linalg.norm(x - y))
-    scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
-    if d <= COINCIDENCE_RTOL * scale or d == 0.0:
-        raise CoincidentPointsError(f"|x - y| = {d:g} is below the coincidence threshold")
-    return float((x @ x + y @ y) / d)
-
 
 def ratio_value(config: ParticleConfiguration) -> RatioValue:
     """Evaluate the pair-energy sum, the normalizer, and their ratio.
@@ -229,20 +189,17 @@ def sphere_average_dipole(a, s: float) -> np.ndarray:
     return -(a / r) * min(r, s) / (3.0 * max(r, s) ** 2)
 
 
-def w_lambda_reduced(
-    lam: float, a: float, b: float, c: float, check_triangle: bool = True
-) -> float:
+def w_lambda_reduced(lam: float, a: float, b: float, c: float) -> float:
     """Blended two-kernel surrogate lambda*(a + b^2/c) + (1-lambda)*(c + (2/3) b^2/a).
 
-    Here a >= b >= 0 are the two radii and c the separation.  With
-    ``check_triangle`` the separation must be realizable, |a-b| <= c <= a+b
-    (only enforced for b > 0); disable it for kernel-only evaluation.
+    Here a >= b >= 0 are the two radii and c the separation, which must be
+    realizable, |a-b| <= c <= a+b (only enforced for b > 0).
     """
     if not 0.0 <= lam <= 1.0:
         raise DomainError("lambda must lie in [0, 1]")
     if a <= 0 or c <= 0 or not 0.0 <= b <= a:
         raise DomainError("need a > 0, 0 <= b <= a, c > 0")
-    if check_triangle and b > 0 and not (a - b <= c <= a + b):
+    if b > 0 and not (a - b <= c <= a + b):
         raise NonRealizableGeometryError(
             f"c = {c:g} outside the realizable range [{a - b:g}, {a + b:g}]"
         )
@@ -264,41 +221,3 @@ def radial_kernel_triple(r: float, s: float) -> tuple[float, float, float]:
     kernel1 = big + small * small / big
     kernel2 = (big + small * small / (3.0 * big)) + (2.0 / 3.0) * small * small / big
     return full, kernel1, kernel2
-
-
-def inequality_probe(
-    inequality: str, config: ParticleConfiguration, epsilon: float
-) -> ProbeReport:
-    """Evaluate one of the discrete inequalities at a configuration.
-
-    ``lsst``: margin = max_j [ sum_{i != j} 1/|x_i - x_j| - N(1-eps)/|x_j| ].
-    ``domination``: margin = sum_{i<j} of the pair kernel minus (1-eps) times
-    the max-plus-min-squared surrogate.  Negative margins are legitimate at
-    small N and are reported, not raised.
-    """
-    if not 0.0 <= epsilon <= 1.0:
-        raise DomainError("epsilon must lie in [0, 1]")
-    pts = config.points
-    n = config.n
-    d = _pair_distance_matrix(pts)
-    norms = _norms(pts)
-    if inequality == "lsst":
-        if np.any(norms == 0.0):
-            raise OriginPointError("the lsst probe needs every point off the origin")
-        np.fill_diagonal(d, np.inf)
-        margin = float(np.max((1.0 / d).sum(axis=1) - n * (1.0 - epsilon) / norms))
-    elif inequality == "domination":
-        iu = _triu(n)
-        dij = d[iu]
-        big = np.maximum.outer(norms, norms)[iu]
-        small = np.minimum.outer(norms, norms)[iu]
-        norms2 = norms**2
-        lhs = (norms2[:, None] + norms2[None, :])[iu] / dij
-        rhs = big + small**2 / dij
-        margin = float((lhs - (1.0 - epsilon) * rhs).sum())
-    else:
-        raise DomainError(f"unknown inequality id {inequality!r}")
-    return ProbeReport(
-        inequality=inequality, n=n, epsilon=float(epsilon), margin=margin, witness=config
-    )
-

@@ -1,8 +1,9 @@
 """Independent numerical oracles for the closed forms in ionbound.
 
 Seeded Monte Carlo estimates of the spherical averages and shell averages in
-``ionbound.kernels``, and a Gauss-Legendre quadrature of the radial trial
-measure behind ``ionbound.beta.TRIAL_MEASURE_ANALYTIC``.  numpy only.
+``ionbound.kernels``, a Gauss-Legendre quadrature of the radial trial measure
+behind ``ionbound.beta.TRIAL_MEASURE_ANALYTIC``, the bare pair kernel, and the
+shell family whose maximum is ``ionbound.alpha.alpha_sandwich``.  numpy only.
 """
 
 import numpy as np
@@ -71,3 +72,21 @@ def trial_measure_quadrature(nodes: int = 64) -> tuple[float, float]:
     inner = (s - 1.0) * ((0.75 * r**-1.5 * (r**2 + s[:, None] ** 2)) @ w)
     density = 0.75 * s**-1.5
     return float(ws @ (density * inner / s)) / float(ws @ (s * density)), float(ws @ density)
+
+
+def pair_kernel(x, y) -> float:
+    """(|x|^2 + |y|^2) / |x - y| for two distinct points of R^3."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return float((x @ x + y @ y) / np.linalg.norm(x - y))
+
+
+def sandwich_at_r(n: int, beta_lower: float, r: float) -> float:
+    """Lower bound on the N-point ratio from shells of radius r in (0, 1]:
+    N/(N-1) (beta - (2 r^2 / 3) beta - 1/(r N))."""
+    return n / (n - 1) * (beta_lower - (2.0 * r * r / 3.0) * beta_lower - 1.0 / (r * n))
+
+
+def sandwich_maximizing_r(n: int, beta_lower: float) -> float:
+    """The shell radius (4 beta N / 3)^(-1/3) that maximizes ``sandwich_at_r``."""
+    return (4.0 * beta_lower * n / 3.0) ** (-1.0 / 3.0)

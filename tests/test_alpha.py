@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_configuration
+from oracles import sandwich_at_r, sandwich_maximizing_r
 from ionbound import alpha
 from ionbound.alpha import (
     ORIGIN_GUARD,
@@ -13,8 +14,6 @@ from ionbound.alpha import (
     alpha_sandwich,
     estimate_alpha,
     local_minimize,
-    normalize_config,
-    sandwich_default_r,
 )
 from ionbound.errors import DomainError
 from ionbound.kernels import (
@@ -38,18 +37,18 @@ def equilateral():
 
 
 # ---------------------------------------------------------------------------
-# normalize_config
+# _normalized
 # ---------------------------------------------------------------------------
 
 def test_normalize_scales_to_n():
-    cfg = normalize_config(ParticleConfiguration([[2.0, 0, 0], [-2.0, 0, 0]]))
-    np.testing.assert_allclose(cfg.points, [[1, 0, 0], [-1, 0, 0]], atol=1e-15)
+    pts = alpha._normalized(np.array([[2.0, 0, 0], [-2.0, 0, 0]]))
+    np.testing.assert_allclose(pts, [[1, 0, 0], [-1, 0, 0]], atol=1e-15)
 
 
 def test_normalize_idempotent():
-    once = normalize_config(equilateral())
-    twice = normalize_config(once)
-    np.testing.assert_array_equal(once.points, twice.points)
+    once = alpha._normalized(equilateral().points)
+    twice = alpha._normalized(once)
+    np.testing.assert_array_equal(once, twice)
 
 
 def test_normalize_preserves_ratio():
@@ -57,7 +56,7 @@ def test_normalize_preserves_ratio():
     for _ in range(20):
         pts = random_configuration(rng, 5)
         cfg = ParticleConfiguration(pts)
-        normalized = normalize_config(cfg)
+        normalized = ParticleConfiguration(alpha._normalized(cfg.points))
         assert np.linalg.norm(normalized.points, axis=1).sum() == pytest.approx(
             5.0, abs=1e-12
         )
@@ -139,6 +138,14 @@ def test_estimate_alpha_rejects_n1():
         estimate_alpha(1, OptimizerSettings(restarts=1, seed=0))
 
 
+def test_alpha_input_caps_are_domain_errors():
+    # rejected before anything is allocated; never run these values uncapped
+    with pytest.raises(DomainError):
+        OptimizerSettings(restarts=alpha.MAX_RESTARTS + 1)
+    with pytest.raises(DomainError):
+        estimate_alpha(alpha.MAX_POINT_COUNT + 1, OptimizerSettings(restarts=1))
+
+
 # ---------------------------------------------------------------------------
 # alpha_sandwich
 # ---------------------------------------------------------------------------
@@ -157,11 +164,11 @@ def test_sandwich_large_n_limit():
 
 def test_sandwich_default_r_is_maximal():
     n, beta = 100, 0.8218
-    r_star = sandwich_default_r(n, beta)
+    r_star = sandwich_maximizing_r(n, beta)
     assert 0 < r_star <= 1
-    best = alpha_sandwich(n, beta, r=r_star).lower_at_r
+    best = sandwich_at_r(n, beta, r_star)
     for r in np.linspace(0.01, 1.0, 100):
-        assert best >= alpha_sandwich(n, beta, r=float(r)).lower_at_r - 1e-12
+        assert best >= sandwich_at_r(n, beta, float(r)) - 1e-12
     # at the maximizing radius the r-family reproduces the closed form
     assert best == pytest.approx(alpha_sandwich(n, beta).lower, rel=1e-12)
 
@@ -169,9 +176,6 @@ def test_sandwich_default_r_is_maximal():
 def test_sandwich_domain_checks():
     with pytest.raises(DomainError):
         alpha_sandwich(5, 1.5)
-    with pytest.raises(DomainError):
-        alpha_sandwich(5, 0.8, r=1.5)
-    assert alpha_sandwich(5, 0.8).lower_at_r is None
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,8 @@ def test_radial_ratio_dilation_invariance():
     measure = RadialMeasure(nodes, weights)
     base = radial_ratio(measure)
     for t in (10.0, 0.037, 3.5):
-        assert radial_ratio(measure.dilated(t)) == pytest.approx(base, rel=1e-12)
+        dilated = RadialMeasure(measure.nodes * t, measure.weights)
+        assert radial_ratio(dilated) == pytest.approx(base, rel=1e-12)
 
 
 def test_radial_ratio_permutation_after_sorting():
@@ -432,7 +433,8 @@ def test_kkt_residual_hand_computed():
     # off-support entry sits 1/2 below the support's, over the largest node 2
     measure = RadialMeasure([1.0, 2.0], [1.0, 0.0])
     assert kkt_residual(measure) == 0.25
-    assert kkt_residual(measure.dilated(37.0)) == pytest.approx(0.25, rel=1e-14)
+    dilated = RadialMeasure(measure.nodes * 37.0, measure.weights)
+    assert kkt_residual(dilated) == pytest.approx(0.25, rel=1e-14)
     # both weights positive: the spread of g on the support counts instead
     assert kkt_residual(RadialMeasure([1.0, 2.0], [0.5, 0.5])) == pytest.approx(
         abs((2.0 * 1.125 - 11 / 12) - (2.0 * 1.625 - 22 / 12)) / 2.0, rel=1e-14

@@ -12,9 +12,7 @@ from ionbound.bounds import (
     crossover_z,
     derived_constants,
     implicit_bound,
-    ionization_lemma_margin,
     magnetic_bound,
-    mean_radius_lower,
     relativistic_or_bosonic_bound,
 )
 from ionbound.errors import (
@@ -53,14 +51,6 @@ def test_constant_chain_relations():
     assert pc.K == pytest.approx(2 ** (-2 / 3) * 0.3 * (2 / (5 * pc.L)) ** (2 / 3), rel=1e-14)
     assert pc.c_radius == pytest.approx(pc.C1 * math.sqrt(pc.K / pc.A), rel=1e-14)
     assert pc.c_kinetic == pytest.approx(0.375 / pc.c_radius, rel=1e-14)
-
-
-def test_mean_radius_examples():
-    assert mean_radius_lower(1, 1.0) == pytest.approx(0.553)
-    assert mean_radius_lower(8, 2.0) == pytest.approx(1.106)
-    assert mean_radius_lower(1000, 10.0) == pytest.approx(5.53)
-    with pytest.raises(DomainError):
-        mean_radius_lower(0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,23 +181,6 @@ def test_main_bound_monotone_and_asymptotic():
     mains = [bound_row(float(z), BoundInputs()).main for z in zs]
     assert all(b > a for a, b in zip(mains, mains[1:]))
     assert mains[-1] / zs[-1] == pytest.approx(1.22, abs=1e-3)
-
-
-# ---------------------------------------------------------------------------
-# exclusion-lemma margin
-# ---------------------------------------------------------------------------
-
-def test_margin_examples():
-    assert ionization_lemma_margin(2, 1.0, 0.5) == pytest.approx(
-        1 + 0.68 * 2 ** (-2 / 3) - 0.5, rel=1e-14
-    )
-    assert ionization_lemma_margin(2, 0.1, 0.5) < 0
-
-
-def test_margin_linear_increasing_in_z():
-    margins = [ionization_lemma_margin(4, z, 0.6) for z in (1.0, 2.0, 3.0)]
-    assert margins[1] - margins[0] == pytest.approx(margins[2] - margins[1], rel=1e-12)
-    assert margins[0] < margins[1] < margins[2]
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,25 @@ def test_report_rejects_nonpositive_z_before_any_stage(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["alpha", "--n", "100000:100000", "--restarts", "1"], ["alpha", "--n", "2:1001"],
+     ["alpha", "--n", "2:2", "--restarts", "1000000000000"],
+     ["report", "--n", "2:100000"], ["report", "--restarts", "1000001"]],
+    ids=" ".join,
+)
+def test_oversized_alpha_input_is_a_one_line_domain_error(tmp_path, capsys, monkeypatch, args):
+    def stage_ran(*_):
+        raise AssertionError("a stage ran on an alpha input that should have been rejected")
+
+    monkeypatch.setattr(cli, "estimate_alpha", stage_ran)
+    out = tmp_path / "out"
+    assert run_cli(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ from ionbound.errors import (
 )
 from ionbound.kernels import (
     ParticleConfiguration,
-    inequality_probe,
-    pair_energy,
     radial_kernel_triple,
     ratio_gradient,
     ratio_value,
@@ -23,7 +21,7 @@ from ionbound.kernels import (
     w_lambda_reduced,
 )
 from ionbound.kernels import _energy_normalizer, _distance_extremes
-from oracles import mc_dipole, mc_inverse_distance, mc_radial_kernel_triple
+from oracles import mc_dipole, mc_inverse_distance, mc_radial_kernel_triple, pair_kernel
 
 ANTIPODAL = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
 
@@ -36,32 +34,6 @@ def equilateral(radius=1.0):
             [-0.5, -math.sqrt(3) / 2, 0.0],
         ]
     ) * radius
-
-
-# ---------------------------------------------------------------------------
-# pair_energy
-# ---------------------------------------------------------------------------
-
-def test_pair_energy_examples():
-    assert pair_energy([1, 0, 0], [-1, 0, 0]) == pytest.approx(1.0, abs=1e-15)
-    assert pair_energy([1, 0, 0], [0, 0, 0]) == pytest.approx(1.0, abs=1e-15)
-    assert pair_energy([2, 0, 0], [0, 1, 0]) == pytest.approx(math.sqrt(5), rel=1e-15)
-
-
-def test_pair_energy_symmetry_and_scaling():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        x, y = rng.standard_normal(3), rng.standard_normal(3)
-        t = rng.uniform(0.1, 10)
-        assert pair_energy(x, y) == pair_energy(y, x)
-        assert pair_energy(t * x, t * y) == pytest.approx(t * pair_energy(x, y), rel=1e-12)
-
-
-def test_pair_energy_coincident():
-    with pytest.raises(CoincidentPointsError):
-        pair_energy([1, 0, 0], [1, 0, 0])
-    with pytest.raises(CoincidentPointsError):
-        pair_energy([1, 0, 0], [1 + 1e-14, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +205,6 @@ def test_w_lambda_examples():
 def test_w_lambda_triangle_check():
     with pytest.raises(NonRealizableGeometryError):
         w_lambda_reduced(0.5, 1.0, 0.5, 2.0)
-    # kernel-only evaluation with the check disabled
-    val = w_lambda_reduced(0.5, 1.0, 0.5, 2.0, check_triangle=False)
-    assert val == pytest.approx(0.5 * (1 + 0.25 / 2) + 0.5 * (2 + (2 / 3) * 0.25))
     with pytest.raises(DomainError):
         w_lambda_reduced(1.2, 1.0, 0.5, 1.0)
 
@@ -252,13 +221,13 @@ def test_w_lambda_pointwise_domination_probe():
             np.linalg.norm(x), np.linalg.norm(y)
         )
         c = float(np.linalg.norm(x - y))
-        energy = pair_energy(x, y)
+        energy = pair_kernel(x, y)
         for lam in lams:
             w = w_lambda_reduced(float(lam), a, b, c)
             if w > energy + 1e-12:
                 violations.append((case, float(lam), w - energy))
     # the antipodal pair at lambda = 1 is a known counterexample
-    anti = w_lambda_reduced(1.0, 1.0, 1.0, 2.0) - pair_energy([1, 0, 0], [-1, 0, 0])
+    anti = w_lambda_reduced(1.0, 1.0, 1.0, 2.0) - pair_kernel([1, 0, 0], [-1, 0, 0])
     assert anti == pytest.approx(0.5)
     print(f"\npointwise domination probe: {len(violations)} violations in 200x11 samples")
 
@@ -282,39 +251,3 @@ def test_radial_kernel_triple_matches_monte_carlo():
     closed = np.array(radial_kernel_triple(1.0, 2.0))
     means, ses = mc_radial_kernel_triple(1.0, 2.0, samples=10**6, seed=31)
     assert np.all(np.abs(means - closed) <= 3 * ses)
-
-
-# ---------------------------------------------------------------------------
-# inequality probes
-# ---------------------------------------------------------------------------
-
-def test_lsst_probe_example():
-    report = inequality_probe("lsst", ParticleConfiguration(ANTIPODAL), 0.5)
-    assert report.margin == pytest.approx(-0.5, abs=1e-14)
-    assert report.n == 2 and report.inequality == "lsst"
-
-
-def test_domination_probe_examples():
-    report = inequality_probe("domination", ParticleConfiguration(ANTIPODAL), 0.0)
-    assert report.margin == pytest.approx(-0.5, abs=1e-14)
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        cfg = ParticleConfiguration(random_configuration(rng, 5))
-        full = inequality_probe("domination", cfg, 1.0)
-        assert full.margin == pytest.approx(ratio_value(cfg).energy, rel=1e-12)
-        assert full.margin >= 0
-
-
-def test_lsst_probe_rejects_origin():
-    with pytest.raises(OriginPointError):
-        inequality_probe("lsst", ParticleConfiguration([[0, 0, 0], [1, 0, 0]]), 0.5)
-
-
-def test_probe_margin_grows_with_n_for_lsst():
-    """Large clustered-scale configurations should push the lsst margin up."""
-    rng = np.random.default_rng(23)
-    margins = []
-    for n in (4, 16, 64):
-        pts = random_configuration(rng, n)
-        margins.append(inequality_probe("lsst", ParticleConfiguration(pts), 0.5).margin)
-    print(f"\nlsst margins at N=4,16,64 (eps=0.5): {margins}")
