@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import DEFAULT_BETA_LOWER
-from .errors import DegenerateNormalizerError, DomainError
+from .errors import DomainError
 from .kernels import (
     COINCIDENCE_RTOL,
     ParticleConfiguration,
@@ -89,7 +89,7 @@ class SandwichBound(NamedTuple):
 def _normalized(points: np.ndarray) -> np.ndarray:
     total = float(_norms(points).sum())
     if total == 0.0:
-        raise DegenerateNormalizerError("cannot normalize: all points at the origin")
+        raise DomainError("cannot normalize: all points at the origin")
     return points * (points.shape[0] / total)
 
 

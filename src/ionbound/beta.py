@@ -12,18 +12,13 @@ exactly by an active-set method on the weight simplex).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import DEFAULT_BETA_LOWER  # re-exported: the bounds default, kept beside __version__
-from .errors import (
-    DomainError,
-    InconsistentBracketError,
-    IterationLimitError,
-    NegativeRadicandError,
-)
+from .errors import DomainError, IonboundError, IterationLimitError
 from .kernels import w_lambda_reduced
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -96,23 +91,6 @@ class LambdaPoint:
 
 
 @dataclass(frozen=True)
-class BetaBracket:
-    """Computed lower/upper estimates for the limit constant, with provenance."""
-
-    lower: float
-    lower_source: str
-    upper: float
-    upper_source: str
-    certificate_measure: Optional[RadialMeasure] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise InconsistentBracketError(
-                f"lower {self.lower:.7f} exceeds upper {self.upper:.7f}"
-            )
-
-
-@dataclass(frozen=True)
 class BetaSettings:
     """Radial node grid and g tolerance of the bracket computation."""
 
@@ -141,7 +119,7 @@ def g_of_lambda(lam: float) -> LambdaPoint:
         raise DomainError("lambda must lie in [0.8, 1]")
     radicand = (lam + 2.0) / 3.0 - 2.0 * math.sqrt(lam * (1.0 - lam))
     if radicand < 0:
-        raise NegativeRadicandError(f"radicand {radicand:g} negative at lambda={lam:g}")
+        raise DomainError(f"radicand {radicand:g} negative at lambda={lam:g}")
     lambda_prime = (math.sqrt(radicand) - math.sqrt((2.0 / 3.0) * (1.0 - lam))) ** 2
     return LambdaPoint(lam=lam, lambda_prime=lambda_prime, g=lam - lambda_prime)
 
@@ -358,19 +336,23 @@ def kkt_residual(measure: RadialMeasure) -> float:
 # the bracket
 # ---------------------------------------------------------------------------
 
-class BracketDetail(NamedTuple):
-    bracket: BetaBracket
+class BetaBracket(NamedTuple):
+    """The bracket [lower, upper] on the limit constant and the estimates it was assembled
+    from; ``lower`` is g_max, reached at ``lambda_0``."""
+
+    lower: float
+    upper: float
+    upper_source: str
+    certificate_measure: Optional[RadialMeasure]  # the radial minimizer, if it sets upper
     lambda_0: float
-    g_max: float
     maximin: WMaximinResult
     radial_minimum: float
     diagnostics: dict  # dinkelbach_steps, support_size, kkt_residual of the radial minimum
 
 
-def bracket_detail(settings: Optional[BetaSettings] = None) -> BracketDetail:
-    """Bracket plus the individual estimates it was assembled from: the lower side is
-    g_max, the upper the smaller of the trial-measure value and the optimized radial
-    measure, which then becomes the certificate."""
+def bracket_detail(settings: Optional[BetaSettings] = None) -> BetaBracket:
+    """The bracket: the lower side is g_max, the upper the smaller of the trial-measure
+    value and the optimized radial measure, which then becomes the certificate."""
     if settings is None:
         settings = BetaSettings()
     lambda_0, g_max = maximize_g(settings.g_tolerance)
@@ -381,14 +363,11 @@ def bracket_detail(settings: Optional[BetaSettings] = None) -> BracketDetail:
         upper, upper_source, certificate = TRIAL_MEASURE_ANALYTIC, "trial-measure", None
     else:
         upper, upper_source, certificate = optimized, "optimized-measure", measure
-    bracket = BetaBracket(lower=g_max, lower_source="g_max", upper=upper,
-                          upper_source=upper_source, certificate_measure=certificate)
-    return BracketDetail(
-        bracket=bracket,
-        lambda_0=lambda_0,
-        g_max=g_max,
-        maximin=maximin,
-        radial_minimum=optimized,
+    if g_max > upper:
+        raise IonboundError(f"lower {g_max:.7f} exceeds upper {upper:.7f}")
+    return BetaBracket(
+        lower=g_max, upper=upper, upper_source=upper_source, certificate_measure=certificate,
+        lambda_0=lambda_0, maximin=maximin, radial_minimum=optimized,
         diagnostics={"dinkelbach_steps": len(history) - 1,
                      "support_size": int(np.count_nonzero(measure.weights)),
                      "kkt_residual": kkt_residual(measure)},

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import DEFAULT_BETA_LOWER
-from .errors import (
-    DomainError,
-    KappaDomainError,
-    MissingEnergyGapError,
-    NoCrossoverError,
-    RootBracketError,
-)
+from .errors import DomainError, IonboundError
 
 MODELS = (
     "nonrel",
@@ -170,7 +164,7 @@ def implicit_bound(z, beta: float) -> list[float]:
                 break
             hi *= 2.0
         else:
-            raise RootBracketError("could not bracket the implicit bound")
+            raise IonboundError("could not bracket the implicit bound")
         x = hi
         for _ in range(_NEWTON_CAP):
             u = x ** (-2.0 / 3.0)
@@ -221,7 +215,7 @@ def magnetic_bound(z: float, inputs: BoundInputs, energy_gap: Optional[float] = 
     base = inputs.coeff * z + 3.0 * z ** (1.0 / 3.0)
     if inputs.model == "magnetic-general":
         if energy_gap is None or inputs.n_c is None:
-            raise MissingEnergyGapError(
+            raise DomainError(
                 "magnetic-general needs energy_gap and n_c supplied"
             )
         return base * (1.0 + energy_gap / (inputs.n_c * z**2 * (inputs.k - 1.0)))
@@ -242,7 +236,7 @@ def relativistic_or_bosonic_bound(z: float, inputs: BoundInputs) -> float:
     _check_charge(z)
     if inputs.model == "relativistic":
         if inputs.kappa >= 2.0 / math.pi:
-            raise KappaDomainError(
+            raise DomainError(
                 f"kappa = {inputs.kappa:g} must stay below 2/pi = {2.0 / math.pi:.6f}"
             )
         return inputs.coeff * z + inputs.C_kappa * z ** (1.0 / 3.0)
@@ -265,7 +259,7 @@ def crossover_z(inputs: BoundInputs) -> int:
     the rational a, then settles it.
     """
     if inputs.coeff >= 2.0:
-        raise NoCrossoverError(f"coeff = {inputs.coeff!r} >= 2 never beats 2Z + 1")
+        raise IonboundError(f"coeff = {inputs.coeff!r} >= 2 never beats 2Z + 1")
     m, q = inputs.coeff.as_integer_ratio()
     p = 2 * q - m  # a = p / q exactly
 

@@ -236,15 +236,14 @@ def _beta_job(args):
     return lambda: bracket_detail(settings)
 
 
-def _beta_section(detail) -> dict:
-    b = detail.bracket
+def _beta_section(b) -> dict:
     payload = {
-        "lower": b.lower, "lower_source": b.lower_source,
+        "lower": b.lower, "lower_source": "g_max",
         "upper": b.upper, "upper_source": b.upper_source,
-        "g": {"lambda_0": detail.lambda_0, "g_max": detail.g_max},
-        "maximin": detail.maximin._asdict(),  # value, gap, b_at_min
-        "radial_minimum": detail.radial_minimum,
-        "diagnostics": detail.diagnostics,
+        "g": {"lambda_0": b.lambda_0, "g_max": b.lower},
+        "maximin": b.maximin._asdict(),  # value, gap, b_at_min
+        "radial_minimum": b.radial_minimum,
+        "diagnostics": b.diagnostics,
     }
     if b.certificate_measure is not None:
         payload["certificate_measure"] = {
@@ -254,10 +253,10 @@ def _beta_section(detail) -> dict:
     return payload
 
 
-def _beta_csv(detail, args) -> str:
-    b, m = detail.bracket, detail.maximin
-    row = [b.lower, b.lower_source, b.upper, b.upper_source, detail.lambda_0, detail.g_max,
-           m.value, m.gap, detail.radial_minimum]
+def _beta_csv(b, args) -> str:
+    m = b.maximin
+    row = [b.lower, "g_max", b.upper, b.upper_source, b.lambda_0, b.lower,
+           m.value, m.gap, b.radial_minimum]
     header = ("lower,lower_source,upper,upper_source,lambda_0,g_max,"
               "maximin,maximin_gap,radial_minimum")
     return _csv_text("ionbound.beta.v2", header, [row])

@@ -14,14 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    CoincidentPointsError,
-    DegenerateNormalizerError,
-    DomainError,
-    NonRealizableGeometryError,
-    OriginPointError,
-    ZeroCenterError,
-)
+from .errors import DomainError
 
 # Pairs closer than this fraction of the configuration diameter are rejected:
 # the pair kernel diverges there and callers must see a hard error.
@@ -52,11 +45,11 @@ class ParticleConfiguration:
             raise DomainError("all coordinates must be finite")
         dmin, dmax = _distance_extremes(pts)
         if dmin <= COINCIDENCE_RTOL * dmax:
-            raise CoincidentPointsError(
+            raise DomainError(
                 f"minimum pair distance {dmin:g} below coincidence threshold"
             )
         if int(np.sum(_norms(pts) == 0.0)) > 1:
-            raise CoincidentPointsError("more than one point at the origin")
+            raise DomainError("more than one point at the origin")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -147,7 +140,7 @@ def ratio_value(config: ParticleConfiguration) -> RatioValue:
     """
     energy, normalizer = _energy_normalizer(config.points)
     if normalizer == 0.0:
-        raise DegenerateNormalizerError("all points at the origin")
+        raise DomainError("all points at the origin")
     return RatioValue(energy=energy, normalizer=normalizer, ratio=energy / normalizer)
 
 
@@ -158,7 +151,7 @@ def ratio_gradient(config: ParticleConfiguration) -> np.ndarray:
     differences to better than 1e-5 relative on generic configurations.
     """
     if np.any(_norms(config.points) == 0.0):
-        raise OriginPointError("gradient undefined with a point at the origin")
+        raise DomainError("gradient undefined with a point at the origin")
     _, grad = _ratio_and_gradient(config.points)
     return grad
 
@@ -183,7 +176,7 @@ def sphere_average_dipole(a, s: float) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     r = float(np.linalg.norm(a))
     if r == 0.0:
-        raise ZeroCenterError("dipole average undefined for a center at the origin")
+        raise DomainError("dipole average undefined for a center at the origin")
     if s <= 0:
         raise DomainError("radius must be positive")
     return -(a / r) * min(r, s) / (3.0 * max(r, s) ** 2)
@@ -200,7 +193,7 @@ def w_lambda_reduced(lam: float, a: float, b: float, c: float) -> float:
     if a <= 0 or c <= 0 or not 0.0 <= b <= a:
         raise DomainError("need a > 0, 0 <= b <= a, c > 0")
     if b > 0 and not (a - b <= c <= a + b):
-        raise NonRealizableGeometryError(
+        raise DomainError(
             f"c = {c:g} outside the realizable range [{a - b:g}, {a + b:g}]"
         )
     return lam * (a + b * b / c) + (1.0 - lam) * (c + (2.0 / 3.0) * b * b / a)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import DEFAULT_BETA_LOWER
 from .bounds import KINETIC_COEFF, _beta1
-from .errors import DegenerateGridError, DomainError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class LemmaGrid:
 
     def __post_init__(self):
         if min(self.z_points, self.ratio_points, self.beta_points, self.n_above) < 1:
-            raise DegenerateGridError("grid counts must be >= 1")
+            raise DomainError("grid counts must be >= 1")
         # the (Z, N/Z) arrays of lemma3 and the (Z, real N) arrays of lemma4
         points = self.z_points * max(self.ratio_points, 4 * self.n_above + 1)
         if points > MAX_GRID_POINTS:
@@ -69,8 +69,11 @@ class LemmaGrid:
             raise DomainError(f"beta grid must have at most {MAX_BETA_POINTS} points, got {self.beta_points}")
         if not all(map(math.isfinite, self.beta_range)):
             raise DomainError("grid ranges must be finite")
-        if self.beta_range[0] < DEFAULT_BETA_LOWER:
+        lo, hi = self.beta_range
+        if lo < DEFAULT_BETA_LOWER:
             raise DomainError(f"beta grid values must be >= {DEFAULT_BETA_LOWER}")
+        if not lo <= hi < 1:
+            raise DomainError(f"beta range {lo:g}:{hi:g} needs lo <= hi < 1")
 
     def betas(self) -> np.ndarray:
         return np.linspace(*self.beta_range, self.beta_points)  # [lo] at one point

@@ -1,11 +1,17 @@
+import os
 import time
 
 import numpy as np
 import pytest
 
+import ionbound
 from ionbound.alpha import OptimizerSettings, estimate_alpha
 from ionbound.beta import minimize_radial_ratio
 from oracles import mc_dipole, mc_inverse_distance
+
+# the interpreters that tests start import the package the tests import
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(ionbound.__file__)), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -138,7 +138,7 @@ def test_criterion_07_radial_minimization(radial_minimum_default):
 
 
 def test_criterion_08_bracket():
-    bracket = bracket_detail().bracket
+    bracket = bracket_detail()
     ok = (
         abs(bracket.lower - 0.8218) <= 1e-4
         and bracket.upper < 0.8705

@@ -140,10 +140,9 @@ def test_bracket_detail_reports_the_inner_minimum_at_lambda_0():
     from ionbound.beta import bracket_detail
 
     detail = bracket_detail(BetaSettings(node_count=30))
-    assert detail.bracket.lower == detail.g_max
-    assert detail.bracket.lower_source == "g_max"
+    assert detail.lower == g_of_lambda(detail.lambda_0).g
     assert detail.maximin == w_maximin(detail.lambda_0)
-    assert abs(detail.maximin.value - detail.g_max) <= 1e-15
+    assert abs(detail.maximin.value - detail.lower) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +291,11 @@ def test_dinkelbach_history_monotone(radial_minimum_default):
 
 
 def test_beta_bracket_defaults(radial_minimum_default):
-    bracket = bracket_detail().bracket
+    bracket = bracket_detail()
     assert bracket.lower == pytest.approx(0.8218066, abs=1e-6)
     assert bracket.lower >= 0.8218 - 1e-4
     assert bracket.upper < 0.8705
     assert bracket.lower <= bracket.upper
-    assert bracket.lower_source == "g_max"
     assert bracket.upper_source in ("trial-measure", "optimized-measure")
     _, value, _, _ = radial_minimum_default
     assert bracket.upper == pytest.approx(min(TRIAL_MEASURE_ANALYTIC, value), abs=1e-9)
@@ -316,8 +314,7 @@ def test_bracket_sandwich_g_below_radial(radial_minimum_default):
 
 def test_dinkelbach_iteration_limit_carries_best(monkeypatch):
     from ionbound import beta
-    from ionbound.beta import BetaBracket
-    from ionbound.errors import InconsistentBracketError, IterationLimitError
+    from ionbound.errors import IonboundError, IterationLimitError
 
     # a zero tolerance can never be met, so the outer cap must trip
     monkeypatch.setattr(beta, "_OUTER_ITERATIONS", 2)
@@ -328,8 +325,11 @@ def test_dinkelbach_iteration_limit_carries_best(monkeypatch):
     assert isinstance(measure, RadialMeasure)
     assert 0.8 < value < 1.1
 
-    with pytest.raises(InconsistentBracketError):
-        BetaBracket(lower=0.9, lower_source="g_max", upper=0.8, upper_source="trial-measure")
+    # a g above both upper candidates (each below 0.871) is a bracket that cannot hold
+    monkeypatch.undo()
+    monkeypatch.setattr(beta, "maximize_g", lambda tolerance: (0.85, 0.9))
+    with pytest.raises(IonboundError, match="lower 0.9000000 exceeds upper"):
+        beta.bracket_detail(BetaSettings(node_count=20))
 
 
 # ---------------------------------------------------------------------------

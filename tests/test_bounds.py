@@ -15,12 +15,7 @@ from ionbound.bounds import (
     magnetic_bound,
     relativistic_or_bosonic_bound,
 )
-from ionbound.errors import (
-    DomainError,
-    KappaDomainError,
-    MissingEnergyGapError,
-    NoCrossoverError,
-)
+from ionbound.errors import DomainError, IonboundError
 from ionbound.lemmas import (
     _RATIO_RANGE,
     LemmaGrid,
@@ -225,7 +220,7 @@ def test_magnetic_general_needs_gap():
     value = magnetic_bound(3.0, inputs, energy_gap=9.0)
     base = 1.22 * 3 + 3 * 3 ** (1 / 3)
     assert value == pytest.approx(base * (1 + 9.0 / (5.0 * 9.0 * 1.0)), rel=1e-12)
-    with pytest.raises(MissingEnergyGapError):
+    with pytest.raises(DomainError, match="needs energy_gap and n_c"):
         magnetic_bound(3.0, BoundInputs(model="magnetic-general"))
 
 
@@ -236,7 +231,7 @@ def test_relativistic_example():
 
 
 def test_relativistic_kappa_domain():
-    with pytest.raises(KappaDomainError):
+    with pytest.raises(DomainError, match="must stay below 2/pi"):
         relativistic_or_bosonic_bound(50.0, BoundInputs(model="relativistic", kappa=0.7))
 
 
@@ -314,7 +309,7 @@ def test_crossover_near_coeff_two():
 
 
 def test_crossover_none_below_cap():
-    with pytest.raises(NoCrossoverError):
+    with pytest.raises(IonboundError, match="never beats 2Z"):
         crossover_z(BoundInputs(beta_lower=0.5, coeff=2.0))
 
 

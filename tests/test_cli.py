@@ -296,6 +296,10 @@ def test_verify_lemma4_exits_2(tmp_path):
     "--grid-z 100000 --grid-ratio 100000",  # 10^10 lemma3 points, 74.5 GiB per array
     "--grid-z 1000 --n-above 1000000",  # 4 * 10^9 lemma4 real-N points
     "--grid-beta 1000000000",
+    # beta ranges outside lo <= hi < 1
+    "--beta-range 0.9:0.85 --grid-beta 3",
+    "--beta-range 0.83:5 --grid-beta 2",
+    "--beta-range 1:1",
 ])
 def test_oversized_verify_grid_is_a_one_line_domain_error(tmp_path, capsys, monkeypatch, flags):
     def lemma_ran(*_):
@@ -510,6 +514,16 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
     assert err[-1].startswith("error: cannot write ")
     assert not out.exists()
     assert list(tmp_path.rglob(".ionbound-tmp-*")) == []
+
+
+def test_library_error_that_is_not_a_domain_error_exits_1(tmp_path, capsys, monkeypatch):
+    from ionbound import beta
+
+    monkeypatch.setattr(beta, "_OUTER_ITERATIONS", 1)
+    out = tmp_path / "beta.json"
+    assert run_cli(["beta", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: Dinkelbach iteration cap reached\n"
+    assert not out.exists()
 
 
 def test_console_entry_point():
