@@ -2,7 +2,8 @@
 ionization bound tables built on them.
 
 The public names below are loaded from their layer on first access, so
-importing the package (or only the CLI) imports no layer and no numpy.
+importing the package (or only the CLI) imports no layer and no numpy.  The
+CLI binds the same hook, with its own table.
 """
 
 import importlib
@@ -26,17 +27,26 @@ _LAYERS = {
                 "ratio_value", "sphere_average_dipole", "sphere_average_inverse_distance",
                 "w_lambda_reduced"),
 }
-_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
 
-__all__ = ["__version__", *sorted(_LAYER_OF)]
+__all__ = ["__version__", *sorted(name for names in _LAYERS.values() for name in names)]
 
 
-def __getattr__(name):
-    if name not in _LAYER_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_LAYER_OF[name]}"), name)
-    globals()[name] = value
-    return value
+def _lazy_names(namespace: dict, layers: dict):
+    """A module ``__getattr__`` that imports a name's layer on first use and
+    caches the name in ``namespace``, where a caller may rebind it."""
+    layer_of = {name: layer for layer, names in layers.items() for name in names}
+
+    def __getattr__(name):
+        if name not in layer_of:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{__name__}.{layer_of[name]}"), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy_names(globals(), _LAYERS)
 
 
 def __dir__():

@@ -254,9 +254,9 @@ def crossover_z(inputs: BoundInputs) -> int:
     """Smallest integer charge where coeff*Z + 3 Z^(1/3) beats 2Z + 1.
 
     With t = Z^(1/3) and a = 2 - coeff the inequality reads a t^3 - 3t + 1 > 0.
-    For Z >= 1 it holds exactly past the cube of that cubic's largest root,
-    which places the answer; the integer test 27 Z < (a Z + 1)^3, exact in
-    the rational a, then settles it.
+    That cubic is convex for t > 0 and negative at t = 1 (a < 2), so for Z >= 1
+    it holds exactly from one charge on.  Doubling and then bisection find that
+    charge with the integer test 27 Z < (a Z + 1)^3, exact in the rational a.
     """
     if inputs.coeff >= 2.0:
         raise IonboundError(f"coeff = {inputs.coeff!r} >= 2 never beats 2Z + 1")
@@ -266,16 +266,9 @@ def crossover_z(inputs: BoundInputs) -> int:
     def beats(z: int) -> bool:
         return 27 * z * q**3 < (p * z + q) ** 3
 
-    a = p / q
-    t = 2.0 / math.sqrt(a) * math.cos(math.acos(-0.5 * math.sqrt(a)) / 3.0)
-    # gallop out from the float root to integers lo < hi with beats(hi) and
-    # lo = 0 or not beats(lo), then bisect; the root is good to ~1e-15 relative
-    hi = max(1, math.ceil(t**3))
-    lo, step = hi - 1, 1
+    lo, hi = 1, 2  # not beats(1), since a < 2
     while not beats(hi):
-        lo, hi, step = hi, hi + step, 2 * step
-    while lo > 0 and beats(lo):
-        lo, hi, step = max(lo - step, 0), lo, 2 * step
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if beats(mid) else (mid, hi)

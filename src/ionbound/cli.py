@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib
 import json
 import math
 import os
@@ -21,15 +20,15 @@ import tempfile
 import time
 from typing import Callable, NamedTuple, Optional
 
-from . import DEFAULT_BETA_LOWER, __version__
+from . import DEFAULT_BETA_LOWER, __version__, _lazy_names
 from .errors import DomainError, IonboundError
 
-# The library names the stages use, by layer.  A call loads only the layers of
-# its command's stages (and plots only for --format svg), so --version, --help
-# and argument parse errors return before numpy loads, and bounds, which is pure
-# Python, never loads it.  _load binds the names as module globals, and a job
-# looks them up when it runs, so cli.<name> can be rebound.
-_LAYER_NAMES = {
+# The library names the stages use, by layer.  Stage code reads each one as
+# _lib.<name>, and the first read imports its layer, so a call loads only the
+# layers it touches: --version, --help and malformed flags return before numpy
+# loads, bounds (pure Python) never loads it, and plots loads only when an SVG
+# is written.  A name rebound on this module is what the stages call.
+__getattr__ = _lazy_names(globals(), {
     "alpha": ("MAX_POINT_COUNT", "OptimizerSettings", "estimate_alpha"),
     "beta": ("BetaSettings", "bracket_detail", "default_nodes", "g_of_lambda"),
     # bound_row is not called here, but bench/tracing.py spans cli.bound_row by name
@@ -37,22 +36,8 @@ _LAYER_NAMES = {
                "relativistic_or_bosonic_bound"),
     "lemmas": ("LemmaGrid", "verify_lemma"),
     "plots": ("Band", "Panel", "Series", "render_svg"),
-}
-
-
-def _load(layer: str) -> None:
-    """Import a layer and bind its names here, keeping any already rebound."""
-    module = importlib.import_module(f"{__package__}.{layer}")
-    for name in _LAYER_NAMES[layer]:
-        globals().setdefault(name, getattr(module, name))
-
-
-def __getattr__(name: str):
-    for layer, names in _LAYER_NAMES.items():
-        if name in names:
-            _load(layer)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+})
+_lib = sys.modules[__name__]  # this module, also when it runs as __main__
 
 
 _BETA_UPPER_DEFAULT = 0.8705
@@ -168,13 +153,13 @@ class Stage(NamedTuple):
     """One pipeline stage, declared once and shared by every command that runs it.
 
     ``prepare`` parses and validates the arguments and returns the job, so a
-    command reports every input error before any stage starts working.  The
-    job looks its library functions up as module globals when it runs.
+    command reports every input error before any stage starts working.  It
+    parses its flags before its first ``_lib`` name, so a malformed flag is
+    reported before the stage's layer loads.
     """
 
     name: str  # stderr "stage <name>" line and JSON timings key
     key: str  # JSON results key
-    layer: str  # the library layer _run loads before any stage prepares
     flags: tuple  # (flag, add_argument options) pairs
     params: Callable  # args -> config-echo parameters
     prepare: Callable  # args -> job; job() -> result
@@ -190,10 +175,11 @@ def _echo(*names: str) -> Callable:
 
 def _alpha_job(args):
     ns = _parse_int_range(args.n)
-    if ns[0] < 2 or ns[-1] > MAX_POINT_COUNT:
-        raise DomainError(f"alpha needs 2 <= N <= {MAX_POINT_COUNT}")
-    settings = OptimizerSettings(restarts=args.restarts, ratio_tolerance=args.tol, seed=args.seed)
-    return lambda: [estimate_alpha(n, settings) for n in ns]
+    if ns[0] < 2 or ns[-1] > _lib.MAX_POINT_COUNT:
+        raise DomainError(f"alpha needs 2 <= N <= {_lib.MAX_POINT_COUNT}")
+    settings = _lib.OptimizerSettings(restarts=args.restarts, ratio_tolerance=args.tol,
+                                      seed=args.seed)
+    return lambda: [_lib.estimate_alpha(n, settings) for n in ns]
 
 
 def _alpha_section(estimates) -> list:
@@ -222,18 +208,18 @@ def _alpha_csv(estimates, args) -> str:
 
 def _alpha_panel(estimates) -> Panel:
     ns = [e.n for e in estimates]
-    return Panel(
+    return _lib.Panel(
         "ratio estimates vs N with the two-sided band", "N", "ratio",
-        series=[Series("estimate", ns, [e.value for e in estimates])],
-        band=Band(ns, [e.lower_bound for e in estimates], [_BETA_UPPER_DEFAULT] * len(ns)),
+        series=[_lib.Series("estimate", ns, [e.value for e in estimates])],
+        band=_lib.Band(ns, [e.lower_bound for e in estimates], [_BETA_UPPER_DEFAULT] * len(ns)),
     )
 
 
 def _beta_job(args):
-    settings = BetaSettings(g_tolerance=args.tol, node_count=args.nodes,
-                            node_range=_parse_pair(args.range))
-    default_nodes(settings.node_count, settings.node_range)  # checked here, before any stage runs
-    return lambda: bracket_detail(settings)
+    node_range = _parse_pair(args.range)
+    settings = _lib.BetaSettings(g_tolerance=args.tol, node_count=args.nodes, node_range=node_range)
+    _lib.default_nodes(settings.node_count, settings.node_range)  # checked before any stage runs
+    return lambda: _lib.bracket_detail(settings)
 
 
 def _beta_section(b) -> dict:
@@ -265,9 +251,9 @@ def _beta_csv(b, args) -> str:
 def _g_panel(detail) -> Panel:
     # the values of np.linspace(0.8, 1.0, 201), bit for bit
     lams = [0.8 + i * ((1.0 - 0.8) / 200) for i in range(200)] + [1.0]
-    return Panel(
+    return _lib.Panel(
         "scalar reduction g over the blend parameter", "lambda", "g",
-        series=[Series("g", lams, [g_of_lambda(l).g for l in lams])],
+        series=[_lib.Series("g", lams, [_lib.g_of_lambda(l).g for l in lams])],
     )
 
 
@@ -277,12 +263,12 @@ _MODEL_FLAGS = {"nonrel": "nonrel", "magnetic": "magnetic-homogeneous",
 
 def _bounds_rows(zs: list[float], inputs: BoundInputs) -> list[list]:
     rows = []
-    for z, implicit_n in zip(zs, implicit_bound(zs, inputs.beta_lower)):
+    for z, implicit_n in zip(zs, _lib.implicit_bound(zs, inputs.beta_lower)):
         extra = ""
         if inputs.model == "magnetic-homogeneous":
-            extra = magnetic_bound(z, inputs)
+            extra = _lib.magnetic_bound(z, inputs)
         elif inputs.model != "nonrel":
-            extra = relativistic_or_bosonic_bound(z, inputs)
+            extra = _lib.relativistic_or_bosonic_bound(z, inputs)
         lieb, main = 2.0 * z + 1.0, inputs.coeff * z + 3.0 * z ** (1.0 / 3.0)
         # an overflowed cell would be written as CSV inf or as JSON Infinity, which is not JSON
         if not (math.isfinite(lieb) and math.isfinite(main) and math.isfinite(implicit_n)
@@ -300,7 +286,7 @@ def _bounds_job(args):
     model = _MODEL_FLAGS[args.model]
     field = {} if model == "nonrel" else dict(B=args.B, C_universal=args.C, C_kappa=args.Ckappa,
                                               C_2=args.C2)
-    inputs = BoundInputs(model=model, beta_lower=args.beta, coeff=args.coeff, **field)
+    inputs = _lib.BoundInputs(model=model, beta_lower=args.beta, coeff=args.coeff, **field)
     return lambda: _bounds_rows(zs, inputs)
 
 
@@ -311,12 +297,12 @@ def _bounds_section(rows) -> list:
 
 def _bounds_panel(rows) -> Panel:
     zs = [r[0] for r in rows]
-    return Panel(
+    return _lib.Panel(
         "particle-count bounds vs nuclear charge", "Z", "bound",
         series=[
-            Series("2Z+1", zs, [r[1] for r in rows]),
-            Series("closed form", zs, [r[2] for r in rows]),
-            Series("implicit", zs, [r[3] for r in rows]),
+            _lib.Series("2Z+1", zs, [r[1] for r in rows]),
+            _lib.Series("closed form", zs, [r[2] for r in rows]),
+            _lib.Series("implicit", zs, [r[3] for r in rows]),
         ],
     )
 
@@ -329,16 +315,16 @@ _LEMMA_FLAGS = {
 
 def _verify_grid(args) -> LemmaGrid:
     lo, hi = _parse_pair(args.beta_range)
-    return LemmaGrid(
-        z_points=args.grid_z, ratio_points=args.grid_ratio, beta_points=args.grid_beta,
-        beta_range=(lo, hi) if args.grid_beta > 1 else (lo, lo),
-        n_above=args.n_above, real_n=args.real_n,
-    )
+    axes = dict(z_points=args.grid_z, ratio_points=args.grid_ratio, beta_points=args.grid_beta,
+                n_above=args.n_above, real_n=args.real_n)
+    grid = _lib.LemmaGrid(beta_range=(lo, hi), **axes)  # checks the range at every --grid-beta
+    # one beta point is taken at lo, and the config echo says so
+    return grid if args.grid_beta > 1 else _lib.LemmaGrid(beta_range=(lo, lo), **axes)
 
 
 def _verify_job(args):
     grid = _verify_grid(args)
-    return lambda: [verify_lemma(lemma, grid) for lemma in _LEMMA_FLAGS[args.lemma]]
+    return lambda: [_lib.verify_lemma(lemma, grid) for lemma in _LEMMA_FLAGS[args.lemma]]
 
 
 def _lemma_section(reports) -> list:
@@ -360,7 +346,7 @@ _SEED_FLAG = ("--seed", dict(type=_u64, default=0, help="64-bit seed for stochas
 _TOL_FLAG = ("--tol", dict(type=_finite, default=1e-10, help="solver tolerance"))
 
 ALPHA = Stage(
-    "alpha", "alpha", layer="alpha",
+    "alpha", "alpha",
     flags=(
         ("--n", dict(default="2:8", help="inclusive N range a:b")),
         ("--restarts", dict(type=int, default=64)),
@@ -376,7 +362,7 @@ ALPHA = Stage(
 )
 
 BETA = Stage(
-    "beta", "beta", layer="beta",
+    "beta", "beta",
     flags=(
         ("--nodes", dict(type=int, default=200, help="radial node count")),
         ("--range", dict(default="0.05:20", help="node range lo:hi")),
@@ -390,7 +376,7 @@ BETA = Stage(
 )
 
 BOUNDS = Stage(
-    "bounds", "bounds", layer="bounds",
+    "bounds", "bounds",
     flags=(
         ("--z", dict(default="1:118", help="charge range a:b[:step]")),
         ("--model", dict(choices=tuple(_MODEL_FLAGS), default="nonrel")),
@@ -410,7 +396,7 @@ BOUNDS = Stage(
 )
 
 VERIFY = Stage(
-    "verify", "lemmas", layer="lemmas",
+    "verify", "lemmas",
     flags=(
         ("--lemma", dict(choices=tuple(_LEMMA_FLAGS), default="all")),
         ("--grid-z", dict(type=int, default=120)),
@@ -429,11 +415,14 @@ VERIFY = Stage(
     log=_log_lemmas,
 )
 
-# report's fixed lemma check: the lemmas that pass as printed, at default grids
-REPORT_CHECK = Stage(
-    "verify", "lemmas", layer="lemmas", flags=(), params=_echo(), section=_lemma_section,
-    prepare=lambda args: lambda: [verify_lemma(l, LemmaGrid()) for l in ("lemma3", "cubic-signs")],
-)
+def _report_check_job(args):
+    grid = _lib.LemmaGrid()
+    return lambda: [_lib.verify_lemma(lemma, grid) for lemma in ("lemma3", "cubic-signs")]
+
+
+# report's fixed lemma check: the lemmas that pass as printed, at the default grid
+REPORT_CHECK = Stage("verify", "lemmas", flags=(), params=_echo(), prepare=_report_check_job,
+                     section=_lemma_section)
 
 _SHARED_FLAGS = (
     ("--out", dict(default=None, help="output file path")),
@@ -495,14 +484,12 @@ def _render(args, results: dict, timings: dict) -> str:
     if args.format == "csv" and command.csv is not None:
         return command.csv.csv(results[command.csv.key], args)
     if args.format == "svg" and command.panels:
-        return render_svg([stage.panel(results[stage.key]) for stage in command.panels])
+        return _lib.render_svg([stage.panel(results[stage.key]) for stage in command.panels])
     return _json_text(_payload(args, results, timings))
 
 
 def _run(args) -> int:
     stages = _COMMANDS[args.command].stages
-    for layer in [stage.layer for stage in stages] + (["plots"] if args.format == "svg" else []):
-        _load(layer)
     jobs = [stage.prepare(args) for stage in stages]
     results, timings = {}, {}
     for stage, job in zip(stages, jobs):

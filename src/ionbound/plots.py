@@ -6,6 +6,7 @@ float formatting, no timestamps, no generated ids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 PANEL_W = 640
@@ -48,8 +49,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
@@ -65,13 +64,19 @@ def _data_range(panel: Panel) -> tuple[float, float, float, float]:
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     pad = 0.05 * ((y1 - y0) if y1 > y0 else 1.0)
-    return x0, x1, y0 - pad, y1 + pad
+    return (*_spread(x0, x1 if x1 > x0 else x0 + 1.0), *_spread(y0 - pad, y1 + pad))
+
+
+def _spread(lo: float, hi: float) -> tuple[float, float]:
+    # a span that rounding left empty (lo + 1 is lo once |lo| >= 2^53) becomes one float, toward 0
+    if hi > lo:
+        return lo, hi
+    near = math.nextafter(lo, 0.0)
+    return min(lo, near), max(lo, near)
 
 
 def _panel_svg(panel: Panel, y_offset: int) -> list[str]:
     x0, x1, y0, y1 = _data_range(panel)
-    if x1 == x0:
-        x1 = x0 + 1.0
     px0, px1 = MARGIN_L, PANEL_W - MARGIN_R
     py0, py1 = y_offset + PANEL_H - MARGIN_B, y_offset + MARGIN_T
 

@@ -299,13 +299,13 @@ def test_crossover_matches_integer_scan():
 
 
 def test_crossover_near_coeff_two():
-    """The crossover moves out like 3^(3/2) (2 - coeff)^(-3/2): near Z = 1.6e11 here."""
-    coeff = 1.9999999
-    z = crossover_z(BoundInputs(coeff=coeff))
-    assert 1.6e11 < z < 1.7e11
-    a = 2 - Fraction(coeff)
-    beats = lambda n: 27 * n < (a * n + 1) ** 3  # coeff n + 3 n^(1/3) < 2n + 1, exactly
-    assert beats(z) and not beats(z - 1)
+    """The crossover moves out like 3^(3/2) (2 - coeff)^(-3/2): near Z = 1.6e11 at 1.9999999."""
+    for coeff in (1.9999999, 2 - 2**-20, 2 - 2**-40, math.nextafter(2, 0)):
+        z = crossover_z(BoundInputs(coeff=coeff))
+        assert z == pytest.approx(3**1.5 * (2 - coeff) ** -1.5, rel=1e-3), coeff
+        a = 2 - Fraction(coeff)
+        beats = lambda n: 27 * n < (a * n + 1) ** 3  # coeff n + 3 n^(1/3) < 2n + 1, exactly
+        assert beats(z) and not beats(z - 1), coeff
 
 
 def test_crossover_none_below_cap():

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import subprocess
 import sys
 import xml.dom.minidom
@@ -300,6 +301,9 @@ def test_verify_lemma4_exits_2(tmp_path):
     "--beta-range 0.9:0.85 --grid-beta 3",
     "--beta-range 0.83:5 --grid-beta 2",
     "--beta-range 1:1",
+    # at the default --grid-beta 1 too, where only lo is used
+    "--beta-range 0.9:5",
+    "--beta-range 0.9:0.85",
 ])
 def test_oversized_verify_grid_is_a_one_line_domain_error(tmp_path, capsys, monkeypatch, flags):
     def lemma_ran(*_):
@@ -362,6 +366,21 @@ def test_report_svg_well_formed(tmp_path):
     first = out.read_bytes()
     assert run_cli(REPORT_ARGS + ["--format", "svg", "--out", str(out)]) == 0
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("z", ["1e17", "1e300"])
+def test_single_charge_svg_past_2_53_has_finite_coordinates(tmp_path, z):
+    # a one-row table has no x width, and a unit added at this size rounds away
+    out = tmp_path / "bounds.svg"
+    assert run_cli(["bounds", "--z", f"{z}:{z}", "--format", "svg", "--out", str(out)]) == 0
+    doc = xml.dom.minidom.parseString(out.read_text())
+    coordinates = [float(v) for tag in ("line", "text") for e in doc.getElementsByTagName(tag)
+                   for name in ("x", "y", "x1", "y1", "x2", "y2") if e.getAttribute(name)
+                   for v in [e.getAttribute(name)]]
+    for polyline in doc.getElementsByTagName("polyline"):
+        coordinates += [float(v) for p in polyline.getAttribute("points").split()
+                        for v in p.split(",")]
+    assert coordinates and all(map(math.isfinite, coordinates))
 
 
 def test_report_timings_flag_embeds_wall_clock(tmp_path):
@@ -472,6 +491,11 @@ def test_empty_lemma_list_serializes_to_empty_array():
         ["beta", "--range", "1:nan"],
         ["verify", "--lemma", "lemma3", "--beta-range", "nan:1"],
         ["report", "--n", "2:2", "--restarts", "1", "--z", "1:inf"],
+        ["bounds", "--coeff", "abc"],
+        ["alpha", "--n", "1:1000001"],
+        ["bounds", "--z", "1:2000000"],
+        ["bounds", "--z", "1:2:3:4"],
+        ["beta", "--range", "1:2:3"],
     ],
     ids=" ".join,
 )
@@ -552,7 +576,7 @@ def test_runtime_imports_are_numpy_only():
 # start-up: each call loads only its command's layers, and the process exit
 # ---------------------------------------------------------------------------
 
-def _loaded_after(argv) -> list:
+def _loaded_after(argv: list) -> list:
     """numpy and the ionbound modules a fresh process holds after main(argv)."""
     code = ("import json, sys, ionbound, ionbound.cli\n"
             f"if {argv!r}: ionbound.cli.main({argv!r})\n"
@@ -569,18 +593,25 @@ def _loaded_after(argv) -> list:
     (["bounds", "--coeff", "nan"], []),  # a parse error returns before any layer loads
     (["bogus"], []),
     (["bounds", "--z", "1:3"], ["bounds"]),  # bounds is pure Python, in every format
-    (["bounds", "--z", "1:3", "--format", "svg"], ["bounds", "plots"]),
+    (["bounds", "--z", "1:3", "--format", "svg", "--out", "OUT"], ["bounds", "plots"]),
+    (["bounds", "--z", "1:3", "--format", "svg"], ["bounds"]),  # plots loads only to write
     (["verify", "--lemma", "cubic"], ["bounds", "lemmas", "numpy"]),
     (["beta", "--nodes", "10"], ["beta", "kernels", "numpy"]),
     (["alpha", "--n", "2:2", "--restarts", "1"], ["alpha", "kernels", "numpy"]),
     (["bounds", "--z", "1:3", "--format", "json"], ["bounds"]),
-    (["bounds", "--z", "nan:3"], ["bounds"]),  # the range is parsed after the layer loads
-    (["report", "--n", "2:2", "--restarts", "1", "--nodes", "10", "--z", "1:3", "--format", "svg"],
+    # a malformed range is reported before its command's layer loads
+    (["bounds", "--z", "nan:3"], []),
+    (["alpha", "--n", "2:x"], []),
+    (["beta", "--range", "1:2:3"], []),
+    (["verify", "--beta-range", "x"], []),
+    (["report", "--n", "2:2", "--restarts", "1", "--nodes", "10", "--z", "1:3", "--format", "svg",
+      "--out", "OUT"],
      ["alpha", "beta", "bounds", "kernels", "lemmas", "plots", "numpy"]),
 ])
-def test_a_call_loads_only_its_commands_layers(argv, layers):
+def test_a_call_loads_only_its_commands_layers(tmp_path, argv, layers):
     modules = ["ionbound.cli", "ionbound.errors"]
     modules += [l if l == "numpy" else f"ionbound.{l}" for l in layers]
+    argv = [str(tmp_path / "out.svg") if a == "OUT" else a for a in argv]
     assert _loaded_after(argv) == sorted(modules)
 
 
@@ -626,7 +657,5 @@ def test_process_exit_code_is_mains():
 def test_g_panel_grid_is_linspace():
     import numpy as np
 
-    cli._load("beta")
-    cli._load("plots")
     panel = cli._g_panel(None)
     assert panel.series[0].x == np.linspace(0.8, 1.0, 201).tolist()

@@ -43,6 +43,9 @@ def test_configuration_invariants():
         ParticleConfiguration([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
     with pytest.raises(DomainError):
         ParticleConfiguration([[np.inf, 0, 0], [0, 0, 0]])
+    # both norms underflow to 0, but their distance 3e-162 passes the coincidence test
+    with pytest.raises(DomainError, match="more than one point at the origin"):
+        ParticleConfiguration([[1.5e-162, 0, 0], [-1.5e-162, 0, 0], [0, 1e-151, 0]])
 
 
 def test_ratio_antipodal_pair():
