@@ -317,9 +317,8 @@ def _verify_grid(args) -> LemmaGrid:
     lo, hi = _parse_pair(args.beta_range)
     axes = dict(z_points=args.grid_z, ratio_points=args.grid_ratio, beta_points=args.grid_beta,
                 n_above=args.n_above, real_n=args.real_n)
-    grid = _lib.LemmaGrid(beta_range=(lo, hi), **axes)  # checks the range at every --grid-beta
-    # one beta point is taken at lo, and the config echo says so
-    return grid if args.grid_beta > 1 else _lib.LemmaGrid(beta_range=(lo, lo), **axes)
+    _lib.LemmaGrid(beta_range=(lo, hi), **axes)  # checks the whole range at every --grid-beta
+    return _lib.LemmaGrid(beta_range=(lo, hi) if args.grid_beta > 1 else (lo, lo), **axes)
 
 
 def _verify_job(args):

@@ -374,12 +374,10 @@ def test_single_charge_svg_past_2_53_has_finite_coordinates(tmp_path, z):
     out = tmp_path / "bounds.svg"
     assert run_cli(["bounds", "--z", f"{z}:{z}", "--format", "svg", "--out", str(out)]) == 0
     doc = xml.dom.minidom.parseString(out.read_text())
-    coordinates = [float(v) for tag in ("line", "text") for e in doc.getElementsByTagName(tag)
-                   for name in ("x", "y", "x1", "y1", "x2", "y2") if e.getAttribute(name)
-                   for v in [e.getAttribute(name)]]
-    for polyline in doc.getElementsByTagName("polyline"):
-        coordinates += [float(v) for p in polyline.getAttribute("points").split()
-                        for v in p.split(",")]
+    coordinates = [float(v) for e in doc.getElementsByTagName("*")
+                   for name, value in e.attributes.items()
+                   if name in ("x", "y", "x1", "y1", "x2", "y2", "points")
+                   for v in value.replace(",", " ").split()]
     assert coordinates and all(map(math.isfinite, coordinates))
 
 
