@@ -82,10 +82,6 @@ class LocalMinimizeResult(NamedTuple):
     iterations: int
 
 
-class SandwichBound(NamedTuple):
-    lower: float
-
-
 def _normalized(points: np.ndarray) -> np.ndarray:
     total = float(_norms(points).sum())
     if total == 0.0:
@@ -216,11 +212,7 @@ def _initial_points(n: int, settings: OptimizerSettings, restart: int) -> np.nda
             return trial[1]
 
 
-def estimate_alpha(
-    n: int,
-    settings: OptimizerSettings | None = None,
-    beta_lower: float = DEFAULT_BETA_LOWER,
-) -> AlphaEstimate:
+def estimate_alpha(n: int, settings: OptimizerSettings) -> AlphaEstimate:
     """Upper estimate of the N-point ratio infimum by multi-start descent.
 
     Deterministic given (n, settings): restart k is seeded from
@@ -229,8 +221,6 @@ def estimate_alpha(
     """
     if not 2 <= n <= MAX_POINT_COUNT:
         raise DomainError(f"n must lie in [2, {MAX_POINT_COUNT}]")
-    if settings is None:
-        settings = OptimizerSettings()
     values = np.empty(settings.restarts)
     counts = np.empty((settings.restarts, 3), dtype=int)  # converged, iterations, evaluations
     configs: list[np.ndarray] = []
@@ -241,7 +231,7 @@ def estimate_alpha(
     return AlphaEstimate(
         n=n,
         value=float(values[best]),
-        lower_bound=alpha_sandwich(n, beta_lower).lower,
+        lower_bound=alpha_sandwich(n, DEFAULT_BETA_LOWER),
         best_config=ParticleConfiguration(configs[best]),
         restarts_used=settings.restarts,
         converged_restarts=int(counts[:, 0].sum()),
@@ -255,16 +245,15 @@ def estimate_alpha(
     )
 
 
-def alpha_sandwich(n: int, beta_lower: float) -> SandwichBound:
+def alpha_sandwich(n: int, beta_lower: float) -> float:
     """Closed-form lower bound for the N-point ratio from a statistical-limit bracket.
 
-    ``lower`` is the r-parametrized family of shell bounds at its maximizing
-    shell radius r* = (4 beta N / 3)^(-1/3).
+    It is the r-parametrized family of shell bounds at its maximizing shell
+    radius r* = (4 beta N / 3)^(-1/3).
     """
     if n < 2:
         raise DomainError("n must be >= 2")
     if not 0.0 < beta_lower < 1.0:
         raise DomainError("beta_lower must lie in (0, 1)")
     scale = n / (n - 1)
-    lower = scale * (beta_lower - 3.0 * (beta_lower / 6.0) ** (1.0 / 3.0) * n ** (-2.0 / 3.0))
-    return SandwichBound(lower=lower)
+    return scale * (beta_lower - 3.0 * (beta_lower / 6.0) ** (1.0 / 3.0) * n ** (-2.0 / 3.0))

@@ -12,18 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import DEFAULT_BETA_LOWER
 from .errors import DomainError, IonboundError
 
-MODELS = (
-    "nonrel",
-    "magnetic-general",
-    "magnetic-homogeneous",
-    "relativistic",
-    "bosonic-magnetic",
-)
+MODELS = ("nonrel", "magnetic", "relativistic", "bosonic")
 
 # Kinetic-correction coefficient of the exclusion lemma, conservative by
 # construction relative to the exact constant chain below.
@@ -53,32 +47,24 @@ class BoundInputs:
 
     The universal constants C_universal, C_kappa and C_2 have no derived
     values; the defaults of 1.0 are placeholders the caller should override.
-    ``n_c`` and ``energy gaps`` cannot be computed here and must be supplied
-    for the general magnetic bound.
     """
 
     model: str = "nonrel"
     B: float = 0.0
-    k: float = 2.0
     beta_lower: float = DEFAULT_BETA_LOWER
     coeff: float = 1.22
     C_universal: float = 1.0
     C_kappa: float = 1.0
     C_2: float = 1.0
-    kappa: float = 0.5
-    n_c: Optional[float] = None
 
     def __post_init__(self):
-        numbers = (self.B, self.k, self.beta_lower, self.coeff, self.C_universal,
-                   self.C_kappa, self.C_2, self.kappa, 0.0 if self.n_c is None else self.n_c)
+        numbers = (self.B, self.beta_lower, self.coeff, self.C_universal, self.C_kappa, self.C_2)
         if not all(map(math.isfinite, numbers)):
             raise DomainError("bound inputs must be finite")
         if self.model not in MODELS:
             raise DomainError(f"unknown model {self.model!r}")
         if self.B < 0:
             raise DomainError("B must be non-negative")
-        if self.k <= 1:
-            raise DomainError("k must exceed 1")
         if not 0.0 < self.beta_lower < 1.0:
             raise DomainError("beta_lower must lie in (0, 1)")
         # tolerance admits the exact boundary coeff = 1/beta_lower in floats
@@ -202,52 +188,44 @@ def bound_row(z: float, inputs: BoundInputs) -> BoundRow:
     )
 
 
-def magnetic_bound(z: float, inputs: BoundInputs, energy_gap: Optional[float] = None) -> float:
-    """Particle-count bound at charge ``z`` for atoms in a magnetic field.
+def magnetic_bound(z: float, inputs: BoundInputs) -> float:
+    """Particle-count bound at charge ``z`` for atoms in a homogeneous magnetic field.
 
-    The general form needs the externally computed ground-state energy gap
-    E(N_c, Z, B) - E(N_c, kZ, B) together with N_c.  The homogeneous-field
-    form is closed except for the universal constant C_universal; where
+    The bound is closed except for the universal constant C_universal; where
     B / Z^3 is 0 (B = 0, or underflow) the field term is its limit 0, and
     the logarithm is never evaluated.
     """
     _check_charge(z)
+    if inputs.model != "magnetic":
+        raise DomainError("magnetic_bound applies to the magnetic model")
+    t = inputs.B / z**3
+    if t == 0.0:  # B = 0, or B / Z^3 below the smallest float
+        field_term = 0.0
+    else:
+        field_term = min(
+            0.42 * t**0.4, inputs.C_universal * (1.0 + math.log(t) ** 2)
+        )
     base = inputs.coeff * z + 3.0 * z ** (1.0 / 3.0)
-    if inputs.model == "magnetic-general":
-        if energy_gap is None or inputs.n_c is None:
-            raise DomainError(
-                "magnetic-general needs energy_gap and n_c supplied"
-            )
-        return base * (1.0 + energy_gap / (inputs.n_c * z**2 * (inputs.k - 1.0)))
-    if inputs.model == "magnetic-homogeneous":
-        t = inputs.B / z**3
-        if t == 0.0:  # B = 0, or B / Z^3 below the smallest float
-            field_term = 0.0
-        else:
-            field_term = min(
-                0.42 * t**0.4, inputs.C_universal * (1.0 + math.log(t) ** 2)
-            )
-        return base * (1.0 + 11.8 * z ** (-2.0 / 3.0) + field_term)
-    raise DomainError("magnetic_bound applies to the magnetic models")
+    return base * (1.0 + 11.8 * z ** (-2.0 / 3.0) + field_term)
 
 
 def relativistic_or_bosonic_bound(z: float, inputs: BoundInputs) -> float:
-    """Particle-count bound at charge ``z`` for the pseudo-relativistic and bosonic models."""
+    """Particle-count bound at charge ``z`` for the pseudo-relativistic and bosonic models.
+
+    The relativistic bound assumes the paper's hypothesis κ < 2/π on the
+    coupling κ = Zα (α the fine-structure constant); C_kappa is its constant.
+    """
     _check_charge(z)
     if inputs.model == "relativistic":
-        if inputs.kappa >= 2.0 / math.pi:
-            raise DomainError(
-                f"kappa = {inputs.kappa:g} must stay below 2/pi = {2.0 / math.pi:.6f}"
-            )
         return inputs.coeff * z + inputs.C_kappa * z ** (1.0 / 3.0)
-    if inputs.model == "bosonic-magnetic":
+    if inputs.model == "bosonic":
         t = inputs.B / z**2
         if t == 0.0:  # B = 0, or B / Z^2 below the smallest float
             field_term = 1.0
         else:
             field_term = min(1.0 + 4.0 * t, inputs.C_2 * math.log(t) ** 2)
         return (z / inputs.beta_lower + 3.0 * z ** (1.0 / 3.0)) * (1.0 + field_term)
-    raise DomainError("applies to the relativistic and bosonic-magnetic models")
+    raise DomainError("applies to the relativistic and bosonic models")
 
 
 def crossover_z(inputs: BoundInputs) -> int:

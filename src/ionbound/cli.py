@@ -257,15 +257,11 @@ def _g_panel(detail) -> Panel:
     )
 
 
-_MODEL_FLAGS = {"nonrel": "nonrel", "magnetic": "magnetic-homogeneous",
-                "relativistic": "relativistic", "bosonic": "bosonic-magnetic"}
-
-
 def _bounds_rows(zs: list[float], inputs: BoundInputs) -> list[list]:
     rows = []
     for z, implicit_n in zip(zs, _lib.implicit_bound(zs, inputs.beta_lower)):
         extra = ""
-        if inputs.model == "magnetic-homogeneous":
+        if inputs.model == "magnetic":
             extra = _lib.magnetic_bound(z, inputs)
         elif inputs.model != "nonrel":
             extra = _lib.relativistic_or_bosonic_bound(z, inputs)
@@ -283,10 +279,9 @@ def _bounds_job(args):
     if zs[0] <= 0:
         raise DomainError("Z must be positive")
     # one validated parameter set per table; nonrel reads only --beta and --coeff
-    model = _MODEL_FLAGS[args.model]
-    field = {} if model == "nonrel" else dict(B=args.B, C_universal=args.C, C_kappa=args.Ckappa,
-                                              C_2=args.C2)
-    inputs = _lib.BoundInputs(model=model, beta_lower=args.beta, coeff=args.coeff, **field)
+    field = {} if args.model == "nonrel" else dict(B=args.B, C_universal=args.C,
+                                                   C_kappa=args.Ckappa, C_2=args.C2)
+    inputs = _lib.BoundInputs(model=args.model, beta_lower=args.beta, coeff=args.coeff, **field)
     return lambda: _bounds_rows(zs, inputs)
 
 
@@ -378,7 +373,9 @@ BOUNDS = Stage(
     "bounds", "bounds",
     flags=(
         ("--z", dict(default="1:118", help="charge range a:b[:step]")),
-        ("--model", dict(choices=tuple(_MODEL_FLAGS), default="nonrel")),
+        # bounds.MODELS, written out: building the parser loads no layer
+        ("--model", dict(choices=("nonrel", "magnetic", "relativistic", "bosonic"),
+                         default="nonrel")),
         ("--B", dict(type=_finite, default=0.0, help="magnetic field strength")),
         ("--coeff", dict(type=_finite, default=1.22)),
         ("--beta", dict(type=_finite, default=DEFAULT_BETA_LOWER)),

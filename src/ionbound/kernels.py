@@ -53,10 +53,6 @@ class ParticleConfiguration:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
 
 @dataclass(frozen=True)
 class RatioValue:

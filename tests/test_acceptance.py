@@ -84,7 +84,7 @@ def test_criterion_03_monotonicity(alpha_sweep):
 def test_criterion_04_sandwich(alpha_sweep):
     estimates, _, _ = alpha_sweep
     ok = all(
-        alpha_sandwich(n, 0.8218).lower <= estimates[n].value <= 0.8705 + 1e-6
+        alpha_sandwich(n, 0.8218) <= estimates[n].value <= 0.8705 + 1e-6
         for n in range(2, 13)
     )
     _criterion(4, "lower bound <= estimate <= 0.8705 for N = 2..12", ok)

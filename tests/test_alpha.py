@@ -154,12 +154,12 @@ def test_sandwich_n2_formula():
     beta = 0.8218
     expected = 2.0 * (beta - 3.0 * (beta / 6.0) ** (1 / 3) * 2 ** (-2 / 3))
     bound = alpha_sandwich(2, beta)
-    assert bound.lower == pytest.approx(expected, rel=1e-14)
-    assert bound.lower < 0  # vacuous but well-defined at N = 2
+    assert bound == pytest.approx(expected, rel=1e-14)
+    assert bound < 0  # vacuous but well-defined at N = 2
 
 
 def test_sandwich_large_n_limit():
-    assert alpha_sandwich(10**6, 0.8218).lower == pytest.approx(0.8218, abs=1e-3)
+    assert alpha_sandwich(10**6, 0.8218) == pytest.approx(0.8218, abs=1e-3)
 
 
 def test_sandwich_default_r_is_maximal():
@@ -170,7 +170,7 @@ def test_sandwich_default_r_is_maximal():
     for r in np.linspace(0.01, 1.0, 100):
         assert best >= sandwich_at_r(n, beta, float(r)) - 1e-12
     # at the maximizing radius the r-family reproduces the closed form
-    assert best == pytest.approx(alpha_sandwich(n, beta).lower, rel=1e-12)
+    assert best == pytest.approx(alpha_sandwich(n, beta), rel=1e-12)
 
 
 def test_sandwich_domain_checks():
@@ -188,7 +188,7 @@ def test_monotone_and_sandwiched_small_n():
     for n in range(3, 7):
         assert values[n] >= values[n - 1] - 2e-3
     for n, v in values.items():
-        assert alpha_sandwich(n, 0.8218).lower <= v <= 0.8705 + 1e-6
+        assert alpha_sandwich(n, 0.8218) <= v <= 0.8705 + 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -184,14 +184,14 @@ def test_main_bound_monotone_and_asymptotic():
 
 def test_magnetic_homogeneous_at_field_z_cubed():
     z = 10.0
-    value = magnetic_bound(z, BoundInputs(model="magnetic-homogeneous", B=z**3, C_universal=1.0))
+    value = magnetic_bound(z, BoundInputs(model="magnetic", B=z**3, C_universal=1.0))
     base = 1.22 * z + 3 * z ** (1 / 3)
     assert value == pytest.approx(base * (1 + 11.8 * z ** (-2 / 3) + 0.42), rel=1e-12)
 
 
 def test_magnetic_homogeneous_zero_field():
     z = 100.0
-    value = magnetic_bound(z, BoundInputs(model="magnetic-homogeneous", B=0.0))
+    value = magnetic_bound(z, BoundInputs(model="magnetic", B=0.0))
     base = 1.22 * z + 3 * z ** (1 / 3)
     assert value == pytest.approx(base * (1 + 11.8 * z ** (-2 / 3)), rel=1e-14)
 
@@ -199,7 +199,7 @@ def test_magnetic_homogeneous_zero_field():
 def test_magnetic_ratio_sweep_approaches_coeff():
     ratios = []
     for z in np.geomspace(1e2, 1e8, 13):
-        inputs = BoundInputs(model="magnetic-homogeneous", B=float(z**2.5))
+        inputs = BoundInputs(model="magnetic", B=float(z**2.5))
         ratios.append(magnetic_bound(float(z), inputs) / z)
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] < 1.24
@@ -209,19 +209,10 @@ def test_magnetic_monotone_in_field():
     z = 5.0
     fields = np.geomspace(1e-3, 1e5, 60)
     vals = [
-        magnetic_bound(z, BoundInputs(model="magnetic-homogeneous", B=float(b), C_universal=0.42))
+        magnetic_bound(z, BoundInputs(model="magnetic", B=float(b), C_universal=0.42))
         for b in fields
     ]
     assert all(y >= x - 1e-12 for x, y in zip(vals, vals[1:]))
-
-
-def test_magnetic_general_needs_gap():
-    inputs = BoundInputs(model="magnetic-general", k=2.0, n_c=5.0)
-    value = magnetic_bound(3.0, inputs, energy_gap=9.0)
-    base = 1.22 * 3 + 3 * 3 ** (1 / 3)
-    assert value == pytest.approx(base * (1 + 9.0 / (5.0 * 9.0 * 1.0)), rel=1e-12)
-    with pytest.raises(DomainError, match="needs energy_gap and n_c"):
-        magnetic_bound(3.0, BoundInputs(model="magnetic-general"))
 
 
 def test_relativistic_example():
@@ -230,14 +221,9 @@ def test_relativistic_example():
     assert value == pytest.approx(72.05, abs=5e-3)
 
 
-def test_relativistic_kappa_domain():
-    with pytest.raises(DomainError, match="must stay below 2/pi"):
-        relativistic_or_bosonic_bound(50.0, BoundInputs(model="relativistic", kappa=0.7))
-
-
 def test_bosonic_weak_field_limit():
     ratios = [
-        relativistic_or_bosonic_bound(float(z), BoundInputs(model="bosonic-magnetic", B=1.0)) / z
+        relativistic_or_bosonic_bound(float(z), BoundInputs(model="bosonic", B=1.0)) / z
         for z in (1e2, 1e4, 1e6)
     ]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
@@ -257,7 +243,6 @@ def test_bound_inputs_validation():
         dict(B=-1.0),
         dict(beta_lower=math.nan),
         dict(C_2=math.nan),
-        dict(n_c=math.inf),
     ):
         with pytest.raises(DomainError):
             BoundInputs(**bad)
@@ -267,9 +252,9 @@ def test_bound_inputs_validation():
 def test_calculators_reject_a_bad_charge(z):
     calls = (
         lambda: bound_row(z, BoundInputs()),
-        lambda: magnetic_bound(z, BoundInputs(model="magnetic-homogeneous", B=1.0)),
+        lambda: magnetic_bound(z, BoundInputs(model="magnetic", B=1.0)),
         lambda: relativistic_or_bosonic_bound(z, BoundInputs(model="relativistic")),
-        lambda: relativistic_or_bosonic_bound(z, BoundInputs(model="bosonic-magnetic", B=1.0)),
+        lambda: relativistic_or_bosonic_bound(z, BoundInputs(model="bosonic", B=1.0)),
     )
     for call in calls:
         with pytest.raises(DomainError, match="Z must be positive"):

@@ -167,13 +167,13 @@ def test_bounds_magnetic_extra_column(tmp_path):
 # (flags, the per-charge function that fills model_extra, the parameters it gets)
 _MODEL_TABLES = {
     "magnetic B=0": (["--model", "magnetic", "--B", "0"], "magnetic_bound",
-                     BoundInputs(model="magnetic-homogeneous")),
+                     BoundInputs(model="magnetic")),
     "magnetic B=10": (["--model", "magnetic", "--B", "10"], "magnetic_bound",
-                      BoundInputs(model="magnetic-homogeneous", B=10.0)),
+                      BoundInputs(model="magnetic", B=10.0)),
     "bosonic B=0": (["--model", "bosonic", "--B", "0"], "relativistic_or_bosonic_bound",
-                    BoundInputs(model="bosonic-magnetic")),
+                    BoundInputs(model="bosonic")),
     "bosonic B=10": (["--model", "bosonic", "--B", "10"], "relativistic_or_bosonic_bound",
-                     BoundInputs(model="bosonic-magnetic", B=10.0)),
+                     BoundInputs(model="bosonic", B=10.0)),
     "relativistic": (["--model", "relativistic"], "relativistic_or_bosonic_bound",
                      BoundInputs(model="relativistic")),
 }
@@ -197,6 +197,13 @@ def test_model_table_matches_its_per_charge_function(tmp_path, monkeypatch, case
     assert len(rows) == 39 and calls[name] == zs and calls[other] == []
     per_charge = getattr(bounds, name)
     assert [r["model_extra"] for r in rows] == [per_charge(z, inputs) for z in zs]
+
+
+def test_model_choices_are_the_library_models():
+    # the parser spells the ids out, since building it loads no layer
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    model = next(a for a in commands.choices["bounds"]._actions if a.dest == "model")
+    assert tuple(model.choices) == bounds.MODELS
 
 
 @pytest.mark.parametrize("flags, code", [
