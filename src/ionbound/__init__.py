@@ -14,6 +14,9 @@ __version__ = "0.1.0"
 # default, so their coefficient must be at least 1/0.8218.
 DEFAULT_BETA_LOWER = 0.8218
 
+# the bounds models; here so that the CLI can list them without loading a layer
+MODELS = ("nonrel", "magnetic", "relativistic", "bosonic")
+
 _LAYERS = {
     "alpha": ("AlphaEstimate", "OptimizerSettings", "alpha_sandwich", "estimate_alpha",
               "local_minimize"),

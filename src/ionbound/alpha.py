@@ -83,10 +83,7 @@ class LocalMinimizeResult(NamedTuple):
 
 
 def _normalized(points: np.ndarray) -> np.ndarray:
-    total = float(_norms(points).sum())
-    if total == 0.0:
-        raise DomainError("cannot normalize: all points at the origin")
-    return points * (points.shape[0] / total)
+    return points * (points.shape[0] / float(_norms(points).sum()))
 
 
 def _evaluate_trial(points: np.ndarray):

@@ -66,19 +66,12 @@ class RadialMeasure:
         object.__setattr__(self, "weights", weights)
 
 
-@dataclass(frozen=True)
-class LambdaPoint:
+class LambdaPoint(NamedTuple):
     """One evaluation of the scalar reduction: lambda, its companion lambda', and g."""
 
     lam: float
     lambda_prime: float
     g: float
-
-    def __post_init__(self):
-        if self.lambda_prime > self.lam + 1e-12:
-            raise DomainError("lambda_prime must not exceed lambda")
-        if abs(self.residual()) >= 1e-10:
-            raise DomainError("lambda_prime does not satisfy its defining equation")
 
     def residual(self) -> float:
         """Defining-equation residual (lam - lam') - 2 sqrt((2/3) lam' (1-lam)) - 2 sqrt(lam (1-lam))."""
@@ -113,13 +106,11 @@ def g_of_lambda(lam: float) -> LambdaPoint:
     """Evaluate the closed-form companion lambda' and g = lambda - lambda'.
 
     Only defined on [0.8, 1], where the defining equation has the closed-form
-    solution used here.
+    solution used here and its radicand rises from 2/15 at lambda = 0.8.
     """
     if not LAMBDA_DOMAIN[0] <= lam <= LAMBDA_DOMAIN[1]:
         raise DomainError("lambda must lie in [0.8, 1]")
     radicand = (lam + 2.0) / 3.0 - 2.0 * math.sqrt(lam * (1.0 - lam))
-    if radicand < 0:
-        raise DomainError(f"radicand {radicand:g} negative at lambda={lam:g}")
     lambda_prime = (math.sqrt(radicand) - math.sqrt((2.0 / 3.0) * (1.0 - lam))) ** 2
     return LambdaPoint(lam=lam, lambda_prime=lambda_prime, g=lam - lambda_prime)
 

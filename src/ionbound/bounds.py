@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import DEFAULT_BETA_LOWER
+from . import DEFAULT_BETA_LOWER, MODELS
 from .errors import DomainError, IonboundError
-
-MODELS = ("nonrel", "magnetic", "relativistic", "bosonic")
 
 # Kinetic-correction coefficient of the exclusion lemma, conservative by
 # construction relative to the exact constant chain below.
@@ -116,8 +114,8 @@ def _beta1(beta: float) -> float:
     return 3.0 * (beta / 6.0) ** (1.0 / 3.0)
 
 
-# Newton steps per row.  5 suffice on a 1:118:0.01 table and 6 on charges from
-# 1e-300 to 1e300 (beta 0.5 to 0.999); the cap ends a row whose bracket overflowed.
+# Newton steps per row, a safety net: charges 1e-300 to 1e300 and the
+# 1:118:0.01 table take at most 7 at beta from 1e-300 to 1 - 2^-52.
 _NEWTON_CAP = 100
 
 
@@ -128,9 +126,9 @@ def implicit_bound(z, beta: float) -> list[float]:
     Each row starts from [max(2, Z/beta), 2 max(2, Z/beta)] and doubles its
     upper end until the left side exceeds Z.  Newton's method then runs from
     that upper end and keeps the bracket: a step that would leave it is
-    replaced by bisection.  A Newton step below 1e-9 relative ends the row;
-    convergence is quadratic, so the point it lands on is good to rounding.
-    A row whose bracket overflows the floats gets inf.
+    replaced by bisection.  The row ends at a Newton step below 1e-9 relative
+    (convergence is quadratic, so that point is good to rounding) or at a
+    bisection that cannot move the point; an overflowed bracket gives inf.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta_lower must lie in (0, 1)")
@@ -144,13 +142,11 @@ def implicit_bound(z, beta: float) -> list[float]:
             raise DomainError("Z must be positive and finite")
         lo = max(2.0, charge / beta)
         hi = 2.0 * lo
-        for _ in range(200):
+        while True:  # ends by hi = inf at the latest, where the left side is inf
             u = hi ** (-2.0 / 3.0)
             if hi * (beta - beta1 * u) / (1.0 + KINETIC_COEFF * u) > charge:
                 break
             hi *= 2.0
-        else:
-            raise IonboundError("could not bracket the implicit bound")
         x = hi
         for _ in range(_NEWTON_CAP):
             u = x ** (-2.0 / 3.0)
@@ -160,7 +156,10 @@ def implicit_bound(z, beta: float) -> list[float]:
             lo, hi = (x, hi) if excess < 0.0 else (lo, x)
             step = excess / (a + curve * u / (d * d))
             if not lo <= x - step <= hi:  # also a nan step, at an overflowed hi
-                x = 0.5 * (lo + hi)
+                mid = 0.5 * (lo + hi)
+                if mid == x:  # the bracket is one float wide, or [lo, inf] at x = inf
+                    break
+                x = mid
                 continue
             x -= step
             if abs(step) <= 1e-9 * x:

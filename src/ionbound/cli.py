@@ -20,7 +20,7 @@ import tempfile
 import time
 from typing import Callable, NamedTuple, Optional
 
-from . import DEFAULT_BETA_LOWER, __version__, _lazy_names
+from . import DEFAULT_BETA_LOWER, MODELS, __version__, _lazy_names
 from .errors import DomainError, IonboundError
 
 # The library names the stages use, by layer.  Stage code reads each one as
@@ -373,9 +373,7 @@ BOUNDS = Stage(
     "bounds", "bounds",
     flags=(
         ("--z", dict(default="1:118", help="charge range a:b[:step]")),
-        # bounds.MODELS, written out: building the parser loads no layer
-        ("--model", dict(choices=("nonrel", "magnetic", "relativistic", "bosonic"),
-                         default="nonrel")),
+        ("--model", dict(choices=MODELS, default="nonrel")),
         ("--B", dict(type=_finite, default=0.0, help="magnetic field strength")),
         ("--coeff", dict(type=_finite, default=1.22)),
         ("--beta", dict(type=_finite, default=DEFAULT_BETA_LOWER)),

@@ -135,8 +135,6 @@ def ratio_value(config: ParticleConfiguration) -> RatioValue:
     Invariant under scaling, rotation, and relabelling of the points.
     """
     energy, normalizer = _energy_normalizer(config.points)
-    if normalizer == 0.0:
-        raise DomainError("all points at the origin")
     return RatioValue(energy=energy, normalizer=normalizer, ratio=energy / normalizer)
 
 

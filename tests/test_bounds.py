@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ionbound import bounds
 from ionbound.bounds import (
     KINETIC_COEFF,
     BoundInputs,
@@ -116,16 +117,19 @@ def _implicit_charges(beta: float) -> list[float]:
     return [float(z) for z in zs]
 
 
+def _mp_excess(mpmath, n, z: float, beta: float):
+    """The left side minus Z at n, in mpmath at its working precision."""
+    n, b = mpmath.mpf(n), mpmath.mpf(beta)
+    u = n ** (mpmath.mpf(-2) / 3)
+    return n * (b - 3 * mpmath.cbrt(b / 6) * u) / (1 + mpmath.mpf(KINETIC_COEFF) * u) - z
+
+
 @pytest.mark.parametrize("beta", [0.8218, 0.95])
 def test_implicit_bound_is_within_4_ulps_of_the_root(beta):
     mpmath = pytest.importorskip("mpmath")
 
     def excess_sign(n: float, z: float) -> int:
-        """Sign of the left side minus Z at the float n, in 60-digit arithmetic."""
-        n, b = mpmath.mpf(n), mpmath.mpf(beta)
-        u = n ** (mpmath.mpf(-2) / 3)
-        return int(mpmath.sign(n * (b - 3 * mpmath.cbrt(b / 6) * u)
-                               / (1 + mpmath.mpf(KINETIC_COEFF) * u) - z))
+        return int(mpmath.sign(_mp_excess(mpmath, n, z, beta)))
 
     zs = _implicit_charges(beta)
     roots = implicit_bound(zs, beta)
@@ -146,6 +150,31 @@ def test_implicit_bound_is_within_1e_9_of_the_scalar_bisection(beta):
     for z in (0.5, 30.5, 1e6):
         row = bound_row(z, BoundInputs(beta_lower=beta, coeff=1 / beta))
         assert row.implicit_n == implicit_bound([z], beta)[0]
+
+
+def test_implicit_bound_at_a_tiny_beta_is_within_1e_12_of_an_mpmath_bisection():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for beta in (1e-300, 1e-200, 1e-100):
+            zs = [1e-300, 1.0]
+            for z, n in zip(zs, implicit_bound(zs, beta)):
+                lo = hi = mpmath.mpf(2)
+                while _mp_excess(mpmath, hi, z, beta) <= 0:
+                    lo, hi = hi, 2 * hi
+                for _ in range(80):  # geometric bisection of [hi / 2, hi]
+                    mid = mpmath.sqrt(lo * hi)
+                    lo, hi = (mid, hi) if _mp_excess(mpmath, mid, z, beta) < 0 else (lo, mid)
+                assert n == pytest.approx(float(hi), rel=1e-12, abs=0.0), (z, beta)
+    # where Z / beta overflows, the bracket starts at inf and the row gets inf
+    assert implicit_bound([1e25], 1e-300) == [math.inf]
+
+
+def test_implicit_bound_does_not_depend_on_the_newton_cap(monkeypatch):
+    zs = [10.0 ** k for k in range(-300, 301, 25)] + [1.0 + 0.37 * i for i in range(318)]
+    betas = (1e-300, 1e-100, 1e-10, 0.5, 0.8218, 1.0 - 2.0**-52)
+    at_100 = [implicit_bound(zs, beta) for beta in betas]
+    monkeypatch.setattr(bounds, "_NEWTON_CAP", 8)
+    assert [implicit_bound(zs, beta) for beta in betas] == at_100
 
 
 def test_implicit_bound_rejects_bad_inputs():

@@ -200,7 +200,7 @@ def test_model_table_matches_its_per_charge_function(tmp_path, monkeypatch, case
 
 
 def test_model_choices_are_the_library_models():
-    # the parser spells the ids out, since building it loads no layer
+    # the parser reads the ids from the package, since building it loads no layer
     commands = next(a for a in build_parser()._actions if a.dest == "command")
     model = next(a for a in commands.choices["bounds"]._actions if a.dest == "model")
     assert tuple(model.choices) == bounds.MODELS
@@ -219,6 +219,9 @@ def test_model_choices_are_the_library_models():
     ("--z 1e308:1e308 --format json", 1),
     ("--z 1e308:1e308", 1),
     ("--model relativistic --Ckappa 1e300 --z 1e300:1e300", 1),
+    ("--beta 1.5", 1),
+    # a root near 2.1e300: the bracket doubles about 1000 times from max(2, Z/beta)
+    ("--beta 1e-300 --coeff 1e300 --z 1e-300:1e-300", 0),
 ])
 def test_bounds_checks_the_parameters_its_model_reads(tmp_path, capsys, flags, code):
     out = tmp_path / "b.csv"
@@ -263,7 +266,8 @@ def test_report_rejects_nonpositive_z_before_any_stage(tmp_path, capsys, monkeyp
     "args",
     [["alpha", "--n", "100000:100000", "--restarts", "1"], ["alpha", "--n", "2:1001"],
      ["alpha", "--n", "2:2", "--restarts", "1000000000000"],
-     ["report", "--n", "2:100000"], ["report", "--restarts", "1000001"]],
+     ["report", "--n", "2:100000"], ["report", "--restarts", "1000001"],
+     ["alpha", "--n", "2:2", "--restarts", "1", "--tol", "0"]],
     ids=" ".join,
 )
 def test_oversized_alpha_input_is_a_one_line_domain_error(tmp_path, capsys, monkeypatch, args):
@@ -311,6 +315,8 @@ def test_verify_lemma4_exits_2(tmp_path):
     # at the default --grid-beta 1 too, where only lo is used
     "--beta-range 0.9:5",
     "--beta-range 0.9:0.85",
+    "--grid-z 0",
+    "--grid-beta 0",
 ])
 def test_oversized_verify_grid_is_a_one_line_domain_error(tmp_path, capsys, monkeypatch, flags):
     def lemma_ran(*_):
@@ -528,10 +534,14 @@ def test_out_of_domain_beta_nodes_are_a_one_line_domain_error(tmp_path, capsys, 
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("node_range", ["1:1e100", "1e-50:1e50"])
-def test_beta_at_the_widest_node_span_runs_without_warnings(tmp_path, node_range):
+@pytest.mark.parametrize("flags", [
+    pytest.param("--range 1:1e100 --nodes 50", id="1:1e100"),
+    pytest.param("--range 1e-50:1e50 --nodes 50", id="1e-50:1e50"),
+    pytest.param("--nodes 1", id="one-node"),  # the grid is the one node sqrt(lo hi)
+])
+def test_beta_at_the_widest_node_span_runs_without_warnings(tmp_path, flags):
     out = tmp_path / "beta.json"
-    assert run_cli(["beta", "--range", node_range, "--nodes", "50", "--out", str(out)]) == 0
+    assert run_cli(["beta", *flags.split(), "--out", str(out)]) == 0
     beta = json.loads(out.read_text())["results"]["beta"]
     assert beta["lower"] <= beta["upper"]
 
