@@ -3,7 +3,7 @@ ionization bound tables built on them.
 
 The public names below are loaded from their layer on first access, so
 importing the package (or only the CLI) imports no layer and no numpy.  The
-CLI binds the same hook, with its own table.
+CLI binds the same hook to the same table.
 """
 
 import importlib
@@ -18,14 +18,15 @@ DEFAULT_BETA_LOWER = 0.8218
 MODELS = ("nonrel", "magnetic", "relativistic", "bosonic")
 
 _LAYERS = {
-    "alpha": ("AlphaEstimate", "OptimizerSettings", "alpha_sandwich", "estimate_alpha",
-              "local_minimize"),
-    "beta": ("BetaBracket", "BetaSettings", "RadialMeasure", "g_of_lambda", "maximize_g",
-             "minimize_radial_ratio", "radial_ratio", "w_maximin"),
+    "alpha": ("AlphaEstimate", "MAX_POINT_COUNT", "OptimizerSettings", "alpha_sandwich",
+              "estimate_alpha", "local_minimize"),
+    "beta": ("BetaBracket", "BetaSettings", "RadialMeasure", "bracket_detail", "default_nodes",
+             "g_of_lambda", "maximize_g", "minimize_radial_ratio", "radial_ratio", "w_maximin"),
     "bounds": ("BoundInputs", "PhysicalConstants", "bound_row", "crossover_z",
                "derived_constants", "implicit_bound", "magnetic_bound",
                "relativistic_or_bosonic_bound"),
     "lemmas": ("LemmaGrid", "LemmaReport", "verify_lemma"),
+    "plots": ("Band", "Panel", "Series", "render_svg"),
     "kernels": ("ParticleConfiguration", "RatioValue", "radial_kernel_triple", "ratio_gradient",
                 "ratio_value", "sphere_average_dipole", "sphere_average_inverse_distance",
                 "w_lambda_reduced"),

@@ -72,7 +72,7 @@ class AlphaEstimate:
     restarts_used: int
     converged_restarts: int
     # iterations_total, iterations_max, evaluations_total, cap_hits, basin_hits
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 class LocalMinimizeResult(NamedTuple):

@@ -3,9 +3,9 @@ the implicit particle-count bound.
 
 All calculators are total on their stated domains and deterministic, and the
 module is pure Python: a bounds table never imports numpy.  The implicit bound
-(``implicit_N`` of the bounds table) is solved row by row by a safeguarded
-Newton iteration, to within a few ulps of the root.  The grid verifiers of the
-supporting inequalities live in ``lemmas``.
+(``implicit_N`` of the bounds table) is solved row by row by a Newton
+iteration on a convex function, to within a few ulps of the root.  The grid
+verifiers of the supporting inequalities live in ``lemmas``.
 """
 
 from __future__ import annotations
@@ -114,21 +114,24 @@ def _beta1(beta: float) -> float:
     return 3.0 * (beta / 6.0) ** (1.0 / 3.0)
 
 
-# Newton steps per row, a safety net: charges 1e-300 to 1e300 and the
-# 1:118:0.01 table take at most 7 at beta from 1e-300 to 1 - 2^-52.
+# Newton steps per row, a safety net: the iteration is monotone (see
+# implicit_bound), and charges 1e-300 to 1e300 and the 1:118:0.01 table take
+# at most 7 at beta from 1e-300 to 1 - 2^-52.
 _NEWTON_CAP = 100
 
 
 def implicit_bound(z, beta: float) -> list[float]:
     """Implicit particle-count bound for every charge of ``z``: the root N of
-    N (beta - beta1 N^(-2/3)) / (1 + 0.68 N^(-2/3)) = Z, to within a few ulps.
+    F(N) = N (beta - beta1 N^(-2/3)) / (1 + 0.68 N^(-2/3)) = Z, to within a few ulps.
 
-    Each row starts from [max(2, Z/beta), 2 max(2, Z/beta)] and doubles its
-    upper end until the left side exceeds Z.  Newton's method then runs from
-    that upper end and keeps the bracket: a step that would leave it is
-    replaced by bisection.  The row ends at a Newton step below 1e-9 relative
-    (convergence is quadratic, so that point is good to rounding) or at a
-    bisection that cannot move the point; an overflowed bracket gives inf.
+    With s = N^(1/3) and c = 0.68, F''(N) = curve (5c + s^2) / (3 s (c + s^2)^3),
+    and curve > 0, so F is strictly convex on N > 0.  F tends to 0 from below
+    as N -> 0, so F >= Z > 0 exactly on [root, inf).  Each row starts at
+    2 max(2, Z/beta) and doubles until F exceeds Z; from there, by convexity,
+    Newton's method falls monotonically to the root and never leaves [root,
+    start].  The row ends at a step below 1e-9 relative (convergence is
+    quadratic, so that point is good to rounding); a start that overflowed to
+    inf gives an infinite step, and the row stays inf.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta_lower must lie in (0, 1)")
@@ -140,27 +143,19 @@ def implicit_bound(z, beta: float) -> list[float]:
     for charge in map(float, z):
         if not 0.0 < charge < math.inf:
             raise DomainError("Z must be positive and finite")
-        lo = max(2.0, charge / beta)
-        hi = 2.0 * lo
-        while True:  # ends by hi = inf at the latest, where the left side is inf
-            u = hi ** (-2.0 / 3.0)
-            if hi * (beta - beta1 * u) / (1.0 + KINETIC_COEFF * u) > charge:
+        x = 2.0 * max(2.0, charge / beta)
+        while True:  # ends by x = inf at the latest, where the left side is inf
+            u = x ** (-2.0 / 3.0)
+            if x * (beta - beta1 * u) / (1.0 + KINETIC_COEFF * u) > charge:
                 break
-            hi *= 2.0
-        x = hi
+            x *= 2.0
         for _ in range(_NEWTON_CAP):
             u = x ** (-2.0 / 3.0)
             d = 1.0 + KINETIC_COEFF * u
             a = (beta - beta1 * u) / d
-            excess = x * a - charge
-            lo, hi = (x, hi) if excess < 0.0 else (lo, x)
-            step = excess / (a + curve * u / (d * d))
-            if not lo <= x - step <= hi:  # also a nan step, at an overflowed hi
-                mid = 0.5 * (lo + hi)
-                if mid == x:  # the bracket is one float wide, or [lo, inf] at x = inf
-                    break
-                x = mid
-                continue
+            step = (x * a - charge) / (a + curve * u / (d * d))
+            if not math.isfinite(step):  # x = inf
+                break
             x -= step
             if abs(step) <= 1e-9 * x:
                 break

@@ -20,23 +20,15 @@ import tempfile
 import time
 from typing import Callable, NamedTuple, Optional
 
-from . import DEFAULT_BETA_LOWER, MODELS, __version__, _lazy_names
+from . import _LAYERS, DEFAULT_BETA_LOWER, MODELS, __version__, _lazy_names
 from .errors import DomainError, IonboundError
 
-# The library names the stages use, by layer.  Stage code reads each one as
-# _lib.<name>, and the first read imports its layer, so a call loads only the
-# layers it touches: --version, --help and malformed flags return before numpy
-# loads, bounds (pure Python) never loads it, and plots loads only when an SVG
-# is written.  A name rebound on this module is what the stages call.
-__getattr__ = _lazy_names(globals(), {
-    "alpha": ("MAX_POINT_COUNT", "OptimizerSettings", "estimate_alpha"),
-    "beta": ("BetaSettings", "bracket_detail", "default_nodes", "g_of_lambda"),
-    # bound_row is not called here, but bench/tracing.py spans cli.bound_row by name
-    "bounds": ("BoundInputs", "bound_row", "implicit_bound", "magnetic_bound",
-               "relativistic_or_bosonic_bound"),
-    "lemmas": ("LemmaGrid", "verify_lemma"),
-    "plots": ("Band", "Panel", "Series", "render_svg"),
-})
+# The package's public names, on the package's table.  Stage code reads each
+# one as _lib.<name>, and the first read imports its layer, so a call loads
+# only the layers it touches: --version, --help and malformed flags return
+# before numpy loads, bounds (pure Python) never loads it, and plots loads only
+# when an SVG is written.  A name rebound on this module is what the stages call.
+__getattr__ = _lazy_names(globals(), _LAYERS)
 _lib = sys.modules[__name__]  # this module, also when it runs as __main__
 
 
@@ -309,11 +301,10 @@ _LEMMA_FLAGS = {
 
 
 def _verify_grid(args) -> LemmaGrid:
-    lo, hi = _parse_pair(args.beta_range)
-    axes = dict(z_points=args.grid_z, ratio_points=args.grid_ratio, beta_points=args.grid_beta,
-                n_above=args.n_above, real_n=args.real_n)
-    _lib.LemmaGrid(beta_range=(lo, hi), **axes)  # checks the whole range at every --grid-beta
-    return _lib.LemmaGrid(beta_range=(lo, hi) if args.grid_beta > 1 else (lo, lo), **axes)
+    beta_range = _parse_pair(args.beta_range)  # parsed before the lemmas layer loads
+    return _lib.LemmaGrid(z_points=args.grid_z, ratio_points=args.grid_ratio,
+                          beta_points=args.grid_beta, beta_range=beta_range,
+                          n_above=args.n_above, real_n=args.real_n)
 
 
 def _verify_job(args):
@@ -420,7 +411,6 @@ REPORT_CHECK = Stage("verify", "lemmas", flags=(), params=_echo(), prepare=_repo
 
 _SHARED_FLAGS = (
     ("--out", dict(default=None, help="output file path")),
-    ("--format", dict(choices=("csv", "json", "svg"), help="output format")),
     ("--timings", dict(
         action="store_true",
         help="embed real wall-clock timings in JSON (breaks byte reproducibility)",
@@ -431,8 +421,8 @@ _SHARED_FLAGS = (
 class Command(NamedTuple):
     help: str
     stages: tuple  # run in order; their flags and config echo are concatenated
-    csv: Optional[Stage]  # the stage whose CSV --format csv writes; JSON if None
-    panels: tuple  # the stages whose panels --format svg draws; JSON if empty
+    csv: Optional[Stage]  # the stage whose CSV --format csv writes; no csv format if None
+    panels: tuple  # the stages whose panels --format svg draws; no svg format if empty
     defaults: dict  # --format default, and overrides of the stages' flag defaults
 
 
@@ -475,9 +465,9 @@ def _payload(args, results: dict, timings: dict) -> dict:
 
 def _render(args, results: dict, timings: dict) -> str:
     command = _COMMANDS[args.command]
-    if args.format == "csv" and command.csv is not None:
+    if args.format == "csv":
         return command.csv.csv(results[command.csv.key], args)
-    if args.format == "svg" and command.panels:
+    if args.format == "svg":
         return _lib.render_svg([stage.panel(results[stage.key]) for stage in command.panels])
     return _json_text(_payload(args, results, timings))
 
@@ -509,6 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
         flags = dict(flag for stage in command.stages for flag in stage.flags)
         for flag, options in (*flags.items(), *_SHARED_FLAGS):
             p.add_argument(flag, **options)
+        formats = ("csv",) * (command.csv is not None) + ("json",) + ("svg",) * bool(command.panels)
+        p.add_argument("--format", choices=formats, help="output format")
         p.set_defaults(**command.defaults)
     return parser
 

@@ -12,6 +12,6 @@ class DomainError(IonboundError, ValueError):
 class IterationLimitError(IonboundError):
     """An iterative solver hit its iteration cap; carries the best iterate found."""
 
-    def __init__(self, message, best=None):
+    def __init__(self, message, best):
         super().__init__(message)
         self.best = best

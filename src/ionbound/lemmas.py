@@ -82,13 +82,15 @@ class LemmaGrid:
         return np.geomspace(*_Z_RANGE, self.z_points)
 
     def as_dict(self) -> dict:
+        """The grid as evaluated: at one beta point the range echoes as [lo, lo]."""
+        lo, hi = self.beta_range
         return {
             "z_points": self.z_points,
             "z_range": list(_Z_RANGE),
             "ratio_points": self.ratio_points,
             "ratio_range": list(_RATIO_RANGE),
             "beta_points": self.beta_points,
-            "beta_range": list(self.beta_range),
+            "beta_range": [lo, hi if self.beta_points > 1 else lo],
             "n_above": self.n_above,
             "real_n": self.real_n,
         }

@@ -455,6 +455,8 @@ def test_lemma4_margin_positive_for_large_charges():
 def test_lemma_grid_validation():
     with pytest.raises(DomainError):
         LemmaGrid(beta_range=(0.8, 0.9))
+    # one beta point evaluates lo alone, and the echo says so
+    assert LemmaGrid(beta_range=(0.8218, 0.99)).as_dict()["beta_range"] == [0.8218, 0.8218]
     with pytest.raises(DomainError):
         verify_lemma("bogus")
     for bad in (

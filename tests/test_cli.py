@@ -507,6 +507,8 @@ def test_empty_lemma_list_serializes_to_empty_array():
         ["bounds", "--z", "1:2000000"],
         ["bounds", "--z", "1:2:3:4"],
         ["beta", "--range", "1:2:3"],
+        ["verify", "--lemma", "lemma3", "--format", "csv"],  # verify writes JSON only
+        ["verify", "--lemma", "lemma3", "--format", "svg"],
     ],
     ids=" ".join,
 )
@@ -643,6 +645,8 @@ def test_every_public_name_resolves_lazily():
     assert proc.stdout.strip() == "[]"
     with pytest.raises(AttributeError):
         ionbound.no_such_name
+    # the CLI binds the package's table: each public name is the package's object
+    assert [n for n in ionbound.__all__ if getattr(cli, n) is not getattr(ionbound, n)] == []
 
 
 def test_process_exit_writes_what_main_writes(tmp_path):
