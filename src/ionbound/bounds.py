@@ -170,10 +170,9 @@ def _check_charge(z: float) -> None:
 
 def bound_row(z: float, inputs: BoundInputs) -> BoundRow:
     """Classical bound 2Z+1, closed-form bound coeff*Z + 3 Z^(1/3), and the
-    implicit particle-count bound of ``implicit_bound``, at charge ``z``.
+    implicit particle-count bound of ``implicit_bound``, at charge ``z``, for
+    every model: one ``BoundInputs`` serves this and its model's calculator.
     """
-    if inputs.model != "nonrel":
-        raise DomainError("bound_row applies to the nonrel model")
     _check_charge(z)
     return BoundRow(
         lieb=2.0 * z + 1.0,

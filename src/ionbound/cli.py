@@ -401,8 +401,7 @@ VERIFY = Stage(
 )
 
 def _report_check_job(args):
-    grid = _lib.LemmaGrid()
-    return lambda: [_lib.verify_lemma(lemma, grid) for lemma in ("lemma3", "cubic-signs")]
+    return lambda: [_lib.verify_lemma(lemma) for lemma in ("lemma3", "cubic-signs")]
 
 
 # report's fixed lemma check: the lemmas that pass as printed, at the default grid
@@ -473,6 +472,8 @@ def _render(args, results: dict, timings: dict) -> str:
 
 
 def _run(args) -> int:
+    if args.timings and args.format != "json":
+        raise UsageError(f"ionbound {args.command}: --timings applies to --format json only")
     stages = _COMMANDS[args.command].stages
     jobs = [stage.prepare(args) for stage in stages]
     results, timings = {}, {}

@@ -33,7 +33,7 @@ class LemmaReport:
     min_margin: float
     passed: bool
     witness: tuple
-    out_of_hypothesis: int = 0
+    out_of_hypothesis: int
 
 
 # fixed geometric spans of the Z and N/Z axes; N/Z stays below 7/3, the lemma3 hypothesis
@@ -96,15 +96,15 @@ class LemmaGrid:
         }
 
 
-# Each margin factory takes the grid, builds what every beta shares, and returns a
-# function that maps beta to the margins at that beta, the witness of an index
-# into them, and the count of out-of-hypothesis failures.
+# Each margin generator builds what every beta shares once, then yields blocks over
+# one or more betas: the margins, the witness of an index into them and the count of
+# out-of-hypothesis failures.  The next block may overwrite a block's arrays.
 
 def _lemma3_margins(grid: LemmaGrid):
     """Margin of the closed-form bound over min(N, implicit branch) on a (Z, N/Z) grid.
 
     The beta-independent arrays are built once; each beta then writes into two
-    work arrays, so the margins it returns are overwritten by the next call.
+    work arrays, so the margins of one block are overwritten by the next.
     """
     z = grid.zs()[:, None]
     nn = z * np.geomspace(*_RATIO_RANGE, grid.ratio_points)
@@ -113,17 +113,14 @@ def _lemma3_margins(grid: LemmaGrid):
     cube_root_term = 3.0 * z ** (1.0 / 3.0)
     denom, margins = np.empty_like(nn), np.empty_like(nn)
     positive = np.empty(nn.shape, dtype=bool)
-
-    def margins_at(beta: float):
+    for beta in map(float, grid.betas()):
         np.subtract(beta, np.multiply(_beta1(beta), u, out=denom), out=denom)
         np.greater(denom, 0.0, out=positive)
         margins.fill(np.inf)  # the implicit branch, infinite where denom <= 0
         np.divide(numerator, denom, out=margins, where=positive)
         np.minimum(nn, margins, out=margins)
         np.subtract((1.0 / beta) * z + cube_root_term, margins, out=margins)
-        return margins, lambda i: (float(z[i[0], 0]), float(nn[i]), beta), 0
-
-    return margins_at
+        yield margins, lambda i: (float(z[i[0], 0]), float(nn[i]), beta), 0
 
 
 def _lemma4_margin(n, z, beta: float):
@@ -141,33 +138,36 @@ def _lemma4_margins(grid: LemmaGrid):
     """Margins at the first n_above integers N past the threshold of each Z; with
     ``real_n``, failures at non-integer N there are counted as out-of-hypothesis."""
     z = grid.zs()[:, None]
-
-    def margins_at(beta: float):
+    for beta in map(float, grid.betas()):
         threshold = lemma4_threshold(z[:, 0], beta)
         ints = np.ceil(threshold)[:, None] + np.arange(grid.n_above, dtype=float)
         outside = 0
         if grid.real_n:
             reals = np.linspace(threshold, threshold + grid.n_above, 4 * grid.n_above + 1, axis=1)
             outside = int(np.sum((_lemma4_margin(reals, z, beta) <= 0) & (reals != np.round(reals))))
-        return _lemma4_margin(ints, z, beta), lambda i: (float(z[i[0], 0]), float(ints[i]), beta), outside
-
-    return margins_at
+        yield _lemma4_margin(ints, z, beta), lambda i: (float(z[i[0], 0]), float(ints[i]), beta), outside
 
 
 _CUBIC_CHECKS = ("h(0) > 0", "h(beta^(-1/3)) < 0", "h((7/3)^(1/3)) < 0")
+# betas per cubic-signs block: larger blocks ran no faster and held more memory
+_CUBIC_BLOCK = 1024
 
 
-def _cubic_sign_margins(beta: float):
-    """h(x) = 0.68 - 3 beta x^2 + beta1 x^3 at 0, and -h at beta^(-1/3) and (7/3)^(1/3)."""
-    x = np.array([0.0, beta ** (-1.0 / 3.0), (7.0 / 3.0) ** (1.0 / 3.0)])
-    margins = np.array([1.0, -1.0, -1.0]) * (KINETIC_COEFF - 3.0 * beta * x**2 + _beta1(beta) * x**3)
-    return margins, lambda i: (beta, _CUBIC_CHECKS[i[0]]), 0
+def _cubic_sign_margins(grid: LemmaGrid):
+    """h(x) = 0.68 - 3 beta x^2 + beta1 x^3 at 0, and -h at beta^(-1/3) and (7/3)^(1/3),
+    as one row of three margins per beta."""
+    for block in np.split(grid.betas(), range(_CUBIC_BLOCK, grid.beta_points, _CUBIC_BLOCK)):
+        # beta^(-1/3) and beta1 in Python floats: numpy's power is not known to round alike
+        x = np.array([(0.0, b ** (-1.0 / 3.0), (7.0 / 3.0) ** (1.0 / 3.0)) for b in block.tolist()])
+        beta1 = np.array([_beta1(b) for b in block.tolist()])[:, None]
+        h = KINETIC_COEFF - 3.0 * block[:, None] * x**2 + beta1 * x**3
+        yield np.array([1.0, -1.0, -1.0]) * h, lambda i: (float(block[i[0]]), _CUBIC_CHECKS[i[1]]), 0
 
 
 _MARGINS = {
     "lemma3": _lemma3_margins,
     "lemma4": _lemma4_margins,
-    "cubic-signs": lambda grid: _cubic_sign_margins,
+    "cubic-signs": _cubic_sign_margins,
 }
 
 
@@ -182,14 +182,13 @@ def verify_lemma(lemma: str, grid: LemmaGrid = LemmaGrid()) -> LemmaReport:
     positive at 0 and negative at beta^(-1/3) and (7/3)^(1/3).  The grid's
     beta-independent arrays are built once per call and shared by every
     beta.  The witness is the first minimum in C order (the smallest Z, then
-    the smallest N) at the first beta that attains it.
+    the smallest N; for cubic-signs the first check) at the first beta that
+    attains it.
     """
     if lemma not in _MARGINS:
         raise DomainError(f"unknown lemma id {lemma!r}")
-    margins_at = _MARGINS[lemma](grid)
     min_margin, witness, out_of_hypothesis = math.inf, (), 0
-    for beta in grid.betas():
-        margins, witness_at, outside = margins_at(float(beta))
+    for margins, witness_at, outside in _MARGINS[lemma](grid):
         i = np.unravel_index(int(np.argmin(margins)), margins.shape)
         if margins[i] < min_margin:
             min_margin, witness = float(margins[i]), witness_at(i)

@@ -176,6 +176,8 @@ def test_sandwich_default_r_is_maximal():
 def test_sandwich_domain_checks():
     with pytest.raises(DomainError):
         alpha_sandwich(5, 1.5)
+    with pytest.raises(DomainError, match="n must be >= 2"):
+        alpha_sandwich(1, 0.8218)
 
 
 # ---------------------------------------------------------------------------

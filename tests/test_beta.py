@@ -189,6 +189,10 @@ def test_radial_measure_invariants():
         RadialMeasure([1.0, 2.0], [0.6, 0.6])
     with pytest.raises(DomainError):
         RadialMeasure([-1.0, 2.0], [0.5, 0.5])
+    with pytest.raises(DomainError, match="matching non-empty"):
+        RadialMeasure([1.0, 2.0], [1.0])
+    with pytest.raises(DomainError, match="non-negative"):
+        RadialMeasure([1.0, 2.0], [1.5, -0.5])
 
 
 def test_trial_measure_analytic_value():

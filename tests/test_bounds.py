@@ -18,9 +18,12 @@ from ionbound.bounds import (
 )
 from ionbound.errors import DomainError, IonboundError
 from ionbound.lemmas import (
+    _CUBIC_BLOCK,
+    _CUBIC_CHECKS,
     _RATIO_RANGE,
     LemmaGrid,
     LemmaReport,
+    _cubic_sign_margins,
     _lemma3_margins,
     _lemma4_margin,
     lemma4_threshold,
@@ -275,6 +278,11 @@ def test_bound_inputs_validation():
     ):
         with pytest.raises(DomainError):
             BoundInputs(**bad)
+    # a model's calculator rejects the inputs of another model
+    with pytest.raises(DomainError, match="magnetic model"):
+        magnetic_bound(1.0, BoundInputs())
+    with pytest.raises(DomainError, match="relativistic and bosonic"):
+        relativistic_or_bosonic_bound(1.0, BoundInputs(model="magnetic"))
 
 
 @pytest.mark.parametrize("z", [-1.0, 0.0, math.nan, math.inf])
@@ -354,17 +362,18 @@ def _lemma3_meshgrid(grid: LemmaGrid, beta: float):
 def test_lemma3_matches_the_meshgrid_oracle_at_every_beta():
     # a non-square grid, so that a swap of the Z and N/Z axes cannot pass
     grid = LemmaGrid(z_points=37, ratio_points=53, beta_points=5, beta_range=(0.8218, 0.99))
-    margins_at = _lemma3_margins(grid)
+    blocks = _lemma3_margins(grid)
     min_margin, witness = math.inf, ()
     for beta in map(float, grid.betas()):
         expected, zz, nn = _lemma3_meshgrid(grid, beta)
-        margins, witness_at, outside = margins_at(beta)
+        margins, witness_at, outside = next(blocks)
         assert margins.shape == (37, 53) and outside == 0
         np.testing.assert_array_equal(margins, expected)
         i = np.unravel_index(int(np.argmin(expected)), expected.shape)
         assert witness_at(i) == (float(zz[i]), float(nn[i]), beta)
         if expected[i] < min_margin:
             min_margin, witness = float(expected[i]), witness_at(i)
+    assert next(blocks, None) is None
     assert verify_lemma("lemma3", grid) == LemmaReport(
         lemma="lemma3", grid=grid.as_dict(), min_margin=min_margin, passed=min_margin > 0,
         witness=witness, out_of_hypothesis=0,
@@ -388,6 +397,31 @@ def test_cubic_signs_across_beta_grid():
     )
     assert report.passed
     assert report.min_margin > 0
+
+
+def test_cubic_signs_across_block_boundaries_matches_a_per_beta_loop():
+    grid = LemmaGrid(beta_points=150_001, beta_range=(0.8218, 0.99))
+    assert grid.beta_points > 2 * _CUBIC_BLOCK
+    min_margin, witness, rows = math.inf, (), []
+    for beta in grid.betas().tolist():
+        beta1 = _beta1(beta)
+        h = [KINETIC_COEFF - 3.0 * beta * x**2 + beta1 * x**3
+             for x in (0.0, beta ** (-1.0 / 3.0), (7.0 / 3.0) ** (1.0 / 3.0))]
+        rows.append([h[0], -h[1], -h[2]])
+        for check, margin in enumerate(rows[-1]):
+            if margin < min_margin:
+                min_margin, witness = margin, (beta, _CUBIC_CHECKS[check])
+    report = verify_lemma("cubic-signs", grid)
+    assert (report.min_margin, report.witness) == (min_margin, witness)
+    # every beta lands in one block, in order, and its row names it as the witness
+    margins, witness_betas = [], []
+    for block, witness_at, outside in _cubic_sign_margins(grid):
+        assert block.shape[0] <= _CUBIC_BLOCK and outside == 0
+        margins.append(block.copy())
+        witness_betas += [witness_at((row, 0))[0] for row in range(block.shape[0])]
+    assert witness_betas == grid.betas().tolist()
+    # numpy's x^3 may differ from the Python float's by an ulp; the terms stay below 6
+    np.testing.assert_allclose(np.concatenate(margins), rows, rtol=0, atol=1e-14)
 
 
 def test_lemma4_as_printed_has_integer_counterexamples():

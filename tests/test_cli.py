@@ -197,6 +197,9 @@ def test_model_table_matches_its_per_charge_function(tmp_path, monkeypatch, case
     assert len(rows) == 39 and calls[name] == zs and calls[other] == []
     per_charge = getattr(bounds, name)
     assert [r["model_extra"] for r in rows] == [per_charge(z, inputs) for z in zs]
+    # the shared columns are bound_row's, with the model's own inputs
+    assert [(r["lieb"], r["main"], r["implicit_N"]) for r in rows] == [
+        tuple(bounds.bound_row(z, inputs)) for z in zs]
 
 
 def test_model_choices_are_the_library_models():
@@ -509,6 +512,8 @@ def test_empty_lemma_list_serializes_to_empty_array():
         ["beta", "--range", "1:2:3"],
         ["verify", "--lemma", "lemma3", "--format", "csv"],  # verify writes JSON only
         ["verify", "--lemma", "lemma3", "--format", "svg"],
+        ["bounds", "--z", "1:3", "--format", "svg", "--timings"],  # timings are JSON-only
+        ["bounds", "--z", "1:3", "--timings"],  # bounds writes CSV by default
     ],
     ids=" ".join,
 )
@@ -548,11 +553,22 @@ def test_beta_at_the_widest_node_span_runs_without_warnings(tmp_path, flags):
     assert beta["lower"] <= beta["upper"]
 
 
-def test_unwritable_out_exits_1(tmp_path, capsys):
+def test_unwritable_out_exits_1(tmp_path, capsys, monkeypatch):
     out = tmp_path / "missing" / "x.csv"
     assert run_cli(["bounds", "--z", "1:3", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("error: cannot write ")
+    assert not out.exists()
+    assert list(tmp_path.rglob(".ionbound-tmp-*")) == []
+    # a rename that fails after the temporary file is written removes that file
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    out = tmp_path / "x.csv"
+    assert run_cli(["bounds", "--z", "1:3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: cannot write {out}: No space left on device"
+    assert sum(line.startswith("error: ") for line in err) == 1
     assert not out.exists()
     assert list(tmp_path.rglob(".ionbound-tmp-*")) == []
 

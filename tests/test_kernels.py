@@ -37,6 +37,8 @@ def equilateral(radius=1.0):
 def test_configuration_invariants():
     with pytest.raises(DomainError):
         ParticleConfiguration([[1.0, 0.0, 0.0]])
+    with pytest.raises(DomainError, match="shape"):
+        ParticleConfiguration([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(DomainError, match="below coincidence threshold"):
         ParticleConfiguration([[1, 0, 0], [1, 0, 0]])
     with pytest.raises(DomainError, match="below coincidence threshold"):
@@ -156,6 +158,10 @@ def test_newton_average_examples():
     assert sphere_average_inverse_distance([2, 0, 0], 1.0) == pytest.approx(0.5)
     assert sphere_average_inverse_distance([1, 0, 0], 3.0) == pytest.approx(1 / 3)
     assert sphere_average_inverse_distance([0, 1, 0], 1.0) == pytest.approx(1.0)
+    with pytest.raises(DomainError, match="non-negative"):
+        sphere_average_inverse_distance([1, 0, 0], -1.0)
+    with pytest.raises(DomainError, match="cannot both vanish"):
+        sphere_average_inverse_distance([0, 0, 0], 0.0)
 
 
 def test_newton_average_boundary_matches_monte_carlo():
@@ -172,6 +178,8 @@ def test_dipole_examples():
     )
     with pytest.raises(DomainError, match="center at the origin"):
         sphere_average_dipole([0, 0, 0], 1.0)
+    with pytest.raises(DomainError, match="radius must be positive"):
+        sphere_average_dipole([1, 0, 0], 0.0)
 
 
 def test_dipole_matches_monte_carlo():
@@ -204,6 +212,8 @@ def test_w_lambda_triangle_check():
         w_lambda_reduced(0.5, 1.0, 0.5, 2.0)
     with pytest.raises(DomainError):
         w_lambda_reduced(1.2, 1.0, 0.5, 1.0)
+    with pytest.raises(DomainError, match="0 <= b <= a"):
+        w_lambda_reduced(0.5, 1.0, 2.0, 2.0)
 
 
 def test_w_lambda_pointwise_domination_probe():
@@ -233,6 +243,8 @@ def test_radial_kernel_triple_examples():
     full, k1, k2 = radial_kernel_triple(1.0, 2.0)
     assert (full, k1, k2) == pytest.approx((2.5, 2.5, 2.5), rel=1e-15)
     assert radial_kernel_triple(1.0, 1.0) == pytest.approx((2.0, 2.0, 2.0), rel=1e-15)
+    with pytest.raises(DomainError, match="shell radii must be positive"):
+        radial_kernel_triple(0.0, 1.0)
 
 
 def test_radial_kernel_triple_equality_on_seeded_pairs():
