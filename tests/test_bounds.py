@@ -420,7 +420,7 @@ def test_cubic_signs_across_block_boundaries_matches_a_per_beta_loop():
         margins.append(block.copy())
         witness_betas += [witness_at((row, 0))[0] for row in range(block.shape[0])]
     assert witness_betas == grid.betas().tolist()
-    # numpy's x^3 may differ from the Python float's by an ulp; the terms stay below 6
+    # numpy's x^2 and x^3 may differ from the Python floats' by an ulp; the terms stay below 6
     np.testing.assert_allclose(np.concatenate(margins), rows, rtol=0, atol=1e-14)
 
 
