@@ -2,7 +2,9 @@
 the implicit particle-count bound.
 
 All calculators are total on their stated domains and deterministic, and the
-module is pure Python: a bounds table never imports numpy.  The implicit bound
+module is pure Python: a bounds table imports neither numpy nor
+``dataclasses``.  Its parameters are one ``BoundInputs``, an immutable named
+tuple that checks its fields whenever one is built.  The implicit bound
 (``implicit_N`` of the bounds table) is solved row by row by a Newton
 iteration on a convex function, to within a few ulps of the root.  The grid
 verifiers of the supporting inequalities live in ``lemmas``.
@@ -11,7 +13,6 @@ verifiers of the supporting inequalities live in ``lemmas``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import DEFAULT_BETA_LOWER, MODELS
@@ -26,8 +27,7 @@ KINETIC_COEFF = 0.68
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     """The kinetic/radial constant chain and its two derived coefficients."""
 
     L: float
@@ -38,14 +38,8 @@ class PhysicalConstants:
     c_kinetic: float
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Model parameters that every row of a bound table shares; each
-    calculator takes the charge Z as its own argument.
-
-    The universal constants C_universal, C_kappa and C_2 have no derived
-    values; the defaults of 1.0 are placeholders the caller should override.
-    """
+class _BoundFields(NamedTuple):
+    """The fields of ``BoundInputs`` and their defaults."""
 
     model: str = "nonrel"
     B: float = 0.0
@@ -55,9 +49,22 @@ class BoundInputs:
     C_kappa: float = 1.0
     C_2: float = 1.0
 
-    def __post_init__(self):
-        numbers = (self.B, self.beta_lower, self.coeff, self.C_universal, self.C_kappa, self.C_2)
-        if not all(map(math.isfinite, numbers)):
+
+class BoundInputs(_BoundFields):
+    """Model parameters that every row of a bound table shares; each
+    calculator takes the charge Z as its own argument.
+
+    An immutable named tuple, validated whenever one is built (also by
+    ``_replace``).  The universal constants C_universal, C_kappa and C_2 have
+    no derived values; the defaults of 1.0 are placeholders the caller should
+    override.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(map(math.isfinite, self[1:])):  # every field but model
             raise DomainError("bound inputs must be finite")
         if self.model not in MODELS:
             raise DomainError(f"unknown model {self.model!r}")
@@ -70,6 +77,11 @@ class BoundInputs:
             raise DomainError("coeff must be at least 1/beta_lower")
         if min(self.C_universal, self.C_kappa, self.C_2) <= 0:
             raise DomainError("universal constants must be positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # what _replace builds through
+        return cls(*iterable)
 
 
 class BoundRow(NamedTuple):
@@ -146,12 +158,11 @@ def implicit_bound(z, beta: float) -> list[float]:
         x = 2.0 * max(2.0, charge / beta)
         while True:  # ends by x = inf at the latest, where the left side is inf
             u = x ** (-2.0 / 3.0)
-            if x * (beta - beta1 * u) / (1.0 + KINETIC_COEFF * u) > charge:
+            d = 1.0 + KINETIC_COEFF * u
+            if x * (beta - beta1 * u) / d > charge:
                 break
             x *= 2.0
-        for _ in range(_NEWTON_CAP):
-            u = x ** (-2.0 / 3.0)
-            d = 1.0 + KINETIC_COEFF * u
+        for _ in range(_NEWTON_CAP):  # each step starts from the u and d of its x
             a = (beta - beta1 * u) / d
             step = (x * a - charge) / (a + curve * u / (d * d))
             if not math.isfinite(step):  # x = inf
@@ -159,6 +170,8 @@ def implicit_bound(z, beta: float) -> list[float]:
             x -= step
             if abs(step) <= 1e-9 * x:
                 break
+            u = x ** (-2.0 / 3.0)
+            d = 1.0 + KINETIC_COEFF * u
         roots.append(x)
     return roots
 

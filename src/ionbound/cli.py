@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
@@ -127,6 +126,8 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def _json_text(payload: dict) -> str:
+    import json  # here, so that CSV and SVG calls never load it
+
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -144,17 +145,19 @@ def _csv_text(schema_id: str, header: str, rows: list[list]) -> str:
 class Stage(NamedTuple):
     """One pipeline stage, declared once and shared by every command that runs it.
 
-    ``prepare`` parses and validates the arguments and returns the job, so a
-    command reports every input error before any stage starts working.  It
-    parses its flags before its first ``_lib`` name, so a malformed flag is
-    reported before the stage's layer loads.
+    ``parse`` reads the stage's own flags and no ``_lib`` name, and every stage
+    of a command parses before any prepares, so a malformed flag is reported
+    before any layer loads.  ``prepare`` then validates the parsed flags in the
+    stage's layer and returns the job, so a command reports every input error
+    before any stage starts working.
     """
 
     name: str  # stderr "stage <name>" line and JSON timings key
     key: str  # JSON results key
     flags: tuple  # (flag, add_argument options) pairs
     params: Callable  # args -> config-echo parameters
-    prepare: Callable  # args -> job; job() -> result
+    parse: Callable  # args -> parsed flags
+    prepare: Callable  # (args, parsed flags) -> job; job() -> result
     section: Callable  # result -> JSON results section
     csv: Optional[Callable] = None  # (result, args) -> CSV text
     panel: Optional[Callable] = None  # result -> Panel
@@ -165,8 +168,7 @@ def _echo(*names: str) -> Callable:
     return lambda args: {name: getattr(args, name) for name in names}
 
 
-def _alpha_job(args):
-    ns = _parse_int_range(args.n)
+def _alpha_job(args, ns):
     if ns[0] < 2 or ns[-1] > _lib.MAX_POINT_COUNT:
         raise DomainError(f"alpha needs 2 <= N <= {_lib.MAX_POINT_COUNT}")
     settings = _lib.OptimizerSettings(restarts=args.restarts, ratio_tolerance=args.tol,
@@ -207,8 +209,7 @@ def _alpha_panel(estimates) -> Panel:
     )
 
 
-def _beta_job(args):
-    node_range = _parse_pair(args.range)
+def _beta_job(args, node_range):
     settings = _lib.BetaSettings(g_tolerance=args.tol, node_count=args.nodes, node_range=node_range)
     _lib.default_nodes(settings.node_count, settings.node_range)  # checked before any stage runs
     return lambda: _lib.bracket_detail(settings)
@@ -266,10 +267,14 @@ def _bounds_rows(zs: list[float], inputs: BoundInputs) -> list[list]:
     return rows
 
 
-def _bounds_job(args):
+def _charges(args) -> list[float]:
     zs = _parse_float_range(args.z)
     if zs[0] <= 0:
         raise DomainError("Z must be positive")
+    return zs
+
+
+def _bounds_job(args, zs):
     # one validated parameter set per table; nonrel reads only --beta and --coeff
     field = {} if args.model == "nonrel" else dict(B=args.B, C_universal=args.C,
                                                    C_kappa=args.Ckappa, C_2=args.C2)
@@ -300,15 +305,14 @@ _LEMMA_FLAGS = {
 }
 
 
-def _verify_grid(args) -> LemmaGrid:
-    beta_range = _parse_pair(args.beta_range)  # parsed before the lemmas layer loads
+def _verify_grid(args, beta_range) -> LemmaGrid:
     return _lib.LemmaGrid(z_points=args.grid_z, ratio_points=args.grid_ratio,
                           beta_points=args.grid_beta, beta_range=beta_range,
                           n_above=args.n_above, real_n=args.real_n)
 
 
-def _verify_job(args):
-    grid = _verify_grid(args)
+def _verify_job(args, beta_range):
+    grid = _verify_grid(args, beta_range)
     return lambda: [_lib.verify_lemma(lemma, grid) for lemma in _LEMMA_FLAGS[args.lemma]]
 
 
@@ -339,6 +343,7 @@ ALPHA = Stage(
         _TOL_FLAG,
     ),
     params=_echo("n", "restarts"),
+    parse=lambda args: _parse_int_range(args.n),
     prepare=_alpha_job,
     section=_alpha_section,
     csv=_alpha_csv,
@@ -354,6 +359,7 @@ BETA = Stage(
         _TOL_FLAG,
     ),
     params=_echo("nodes", "range"),
+    parse=lambda args: _parse_pair(args.range),
     prepare=_beta_job,
     section=_beta_section,
     csv=_beta_csv,
@@ -373,6 +379,7 @@ BOUNDS = Stage(
         ("--C2", dict(type=_finite, default=1.0, help="bosonic constant")),
     ),
     params=_echo("z", "model", "B", "coeff", "beta", "C", "Ckappa", "C2"),
+    parse=_charges,
     prepare=_bounds_job,
     section=_bounds_section,
     csv=lambda rows, args: _csv_text(
@@ -394,19 +401,21 @@ VERIFY = Stage(
             help="also scan non-integer particle counts (flagged out-of-hypothesis)",
         )),
     ),
-    params=lambda args: {"lemma": args.lemma, "grid": _verify_grid(args).as_dict()},
+    params=lambda args: {"lemma": args.lemma,
+                         "grid": _verify_grid(args, _parse_pair(args.beta_range)).as_dict()},
+    parse=lambda args: _parse_pair(args.beta_range),
     prepare=_verify_job,
     section=_lemma_section,
     log=_log_lemmas,
 )
 
-def _report_check_job(args):
+def _report_check_job(args, _):
     return lambda: [_lib.verify_lemma(lemma) for lemma in ("lemma3", "cubic-signs")]
 
 
 # report's fixed lemma check: the lemmas that pass as printed, at the default grid
-REPORT_CHECK = Stage("verify", "lemmas", flags=(), params=_echo(), prepare=_report_check_job,
-                     section=_lemma_section)
+REPORT_CHECK = Stage("verify", "lemmas", flags=(), params=_echo(), parse=lambda args: None,
+                     prepare=_report_check_job, section=_lemma_section)
 
 _SHARED_FLAGS = (
     ("--out", dict(default=None, help="output file path")),
@@ -475,7 +484,8 @@ def _run(args) -> int:
     if args.timings and args.format != "json":
         raise UsageError(f"ionbound {args.command}: --timings applies to --format json only")
     stages = _COMMANDS[args.command].stages
-    jobs = [stage.prepare(args) for stage in stages]
+    parsed = [stage.parse(args) for stage in stages]
+    jobs = [stage.prepare(args, flags) for stage, flags in zip(stages, parsed)]
     results, timings = {}, {}
     for stage, job in zip(stages, jobs):
         t0 = time.perf_counter()

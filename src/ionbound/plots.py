@@ -7,7 +7,7 @@ float formatting, no timestamps, no generated ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 PANEL_W = 640
 PANEL_H = 360
@@ -19,15 +19,13 @@ MARGIN_B = 48
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-@dataclass
-class Series:
+class Series(NamedTuple):
     label: str
     x: list
     y: list
 
 
-@dataclass
-class Band:
+class Band(NamedTuple):
     """Shaded region between two curves sharing the x grid."""
 
     x: list
@@ -35,12 +33,11 @@ class Band:
     y_high: list
 
 
-@dataclass
-class Panel:
+class Panel(NamedTuple):
     title: str
     xlabel: str
     ylabel: str
-    series: list = field(default_factory=list)
+    series: list | tuple = ()
     band: Band | None = None
 
 

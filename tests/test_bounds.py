@@ -285,6 +285,20 @@ def test_bound_inputs_validation():
         relativistic_or_bosonic_bound(1.0, BoundInputs(model="magnetic"))
 
 
+def test_bound_inputs_are_immutable_and_every_copy_is_checked():
+    inputs = BoundInputs(model="magnetic", B=2.0)
+    assert inputs == BoundInputs("magnetic", 2.0) and inputs.C_2 == 1.0
+    with pytest.raises(AttributeError):
+        inputs.B = -1.0
+    with pytest.raises(AttributeError):
+        inputs.extra = 1.0
+    assert inputs._replace(B=3.0) == BoundInputs(model="magnetic", B=3.0)
+    with pytest.raises(DomainError, match="B must be non-negative"):
+        inputs._replace(B=-1.0)
+    with pytest.raises(DomainError, match="unknown model"):
+        BoundInputs("bogus")
+
+
 @pytest.mark.parametrize("z", [-1.0, 0.0, math.nan, math.inf])
 def test_calculators_reject_a_bad_charge(z):
     calls = (

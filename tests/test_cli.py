@@ -640,12 +640,45 @@ def _loaded_after(argv: list) -> list:
     (["report", "--n", "2:2", "--restarts", "1", "--nodes", "10", "--z", "1:3", "--format", "svg",
       "--out", "OUT"],
      ["alpha", "beta", "bounds", "kernels", "lemmas", "plots", "numpy"]),
+    (["report", "--z", "nan:3"], []),  # every stage parses its flags before any layer loads
 ])
 def test_a_call_loads_only_its_commands_layers(tmp_path, argv, layers):
     modules = ["ionbound.cli", "ionbound.errors"]
     modules += [l if l == "numpy" else f"ionbound.{l}" for l in layers]
     argv = [str(tmp_path / "out.svg") if a == "OUT" else a for a in argv]
     assert _loaded_after(argv) == sorted(modules)
+
+
+def _held_at_exit(argv: list) -> str:
+    """Which of dataclasses, json and numpy a fresh ``ionbound`` process holds at
+    its exit; the harness itself imports none of them."""
+    code = ("import atexit, runpy, sys\n"
+            "atexit.register(lambda: print(sorted({'dataclasses', 'json', 'numpy'}\n"
+            "                                     & set(sys.modules))))\n"
+            f"sys.argv = ['ionbound', *{argv!r}]\n"
+            "runpy.run_module('ionbound.cli', run_name='__main__', alter_sys=True)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, held", [
+    (["bounds", "--z", "1:3", "--format", "csv", "--out", "OUT"], "[]"),
+    (["bounds", "--z", "1:3", "--format", "svg", "--out", "OUT"], "[]"),
+    (["bounds", "--z", "1:3", "--format", "json", "--out", "OUT"], "['json']"),
+    (["--version"], "[]"),
+])
+def test_a_bounds_call_loads_no_dataclasses_and_json_only_to_write_it(tmp_path, argv, held):
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    assert _held_at_exit(argv) == held
+
+
+def test_the_pure_python_layers_import_no_dataclasses():
+    code = ("import sys, ionbound.bounds, ionbound.plots\n"
+            "print('dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_every_public_name_resolves_lazily():

@@ -6,8 +6,10 @@ verify grid), or before the lemma3 grid was built once per check and each CSV
 row was written with one join (the rest).  The bounds-table digests were
 regenerated when ``implicit_N`` moved from a bisection to 1e-9 relative to a
 Newton root good to a few ulps; the other four columns of those tables stay
-pinned to the bytes from before that change.  Any later drift in these bytes
-fails here instead of in a manual diff.
+pinned to the bytes from before that change.  The bounds SVG and JSON results
+and the extreme-charge roots were pinned before the bounds and plot types
+became named tuples.  Any later drift in these bytes fails here instead of in
+a manual diff.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import json
 
 import pytest
 
+from ionbound.bounds import implicit_bound
 from ionbound.cli import main
 
 BOUNDS_CSV_SHA256 = {
@@ -55,6 +58,20 @@ BOUNDS_FIXED_COLUMNS_SHA256 = {
 
 # json.dumps(payload["results"], indent=2) of the workload's enlarged verify grid
 LARGE_VERIFY_RESULTS_SHA256 = "905faa27c60040f84b12073f132e7533a31d8faf3ce8cc8ea3d874b1738f6f37"
+
+# the bytes of `bounds --z 1:118:0.1 --format svg`, and json.dumps(results, indent=2)
+# of the same table as JSON: the workload's SVG and JSON tables
+BOUNDS_SVG_SHA256 = "d746f9784650cc02a56e536f71053a4327ba4b9698bacbb3ca7c2bf80938d224"
+BOUNDS_JSON_RESULTS_SHA256 = "d83ca98357c44e441093f3ae1d435c31df48dc52f780989cfe68c9a4db37cc9b"
+
+# ",".join(map(repr, roots)) of implicit_bound over Z = 10^k, k = -300, -295, ..., 300
+EXTREME_ROOTS_SHA256 = {
+    1e-300: "34dfea2a957eb09964ed659eb3b900399fbc08bfbbe9dcedc7de1d3da6c5ed62",
+    1e-5: "4dd7a703f722864fe1f6da335dfa846c6651e4f45e3b9a4713650a580003db83",
+    0.3: "e49cebfdc08150e6ddd460d29a87004d7acaf349dd2a5714c087831e4a8ba3e9",
+    0.8218: "b26292570bb89a9e64cb6b13dfa275223d8ad18920c33c47e62f7ac84f1e1aa3",
+    1 - 2**-52: "a88815fb8dc139c762e86d988608b3eaf2faaae3ff6935214f4f091670464ae2",
+}
 
 # the other writers of the shared CSV formatter
 STAGE_CSV_SHA256 = {
@@ -115,3 +132,22 @@ def test_stage_csv_bytes(tmp_path, command):
     out = tmp_path / "stage.csv"
     assert main([*command.split(), "--format", "csv", "--out", str(out)]) == 0
     assert _digest(out) == STAGE_CSV_SHA256[command]
+
+
+def test_bounds_svg_bytes(tmp_path):
+    out = tmp_path / "bounds.svg"
+    assert main(["bounds", "--z", "1:118:0.1", "--format", "svg", "--out", str(out)]) == 0
+    assert _digest(out) == BOUNDS_SVG_SHA256
+
+
+def test_bounds_json_results_bytes(tmp_path):
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--z", "1:118:0.1", "--format", "json", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert hashlib.sha256(json.dumps(results, indent=2).encode()).hexdigest() == BOUNDS_JSON_RESULTS_SHA256
+
+
+@pytest.mark.parametrize("beta", list(EXTREME_ROOTS_SHA256))
+def test_extreme_charge_roots(beta):
+    roots = implicit_bound([float(f"1e{k}") for k in range(-300, 301, 5)], beta)
+    assert hashlib.sha256(",".join(map(repr, roots)).encode()).hexdigest() == EXTREME_ROOTS_SHA256[beta]
