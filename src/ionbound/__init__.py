@@ -22,7 +22,7 @@ _LAYERS = {
               "estimate_alpha", "local_minimize"),
     "beta": ("BetaBracket", "BetaSettings", "RadialMeasure", "bracket_detail", "default_nodes",
              "g_of_lambda", "maximize_g", "minimize_radial_ratio", "radial_ratio", "w_maximin"),
-    "bounds": ("BoundInputs", "PhysicalConstants", "bound_row", "crossover_z",
+    "bounds": ("BoundInputs", "PhysicalConstants", "bound_row", "bound_table", "crossover_z",
                "derived_constants", "implicit_bound", "magnetic_bound",
                "relativistic_or_bosonic_bound"),
     "lemmas": ("LemmaGrid", "LemmaReport", "verify_lemma"),

@@ -3,11 +3,12 @@ the implicit particle-count bound.
 
 All calculators are total on their stated domains and deterministic, and the
 module is pure Python: a bounds table imports neither numpy nor
-``dataclasses``.  Its parameters are one ``BoundInputs``, an immutable named
-tuple that checks its fields whenever one is built.  The implicit bound
-(``implicit_N`` of the bounds table) is solved row by row by a Newton
-iteration on a convex function, to within a few ulps of the root.  The grid
-verifiers of the supporting inequalities live in ``lemmas``.
+``dataclasses``.  ``bound_table`` builds every row of the table the CLI
+writes, from one ``BoundInputs``, an immutable named tuple that checks its
+fields whenever one is built; ``bound_row`` is its one-charge view.  The
+implicit bound (``implicit_N``) is solved row by row by a Newton iteration on
+a convex function, to within a few ulps of the root.  The grid verifiers of
+the supporting inequalities live in ``lemmas``.
 """
 
 from __future__ import annotations
@@ -181,17 +182,30 @@ def _check_charge(z: float) -> None:
         raise DomainError("Z must be positive and finite")
 
 
-def bound_row(z: float, inputs: BoundInputs) -> BoundRow:
-    """Classical bound 2Z+1, closed-form bound coeff*Z + 3 Z^(1/3), and the
-    implicit particle-count bound of ``implicit_bound``, at charge ``z``, for
-    every model: one ``BoundInputs`` serves this and its model's calculator.
+def bound_table(z, inputs: BoundInputs) -> list[list]:
+    """One row [Z, lieb, main, implicit_N, model_extra] per charge of ``z``:
+    the classical bound 2Z+1, the closed form coeff*Z + 3 Z^(1/3), the root of
+    ``implicit_bound``, and the model's own bound ("" for nonrel, an empty CSV
+    cell).  A cell that overflows to inf, which is not JSON, raises DomainError.
     """
-    _check_charge(z)
-    return BoundRow(
-        lieb=2.0 * z + 1.0,
-        main=inputs.coeff * z + 3.0 * z ** (1.0 / 3.0),
-        implicit_n=implicit_bound([z], inputs.beta_lower)[0],
-    )
+    rows = []
+    for charge, implicit_n in zip(z, implicit_bound(z, inputs.beta_lower)):
+        extra = ""
+        if inputs.model == "magnetic":
+            extra = magnetic_bound(charge, inputs)
+        elif inputs.model != "nonrel":
+            extra = relativistic_or_bosonic_bound(charge, inputs)
+        lieb, main = 2.0 * charge + 1.0, inputs.coeff * charge + 3.0 * charge ** (1.0 / 3.0)
+        if not (math.isfinite(lieb) and math.isfinite(main) and math.isfinite(implicit_n)
+                and (extra == "" or math.isfinite(extra))):
+            raise DomainError(f"the bounds at Z = {charge:g} overflow the floats")
+        rows.append([charge, lieb, main, implicit_n, extra])
+    return rows
+
+
+def bound_row(z: float, inputs: BoundInputs) -> BoundRow:
+    """The (lieb, main, implicit_N) cells of ``bound_table``'s row at charge ``z``."""
+    return BoundRow(*bound_table([z], inputs)[0][1:4])
 
 
 def magnetic_bound(z: float, inputs: BoundInputs) -> float:

@@ -1,11 +1,11 @@
 """Command-line front end: alpha, beta, bounds, verify, and report pipelines.
 
 Exit codes: 0 on success, 2 when any verification report fails, 1 on usage or
-domain errors.  All files are written atomically (write to a temp file in the
-target directory, then rename), and identical configurations reproduce
-byte-identical CSV/JSON outputs.  Wall-clock timings go to stderr; they are
-embedded in the JSON only with --timings, since real timings would break
-byte-level reproducibility.
+domain errors.  The output goes to --out, written atomically (to a temp file in
+the target directory, then renamed), or else to stdout, and identical
+configurations reproduce byte-identical CSV/JSON outputs.  Wall-clock timings
+go to stderr; they are embedded in the JSON only with --timings, since real
+timings would break byte-level reproducibility.
 """
 
 from __future__ import annotations
@@ -155,17 +155,15 @@ class Stage(NamedTuple):
     name: str  # stderr "stage <name>" line and JSON timings key
     key: str  # JSON results key
     flags: tuple  # (flag, add_argument options) pairs
-    params: Callable  # args -> config-echo parameters
     parse: Callable  # args -> parsed flags
     prepare: Callable  # (args, parsed flags) -> job; job() -> result
     section: Callable  # result -> JSON results section
     csv: Optional[Callable] = None  # (result, args) -> CSV text
     panel: Optional[Callable] = None  # result -> Panel
     log: Optional[Callable] = None  # result -> None; extra stderr lines
-
-
-def _echo(*names: str) -> Callable:
-    return lambda args: {name: getattr(args, name) for name in names}
+    # args -> config-echo parameters; by default each of the stage's flags but
+    # --seed and --tol, which the config echoes at its top level
+    params: Optional[Callable] = None
 
 
 def _alpha_job(args, ns):
@@ -250,23 +248,6 @@ def _g_panel(detail) -> Panel:
     )
 
 
-def _bounds_rows(zs: list[float], inputs: BoundInputs) -> list[list]:
-    rows = []
-    for z, implicit_n in zip(zs, _lib.implicit_bound(zs, inputs.beta_lower)):
-        extra = ""
-        if inputs.model == "magnetic":
-            extra = _lib.magnetic_bound(z, inputs)
-        elif inputs.model != "nonrel":
-            extra = _lib.relativistic_or_bosonic_bound(z, inputs)
-        lieb, main = 2.0 * z + 1.0, inputs.coeff * z + 3.0 * z ** (1.0 / 3.0)
-        # an overflowed cell would be written as CSV inf or as JSON Infinity, which is not JSON
-        if not (math.isfinite(lieb) and math.isfinite(main) and math.isfinite(implicit_n)
-                and (extra == "" or math.isfinite(extra))):
-            raise DomainError(f"the bounds at Z = {z:g} overflow the floats")
-        rows.append([z, lieb, main, implicit_n, extra])
-    return rows
-
-
 def _charges(args) -> list[float]:
     zs = _parse_float_range(args.z)
     if zs[0] <= 0:
@@ -279,7 +260,7 @@ def _bounds_job(args, zs):
     field = {} if args.model == "nonrel" else dict(B=args.B, C_universal=args.C,
                                                    C_kappa=args.Ckappa, C_2=args.C2)
     inputs = _lib.BoundInputs(model=args.model, beta_lower=args.beta, coeff=args.coeff, **field)
-    return lambda: _bounds_rows(zs, inputs)
+    return lambda: _lib.bound_table(zs, inputs)
 
 
 def _bounds_section(rows) -> list:
@@ -342,7 +323,6 @@ ALPHA = Stage(
         _SEED_FLAG,
         _TOL_FLAG,
     ),
-    params=_echo("n", "restarts"),
     parse=lambda args: _parse_int_range(args.n),
     prepare=_alpha_job,
     section=_alpha_section,
@@ -358,7 +338,6 @@ BETA = Stage(
         ("--range", dict(default="0.05:20", help="node range lo:hi")),
         _TOL_FLAG,
     ),
-    params=_echo("nodes", "range"),
     parse=lambda args: _parse_pair(args.range),
     prepare=_beta_job,
     section=_beta_section,
@@ -378,7 +357,6 @@ BOUNDS = Stage(
         ("--Ckappa", dict(type=_finite, default=1.0, help="relativistic constant")),
         ("--C2", dict(type=_finite, default=1.0, help="bosonic constant")),
     ),
-    params=_echo("z", "model", "B", "coeff", "beta", "C", "Ckappa", "C2"),
     parse=_charges,
     prepare=_bounds_job,
     section=_bounds_section,
@@ -401,12 +379,12 @@ VERIFY = Stage(
             help="also scan non-integer particle counts (flagged out-of-hypothesis)",
         )),
     ),
-    params=lambda args: {"lemma": args.lemma,
-                         "grid": _verify_grid(args, _parse_pair(args.beta_range)).as_dict()},
     parse=lambda args: _parse_pair(args.beta_range),
     prepare=_verify_job,
     section=_lemma_section,
     log=_log_lemmas,
+    params=lambda args: {"lemma": args.lemma,
+                         "grid": _verify_grid(args, _parse_pair(args.beta_range)).as_dict()},
 )
 
 def _report_check_job(args, _):
@@ -414,7 +392,7 @@ def _report_check_job(args, _):
 
 
 # report's fixed lemma check: the lemmas that pass as printed, at the default grid
-REPORT_CHECK = Stage("verify", "lemmas", flags=(), params=_echo(), parse=lambda args: None,
+REPORT_CHECK = Stage("verify", "lemmas", flags=(), parse=lambda args: None,
                      prepare=_report_check_job, section=_lemma_section)
 
 _SHARED_FLAGS = (
@@ -457,7 +435,9 @@ def _payload(args, results: dict, timings: dict) -> dict:
     stages = _COMMANDS[args.command].stages
     parameters: dict = {}
     for stage in stages:
-        parameters.update(stage.params(args))
+        names = [flag[2:].replace("-", "_") for flag, _ in stage.flags]
+        parameters.update(stage.params(args) if stage.params else {
+            name: getattr(args, name) for name in names if name not in ("seed", "tol")})
     return {
         "config": {
             "command": args.command,
@@ -496,8 +476,11 @@ def _run(args) -> int:
     for stage in stages:
         if stage.log is not None:
             stage.log(results[stage.key])
+    text = _render(args, results, timings)
     if args.out:
-        _atomic_write(args.out, _render(args, results, timings))
+        _atomic_write(args.out, text)
+    else:
+        sys.stdout.write(text)
     return 0 if all(r.passed for r in results.get("lemmas", ())) else 2
 
 

@@ -10,6 +10,7 @@ from ionbound.bounds import (
     BoundInputs,
     _beta1,
     bound_row,
+    bound_table,
     crossover_z,
     derived_constants,
     implicit_bound,
@@ -187,6 +188,16 @@ def test_implicit_bound_rejects_bad_inputs():
     for beta in (0.0, 1.0, math.nan):
         with pytest.raises(DomainError):
             implicit_bound([1.0], beta)
+    # a table row with a cell that overflows is refused with the CLI's message
+    overflows = [
+        ("1e+308", lambda: bound_table([1e308], BoundInputs())),
+        ("1e+308", lambda: bound_row(1e308, BoundInputs())),
+        ("0.001", lambda: bound_table([0.001], BoundInputs(model="magnetic", B=1e308))),
+    ]
+    for z, call in overflows:
+        with pytest.raises(DomainError) as refused:
+            call()
+        assert str(refused.value) == f"the bounds at Z = {z} overflow the floats"
 
 
 def test_main_dominates_implicit_for_z_at_least_4():

@@ -184,10 +184,10 @@ def test_model_table_matches_its_per_charge_function(tmp_path, monkeypatch, case
     flags, name, inputs = _MODEL_TABLES[case]
     calls = {"magnetic_bound": [], "relativistic_or_bosonic_bound": []}
     for function in calls:
-        def counted(z, *rest, _original=getattr(cli, function), _calls=calls[function]):
+        def counted(z, *rest, _original=getattr(bounds, function), _calls=calls[function]):
             _calls.append(z)
             return _original(z, *rest)
-        monkeypatch.setattr(cli, function, counted)
+        monkeypatch.setattr(bounds, function, counted)
     out = tmp_path / "bounds.json"
     assert run_cli(["bounds", "--z", "1:20:0.5", *flags, "--format", "json",
                     "--out", str(out)]) == 0
@@ -457,21 +457,27 @@ def test_flags_a_command_never_reads_are_rejected(capsys, args):
     assert err == f"usage error: ionbound {args[0]}: unrecognized arguments: {args[1]} {args[2]}\n"
 
 
+_BOUNDS_PARAMETERS = ["z", "model", "B", "coeff", "beta", "C", "Ckappa", "C2"]
+
+
 @pytest.mark.parametrize(
-    "command, keys",
+    "command, keys, parameters",
     [
-        (["alpha", "--n", "2:2", "--restarts", "1"], ["seed", "out", "format", "tol"]),
-        (["beta", "--nodes", "20"], ["out", "format", "tol"]),
-        (["bounds", "--z", "1:2"], ["out", "format"]),
-        (["verify", "--lemma", "lemma3"], ["out", "format"]),
+        (["alpha", "--n", "2:2", "--restarts", "1"], ["seed", "out", "format", "tol"],
+         ["n", "restarts"]),
+        (["beta", "--nodes", "20"], ["out", "format", "tol"], ["nodes", "range"]),
+        (["bounds", "--z", "1:2"], ["out", "format"], _BOUNDS_PARAMETERS),
+        (["verify", "--lemma", "lemma3"], ["out", "format"], ["lemma", "grid"]),
         (["report", "--n", "2:2", "--restarts", "1", "--nodes", "20", "--z", "1:2"],
-         ["seed", "out", "format", "tol"]),
+         ["seed", "out", "format", "tol"],
+         ["n", "restarts", "nodes", "range", *_BOUNDS_PARAMETERS]),
     ],
     ids=["alpha", "beta", "bounds", "verify", "report"],
 )
-def test_config_echoes_only_flags_the_command_reads(tmp_path, command, keys):
+def test_config_echoes_only_flags_the_command_reads(tmp_path, command, keys, parameters):
     config = _json_results(tmp_path, command, "out.json")["config"]
     assert list(config) == ["command", "parameters", *keys]
+    assert list(config["parameters"]) == parameters
 
 
 def test_unknown_command_exit_1(capsys):
@@ -617,7 +623,7 @@ def _loaded_after(argv: list) -> list:
             "                        if m == 'numpy' or m.startswith('ionbound.'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])  # after the call's own output, if any
 
 
 # each case lists the layers and, explicitly, numpy when the call must load it
@@ -627,7 +633,7 @@ def _loaded_after(argv: list) -> list:
     (["bogus"], []),
     (["bounds", "--z", "1:3"], ["bounds"]),  # bounds is pure Python, in every format
     (["bounds", "--z", "1:3", "--format", "svg", "--out", "OUT"], ["bounds", "plots"]),
-    (["bounds", "--z", "1:3", "--format", "svg"], ["bounds"]),  # plots loads only to write
+    (["bounds", "--z", "1:3", "--format", "svg"], ["bounds", "plots"]),  # an SVG on stdout
     (["verify", "--lemma", "cubic"], ["bounds", "lemmas", "numpy"]),
     (["beta", "--nodes", "10"], ["beta", "kernels", "numpy"]),
     (["alpha", "--n", "2:2", "--restarts", "1"], ["alpha", "kernels", "numpy"]),
@@ -713,6 +719,19 @@ def test_process_exit_writes_what_main_writes(tmp_path):
     assert spawned.read_bytes() == in_process.read_bytes()
     err = proc.stderr.splitlines()
     assert err[-2].startswith("stage bounds: ") and err[-1] == f"wrote {spawned}"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+def test_without_out_the_output_goes_to_stdout(tmp_path, fmt):
+    out = tmp_path / f"bounds.{fmt}"
+    argv = [sys.executable, "-m", "ionbound.cli", "bounds", "--z", "1:3", "--format", fmt]
+    printed = subprocess.run(argv, capture_output=True)
+    written = subprocess.run([*argv, "--out", str(out)], capture_output=True)
+    assert printed.returncode == written.returncode == 0
+    # the JSON config echoes --out, as null when it is absent
+    expected = out.read_bytes().replace(json.dumps(str(out)).encode(), b"null")
+    assert printed.stdout == expected and written.stdout == b""
+    assert printed.stderr.decode().splitlines()[-1].startswith("stage bounds: ")
 
 
 def test_process_exit_code_is_mains():
