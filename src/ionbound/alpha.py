@@ -8,8 +8,8 @@ through an explicit N-dependent correction.  Results are deterministic given
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ from .kernels import (
     _norms,
     _pair_geometry,
     _ratio_and_gradient,
-    _triu,
+    _ratio_gradient_from,
     ratio_value,
 )
 
@@ -45,30 +45,39 @@ _STEP_SHRINK = 0.5  # backtracking factor
 _INIT_RADIAL_BAND = (0.2, 1.8)  # start radii are uniform in this band
 
 
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Restarts, seed and stopping rule of the multi-start L-BFGS descent; a
-    restart takes 10-100 steps for N <= 12."""
-
+class _OptimizerFields(NamedTuple):
     restarts: int = 64
     ratio_tolerance: float = 1e-10
     seed: int = 0
 
-    def __post_init__(self):
+
+class OptimizerSettings(_OptimizerFields):
+    """Restarts, seed and stopping rule of the multi-start L-BFGS descent; a
+    restart takes 10-100 steps for N <= 12.  An immutable named tuple, checked
+    whenever one is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.restarts <= MAX_RESTARTS:
             raise DomainError(f"restarts must lie in [1, {MAX_RESTARTS}]")
         if self.ratio_tolerance <= 0:
             raise DomainError("ratio_tolerance must be positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # what _replace builds through
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class AlphaEstimate:
+class AlphaEstimate(NamedTuple):
     """Best ratio found for one N, with the matching closed-form lower bound."""
 
     n: int
     value: float
     lower_bound: float
-    best_config: ParticleConfiguration = field(repr=False)
+    best_config: ParticleConfiguration
     restarts_used: int
     converged_restarts: int
     # iterations_total, iterations_max, evaluations_total, cap_hits, basin_hits
@@ -91,34 +100,41 @@ def _evaluate_trial(points: np.ndarray):
     trial's over t: the ratio is 0-homogeneous), from one pair-distance matrix;
     None if a point lies within ORIGIN_GUARD of the origin at that scale or a
     pair is closer than COINCIDENCE_RTOL times the diameter."""
-    norms = _norms(points)
+    n = points.shape[0]
+    norms2 = np.einsum("ij,ij->i", points, points)
+    norms = np.sqrt(norms2)
     total = float(norms.sum())
-    if total == 0.0 or float(norms.min()) * (points.shape[0] / total) < ORIGIN_GUARD:
+    if total == 0.0 or float(norms.min()) * (n / total) < ORIGIN_GUARD:
         return None
-    geometry = _pair_geometry(points)
-    d = geometry[1][_triu(points.shape[0])]
-    if float(d.min()) <= COINCIDENCE_RTOL * float(d.max()):
+    diff, d = _pair_geometry(points)
+    # d is exactly symmetric, so its extremes over i != j are those over i < j;
+    # the diagonal is 0 but for a point with an inf or NaN coordinate
+    d.flat[:: n + 1] = 0.0
+    dmax = float(d.max())
+    d.flat[:: n + 1] = np.inf
+    if float(d.min()) <= COINCIDENCE_RTOL * dmax:
         return None
-    ratio, grad = _ratio_and_gradient(points, geometry)
-    scale = points.shape[0] / total
+    ratio, grad = _ratio_gradient_from(points, diff, d, norms2, norms, total)
+    scale = n / total
     return ratio, points * scale, grad / scale
 
 
 def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
-    """-H grad by the two-loop recursion over the (s, y, 1/sᵀy) pairs, oldest first;
-    with no pairs, or if that does not descend, the pairs are cleared and
-    -_STEP_INIT * grad is returned."""
+    """-H grad by the two-loop recursion over the (s, y, 1/sᵀy, sᵀy/yᵀy) pairs,
+    oldest first; with no pairs, or if that does not descend, the pairs are
+    cleared and -_STEP_INIT * grad is returned."""
     if pairs:
-        q = grad.ravel().copy()
+        g = grad.ravel()
+        q = g.copy()
         alphas = []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * (s @ q))
-            q -= alphas[-1] * y
-        s, y, _ = pairs[-1]
-        q *= (s @ y) / (y @ y)
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            q += (a - rho * (y @ q)) * s
-        if q @ grad.ravel() > 0.0:
+        for s, y, rho, _ in reversed(pairs):
+            a = rho * s.dot(q)
+            alphas.append(a)
+            q -= a * y
+        q *= pairs[-1][3]
+        for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
+            q += (a - rho * y.dot(q)) * s
+        if q.dot(g) > 0.0:
             return -q.reshape(grad.shape)
         pairs.clear()
     return -_STEP_INIT * grad
@@ -151,7 +167,8 @@ def _minimize_raw(
         step = 1.0
         while step > _STEP_FLOOR:
             evaluations += 1
-            candidate = pts + step * direction
+            # 1.0 * direction is direction, so the full step skips the product
+            candidate = pts + (direction if step == 1.0 else step * direction)
             trial = _evaluate_trial(candidate)
             if trial is not None and trial[0] < ratio:
                 break
@@ -164,8 +181,9 @@ def _minimize_raw(
             pairs.clear()
         else:
             s, y = (trial[1] - pts).ravel(), (trial[2] - grad).ravel()
-            if (sy := float(s @ y)) > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
-                pairs.append((s, y, 1.0 / sy))
+            sy, yy = float(s.dot(y)), float(y.dot(y))
+            if sy > 1e-12 * (math.sqrt(s.dot(s)) * math.sqrt(yy)):
+                pairs.append((s, y, 1.0 / sy, sy / yy))
         if trial is not None:
             ratio, pts, grad = trial
             trace.append(ratio)

@@ -208,17 +208,33 @@ def bound_row(z: float, inputs: BoundInputs) -> BoundRow:
     return BoundRow(*bound_table([z], inputs)[0][1:4])
 
 
+def _field_ratio(b: float, z: float, power: int) -> float:
+    """B / Z^power, also where Z^power leaves the floats: where it overflows,
+    Z is divided out one factor at a time, and where it underflows to 0 the
+    ratio is inf (0 at B = 0)."""
+    try:
+        scale = z**power
+    except OverflowError:
+        for _ in range(power):
+            b /= z
+        return b
+    if scale == 0.0:
+        return math.inf if b else 0.0
+    return b / scale
+
+
 def magnetic_bound(z: float, inputs: BoundInputs) -> float:
     """Particle-count bound at charge ``z`` for atoms in a homogeneous magnetic field.
 
     The bound is closed except for the universal constant C_universal; where
     B / Z^3 is 0 (B = 0, or underflow) the field term is its limit 0, and
-    the logarithm is never evaluated.
+    the logarithm is never evaluated.  Where Z^3 underflows and B > 0, B / Z^3
+    and the bound are inf.
     """
     _check_charge(z)
     if inputs.model != "magnetic":
         raise DomainError("magnetic_bound applies to the magnetic model")
-    t = inputs.B / z**3
+    t = _field_ratio(inputs.B, z, 3)
     if t == 0.0:  # B = 0, or B / Z^3 below the smallest float
         field_term = 0.0
     else:
@@ -239,7 +255,7 @@ def relativistic_or_bosonic_bound(z: float, inputs: BoundInputs) -> float:
     if inputs.model == "relativistic":
         return inputs.coeff * z + inputs.C_kappa * z ** (1.0 / 3.0)
     if inputs.model == "bosonic":
-        t = inputs.B / z**2
+        t = _field_ratio(inputs.B, z, 2)
         if t == 0.0:  # B = 0, or B / Z^2 below the smallest float
             field_term = 1.0
         else:

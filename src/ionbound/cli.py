@@ -484,11 +484,15 @@ def _run(args) -> int:
     return 0 if all(r.passed for r in results.get("lemmas", ())) else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Given a command name as ``only``, it builds only that
+    command's subparser, which parses, helps and reports errors for that
+    command exactly as the full parser does; otherwise it builds all of them."""
     parser = _Parser(prog="ionbound", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, command in _COMMANDS.items():
+    commands = {only: _COMMANDS[only]} if only in _COMMANDS else _COMMANDS
+    for name, command in commands.items():
         p = subs.add_parser(name, help=command.help)
         flags = dict(flag for stage in command.stages for flag in stage.flags)
         for flag, options in (*flags.items(), *_SHARED_FLAGS):
@@ -500,8 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return _run(build_parser().parse_args(argv))
+        # a call names its command first; --help, --version and typos get every command
+        return _run(build_parser(argv[0] if argv else None).parse_args(argv))
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

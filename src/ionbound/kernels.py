@@ -9,8 +9,8 @@ function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,18 +25,22 @@ COINCIDENCE_RTOL = 1e-12
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParticleConfiguration:
+class _Points(NamedTuple):
+    points: np.ndarray
+
+
+class ParticleConfiguration(_Points):
     """N labelled points in R^3, N >= 2, with no coincident pair.
 
     At most one point may sit at the origin; the pair kernel stays finite
-    there but the radial derivative does not.
+    there but the radial derivative does not.  An immutable named tuple whose
+    points are checked, and made a read-only float array, whenever one is built.
     """
 
-    points: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+    def __new__(cls, points):
+        pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise DomainError(f"points must have shape (N, 3), got {pts.shape}")
         if pts.shape[0] < 2:
@@ -51,11 +55,14 @@ class ParticleConfiguration:
         if int(np.sum(_norms(pts) == 0.0)) > 1:
             raise DomainError("more than one point at the origin")
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        return super().__new__(cls, pts)
+
+    @classmethod
+    def _make(cls, iterable):  # what _replace builds through
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RatioValue:
+class RatioValue(NamedTuple):
     """Energy sum, normalizer (N-1)*sum|x_i|, and their quotient."""
 
     energy: float
@@ -99,23 +106,28 @@ def _energy_normalizer(points: np.ndarray) -> tuple[float, float]:
     return energy, normalizer
 
 
-def _ratio_and_gradient(points: np.ndarray, geometry=None) -> tuple[float, np.ndarray]:
+def _ratio_and_gradient(points: np.ndarray) -> tuple[float, np.ndarray]:
     """Ratio and its gradient with respect to every coordinate.
 
     The ratio is homogeneous of degree zero, so the gradient has zero
-    directional derivative along the scaling direction x -> x.  A caller that
-    already holds ``_pair_geometry(points)`` passes it as ``geometry``; the
-    diagonal of its distance matrix is overwritten.
+    directional derivative along the scaling direction x -> x.
     """
-    n = points.shape[0]
-    diff, d = _pair_geometry(points) if geometry is None else geometry
+    diff, d = _pair_geometry(points)
     np.fill_diagonal(d, np.inf)
     norms2 = np.einsum("ij,ij->i", points, points)
     norms = np.sqrt(norms2)
-    s2 = norms2[:, None] + norms2[None, :]
+    return _ratio_gradient_from(points, diff, d, norms2, norms, float(norms.sum()))
+
+
+def _ratio_gradient_from(points, diff, d, norms2, norms, total) -> tuple[float, np.ndarray]:
+    """``_ratio_and_gradient`` from the parts a guarded caller already holds:
+    ``_pair_geometry(points)`` with inf on the distance diagonal, the squared
+    norms, the norms and their sum."""
+    n = points.shape[0]
+    s2 = norms2[:, None] + norms2
     inv = 1.0 / d
     energy = 0.5 * float((s2 * inv).sum())
-    normalizer = (n - 1) * float(norms.sum())
+    normalizer = (n - 1) * total
     ratio = energy / normalizer
     d_energy = 2.0 * points * inv.sum(axis=1)[:, None] - np.einsum(
         "ij,ijk->ik", s2 * inv**3, diff

@@ -2,8 +2,10 @@
 
 Seeded Monte Carlo estimates of the spherical averages and shell averages in
 ``ionbound.kernels``, a Gauss-Legendre quadrature of the radial trial measure
-behind ``ionbound.beta.TRIAL_MEASURE_ANALYTIC``, the bare pair kernel, and the
-shell family whose maximum is ``ionbound.alpha.alpha_sandwich``.  numpy only.
+behind ``ionbound.beta.TRIAL_MEASURE_ANALYTIC``, the bare pair kernel, the
+shell family whose maximum is ``ionbound.alpha.alpha_sandwich``, and frozen
+reference copies of the descent's guarded evaluator and L-BFGS direction.
+numpy only.
 """
 
 import numpy as np
@@ -90,3 +92,60 @@ def sandwich_at_r(n: int, beta_lower: float, r: float) -> float:
 def sandwich_maximizing_r(n: int, beta_lower: float) -> float:
     """The shell radius (4 beta N / 3)^(-1/3) that maximizes ``sandwich_at_r``."""
     return (4.0 * beta_lower * n / 3.0) ** (-1.0 / 3.0)
+
+
+def reference_evaluate_trial(points: np.ndarray, origin_guard: float, coincidence_rtol: float):
+    """The descent's guarded evaluator as it was written before its numpy calls
+    were cut, with the kernel helpers it called inlined and every operation
+    kept as written, as the bit-level reference for
+    ``ionbound.alpha._evaluate_trial``: ratio, points rescaled by
+    t = N / sum|x_i| and the gradient there, or None if a point lies within
+    ``origin_guard`` of the origin at that scale or a pair is closer than
+    ``coincidence_rtol`` times the diameter."""
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+    total = float(norms.sum())
+    if total == 0.0 or float(norms.min()) * (points.shape[0] / total) < origin_guard:
+        return None
+    n = points.shape[0]
+    diff = points[:, None, :] - points[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    upper = d[np.triu_indices(n, 1)]
+    if float(upper.min()) <= coincidence_rtol * float(upper.max()):
+        return None
+    np.fill_diagonal(d, np.inf)
+    norms2 = np.einsum("ij,ij->i", points, points)
+    norms = np.sqrt(norms2)
+    s2 = norms2[:, None] + norms2[None, :]
+    inv = 1.0 / d
+    energy = 0.5 * float((s2 * inv).sum())
+    normalizer = (n - 1) * float(norms.sum())
+    ratio = energy / normalizer
+    d_energy = 2.0 * points * inv.sum(axis=1)[:, None] - np.einsum(
+        "ij,ijk->ik", s2 * inv**3, diff
+    )
+    d_norm = (n - 1) * points / norms[:, None]
+    grad = (d_energy - ratio * d_norm) / normalizer
+    scale = points.shape[0] / total
+    return ratio, points * scale, grad / scale
+
+
+def reference_lbfgs_direction(grad: np.ndarray, pairs: list, step_init: float):
+    """The descent's L-BFGS two-loop recursion as it was written before its
+    numpy calls were cut, kept verbatim as the bit-level reference for
+    ``ionbound.alpha._lbfgs_direction``: -H grad over the (s, y, 1/sᵀy) pairs,
+    oldest first, or -step_init * grad (and the pairs cleared) if that does
+    not descend."""
+    if pairs:
+        q = grad.ravel().copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        s, y, _ = pairs[-1]
+        q *= (s @ y) / (y @ y)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            q += (a - rho * (y @ q)) * s
+        if q @ grad.ravel() > 0.0:
+            return -q.reshape(grad.shape)
+        pairs.clear()
+    return -step_init * grad

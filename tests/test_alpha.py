@@ -1,11 +1,17 @@
 import hashlib
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 from conftest import random_configuration
-from oracles import sandwich_at_r, sandwich_maximizing_r
+from oracles import (
+    reference_evaluate_trial,
+    reference_lbfgs_direction,
+    sandwich_at_r,
+    sandwich_maximizing_r,
+)
 from ionbound import alpha
 from ionbound.alpha import (
     ORIGIN_GUARD,
@@ -17,6 +23,7 @@ from ionbound.alpha import (
 )
 from ionbound.errors import DomainError
 from ionbound.kernels import (
+    COINCIDENCE_RTOL,
     ParticleConfiguration,
     _ratio_and_gradient,
     ratio_gradient,
@@ -308,6 +315,78 @@ def test_evaluate_trial_guards_and_rescales():
     near_origin[2] *= 1e-11
     for bad in (coincident, near_origin, np.zeros((3, 3))):
         assert alpha._evaluate_trial(bad) is None
+
+
+def _trial_bits(trial):
+    if trial is None:
+        return None
+    ratio, points, grad = trial
+    return np.float64(ratio).tobytes(), points.shape, points.tobytes(), grad.shape, grad.tobytes()
+
+
+def _evaluator_cases():
+    rng = np.random.default_rng(24)
+    for k in range(3000):
+        n = 2 + k % 23
+        pts = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3, 3)
+        if k % 5 == 0:  # a descent-sized step from a generic configuration
+            pts = random_configuration(rng, n) + 0.05 * rng.standard_normal((n, 3))
+        yield pts
+    inf, nan = math.inf, math.nan
+    base = random_configuration(rng, 6)
+    for i, value in ((0, 0.5 * ORIGIN_GUARD), (1, 2.0 * ORIGIN_GUARD)):
+        near_origin = base.copy()
+        near_origin[i] = [0.0, 0.6 * value, 0.8 * value]
+        yield near_origin
+    for gap in (0.0, 1e-13, 1e-11):
+        coincident = base.copy()
+        coincident[3] = coincident[2] + gap * np.array([0.0, 0.6, 0.8])
+        yield coincident
+    for i, j, value in ((0, 0, nan), (2, 1, inf), (5, 2, -inf)):
+        bad = base.copy()
+        bad[i, j] = value
+        yield bad
+    yield np.full((4, 3), nan)
+    yield np.array([[inf, 0.0, 0.0], [-inf, 0.0, 0.0]])
+    yield np.array([[inf, 0.0, 0.0], [inf, 1.0, 0.0], [0.0, inf, 0.0]])
+    yield np.array([[inf, 0.0, 0.0], [-inf, 0.0, 0.0], [0.0, nan, 0.0]])
+    yield base * 1e200
+    yield base * 1e-200
+    yield np.zeros((3, 3))
+
+
+def test_evaluate_trial_matches_the_reference_bit_for_bit():
+    outcomes = set()
+    with np.errstate(all="ignore"):  # the inf and NaN cases warn in both
+        for pts in _evaluator_cases():
+            ours = _trial_bits(alpha._evaluate_trial(pts.copy()))
+            reference = reference_evaluate_trial(pts.copy(), ORIGIN_GUARD, COINCIDENCE_RTOL)
+            assert ours == _trial_bits(reference)
+            outcomes.add(ours is None)
+    assert outcomes == {True, False}
+
+
+def test_lbfgs_direction_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(8)
+    cleared = 0
+    for k in range(1000):
+        n = 2 + k % 23
+        grad = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-6, 2)
+        ours, reference = deque(maxlen=alpha._MEMORY), []
+        for _ in range(k % 11):  # up to 10 pairs, of which the deque keeps the last 8
+            s = rng.standard_normal(3 * n) * 10.0 ** rng.uniform(-4, 0)
+            # mostly positive curvature; sometimes an indefinite y that may not descend
+            y = s * rng.uniform(0.1, 10.0, 3 * n) + rng.standard_normal(3 * n) * (k % 3) * 0.5
+            sy, yy = float(s @ y), float(y @ y)
+            if sy > 0.0:
+                ours.append((s, y, 1.0 / sy, sy / yy))
+                reference.append((s, y, 1.0 / sy))
+        reference = reference[-alpha._MEMORY:]
+        direction = alpha._lbfgs_direction(grad, ours)
+        assert direction.tobytes() == reference_lbfgs_direction(grad, reference, alpha._STEP_INIT).tobytes()
+        assert direction.shape == grad.shape and len(ours) == len(reference)
+        cleared += bool(k % 11) and not ours
+    assert cleared  # the not-descending branch ran
 
 
 @pytest.mark.parametrize("key", list(INITIAL_POINTS_SHA256), ids=str)

@@ -193,6 +193,8 @@ def test_implicit_bound_rejects_bad_inputs():
         ("1e+308", lambda: bound_table([1e308], BoundInputs())),
         ("1e+308", lambda: bound_row(1e308, BoundInputs())),
         ("0.001", lambda: bound_table([0.001], BoundInputs(model="magnetic", B=1e308))),
+        ("1e-200", lambda: bound_table([1e-200], BoundInputs(model="magnetic", B=3.0))),
+        ("1e-200", lambda: bound_table([1e-200], BoundInputs(model="bosonic", B=3.0))),
     ]
     for z, call in overflows:
         with pytest.raises(DomainError) as refused:
@@ -237,6 +239,22 @@ def test_magnetic_homogeneous_zero_field():
     value = magnetic_bound(z, BoundInputs(model="magnetic", B=0.0))
     base = 1.22 * z + 3 * z ** (1 / 3)
     assert value == pytest.approx(base * (1 + 11.8 * z ** (-2 / 3)), rel=1e-14)
+
+
+@pytest.mark.parametrize("model, z", [("magnetic", 1e103), ("bosonic", 1e155)])
+def test_a_field_ratio_whose_power_of_z_overflows_gives_a_finite_row(model, z):
+    # Z^3 (Z^2) overflows, while B / Z^3 (B / Z^2) is a subnormal near the zero-field limit
+    row = bound_table([z], BoundInputs(model=model, B=3.0))[0]
+    assert all(math.isfinite(cell) for cell in row)
+    assert row[4] == pytest.approx(bound_table([z], BoundInputs(model=model, B=0.0))[0][4], rel=1e-15)
+
+
+def test_a_zero_field_with_an_underflowing_power_of_z_is_the_zero_field_bound():
+    z = 1e-200
+    base = 1.22 * z + 3 * z ** (1 / 3)
+    assert magnetic_bound(z, BoundInputs(model="magnetic")) == base * (1 + 11.8 * z ** (-2 / 3))
+    bosonic = relativistic_or_bosonic_bound(z, BoundInputs(model="bosonic"))
+    assert bosonic == (z / 0.8218 + 3 * z ** (1 / 3)) * 2.0
 
 
 def test_magnetic_ratio_sweep_approaches_coeff():

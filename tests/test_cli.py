@@ -222,6 +222,12 @@ def test_model_choices_are_the_library_models():
     ("--z 1e308:1e308 --format json", 1),
     ("--z 1e308:1e308", 1),
     ("--model relativistic --Ckappa 1e300 --z 1e300:1e300", 1),
+    # field ratios past the float range: Z^3 (Z^2) underflows, and B / Z^3 with it
+    ("--model magnetic --B 3 --z 1e-200:1e-200", 1),
+    ("--model bosonic --B 3 --z 1e-200:1e-200", 1),
+    # Z^3 (Z^2) overflows, and B / Z^3 (B / Z^2) is a subnormal: a finite row
+    ("--model magnetic --B 3 --z 1e103:1e103", 0),
+    ("--model bosonic --B 3 --z 1e155:1e155", 0),
     ("--beta 1.5", 1),
     # a root near 2.1e300: the bracket doubles about 1000 times from max(2, Z/beta)
     ("--beta 1e-300 --coeff 1e300 --z 1e-300:1e-300", 0),
@@ -443,6 +449,49 @@ def test_unknown_flag_exit_1(capsys):
     assert run_cli(["alpha", "--bogus"]) == 1
     err = capsys.readouterr().err
     assert "usage" in err and "alpha" in err
+
+
+def _commands_built(parser) -> list:
+    return list(next(a for a in parser._actions if a.dest == "command").choices)
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        return ("parsed", vars(parser.parse_args(argv)))
+    except SystemExit as exc:  # --help
+        return ("exit", exc.code, capsys.readouterr())
+    except cli.UsageError as exc:
+        return ("usage error", str(exc))
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_one_command_parser_parses_helps_and_errs_like_the_full_parser(capsys, command):
+    assert _commands_built(build_parser(command)) == [command]
+    for argv in ([command], [command, "--help"], [command, "--bogus", "1"],
+                 [command, "--format", "xml"], [command, "--out"], [command, "--seed", "-1"]):
+        one = _parse_outcome(build_parser(command), argv, capsys)
+        assert one == _parse_outcome(build_parser(), argv, capsys), argv
+        assert one[0] != "exit" or one[2].out.startswith(f"usage: ionbound {command} ")
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["bounds", "--z", "1:2"], ["bounds"]),
+    (["--version"], list(cli._COMMANDS)), (["alpah"], list(cli._COMMANDS)), ([], list(cli._COMMANDS)),
+])
+def test_main_builds_only_the_named_commands_parser(monkeypatch, capsys, argv, built):
+    seen = []
+
+    def recording(only=None):
+        parser = build_parser(only)
+        seen.append(_commands_built(parser))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    try:
+        main(argv)
+    except SystemExit:  # --version
+        pass
+    assert seen == [built]
 
 
 @pytest.mark.parametrize(

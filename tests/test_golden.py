@@ -73,6 +73,18 @@ EXTREME_ROOTS_SHA256 = {
     1 - 2**-52: "a88815fb8dc139c762e86d988608b3eaf2faaae3ff6935214f4f091670464ae2",
 }
 
+# json.dumps(payload["results"], indent=2) of the benchmark's alpha-sweep call
+# `alpha --n 2:12 --restarts 2 --seed S --format json`, at the CLI seeds of its
+# first sequences and at 7, and the bytes of the same call's CSV at seed 7;
+# pinned before the descent's per-iteration numpy calls were cut
+ALPHA_SWEEP_RESULTS_SHA256 = {
+    7: "b640109304ecf85cd18b3d4e85226bb862d70ff1a6846e4820b76172c87cf5e4",
+    1048576: "88e082ef5c5a4b8f013a1d2e80b2d8f7a0a9b0ce539fb19a4a842fe05d061648",
+    1048577: "240e91f63e9fded5f91b6e705cbe492bec9939495d2e8b4802836ec7a2ad371e",
+}
+ALPHA_SWEEP_CSV_SHA256 = "78e8825c4f0221dd6375061702fa5e6d1f38825704a0b8ee3ced6a8475748769"
+ALPHA_SWEEP_ARGS = ["alpha", "--n", "2:12", "--restarts", "2"]
+
 # the other writers of the shared CSV formatter
 STAGE_CSV_SHA256 = {
     "alpha --n 2:4 --restarts 4 --seed 7": "ed9bf6cc366f1a198973558418dbc5a68042e9fcc8951df3622497c6f920dab9",
@@ -132,6 +144,21 @@ def test_stage_csv_bytes(tmp_path, command):
     out = tmp_path / "stage.csv"
     assert main([*command.split(), "--format", "csv", "--out", str(out)]) == 0
     assert _digest(out) == STAGE_CSV_SHA256[command]
+
+
+@pytest.mark.parametrize("seed", list(ALPHA_SWEEP_RESULTS_SHA256))
+def test_alpha_sweep_results_bytes(tmp_path, seed):
+    out = tmp_path / "alpha.json"
+    assert main([*ALPHA_SWEEP_ARGS, "--seed", str(seed), "--format", "json", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    digest = hashlib.sha256(json.dumps(results, indent=2).encode()).hexdigest()
+    assert digest == ALPHA_SWEEP_RESULTS_SHA256[seed]
+
+
+def test_alpha_sweep_csv_bytes(tmp_path):
+    out = tmp_path / "alpha.csv"
+    assert main([*ALPHA_SWEEP_ARGS, "--seed", "7", "--format", "csv", "--out", str(out)]) == 0
+    assert _digest(out) == ALPHA_SWEEP_CSV_SHA256
 
 
 def test_bounds_svg_bytes(tmp_path):
