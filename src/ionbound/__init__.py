@@ -21,15 +21,15 @@ _LAYERS = {
     "alpha": ("AlphaEstimate", "MAX_POINT_COUNT", "OptimizerSettings", "alpha_sandwich",
               "estimate_alpha", "local_minimize"),
     "beta": ("BetaBracket", "BetaSettings", "RadialMeasure", "bracket_detail", "default_nodes",
-             "g_of_lambda", "maximize_g", "minimize_radial_ratio", "radial_ratio", "w_maximin"),
+             "g_of_lambda", "maximize_g", "minimize_radial_ratio", "radial_ratio",
+             "w_lambda_reduced", "w_maximin"),
     "bounds": ("BoundInputs", "PhysicalConstants", "bound_row", "bound_table", "crossover_z",
                "derived_constants", "implicit_bound", "magnetic_bound",
                "relativistic_or_bosonic_bound"),
     "lemmas": ("LemmaGrid", "LemmaReport", "verify_lemma"),
     "plots": ("Band", "Panel", "Series", "render_svg"),
     "kernels": ("ParticleConfiguration", "RatioValue", "radial_kernel_triple", "ratio_gradient",
-                "ratio_value", "sphere_average_dipole", "sphere_average_inverse_distance",
-                "w_lambda_reduced"),
+                "ratio_value", "sphere_average_dipole", "sphere_average_inverse_distance"),
 }
 
 __all__ = ["__version__", *sorted(name for names in _LAYERS.values() for name in names)]

@@ -12,14 +12,12 @@ exactly by an active-set method on the weight simplex).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import DEFAULT_BETA_LOWER  # re-exported: the bounds default, kept beside __version__
 from .errors import DomainError, IonboundError, IterationLimitError
-from .kernels import w_lambda_reduced
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -42,16 +40,23 @@ _OUTER_ITERATIONS = 500
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadialMeasure:
-    """Discrete probability measure on (0, inf): increasing nodes, weights summing to 1."""
-
+class _MeasureFields(NamedTuple):
     nodes: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+
+class RadialMeasure(_MeasureFields):
+    """Discrete probability measure on (0, inf): increasing nodes, weights summing to 1.
+
+    An immutable named tuple whose nodes and weights are checked, and made
+    read-only float arrays, whenever one is built (also by ``_replace``).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, nodes, weights):
+        nodes = np.asarray(nodes, dtype=float)
+        weights = np.asarray(weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
             raise DomainError("nodes and weights must be matching non-empty 1-d arrays")
         if nodes[0] <= 0 or np.any(np.diff(nodes) <= 0):
@@ -62,8 +67,11 @@ class RadialMeasure:
             raise DomainError("weights must sum to 1 within 1e-12")
         nodes.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        return super().__new__(cls, nodes, weights)
+
+    @classmethod
+    def _make(cls, iterable):  # what _replace builds through
+        return cls(*iterable)
 
 
 class LambdaPoint(NamedTuple):
@@ -83,13 +91,27 @@ class LambdaPoint(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class BetaSettings:
-    """Radial node grid and g tolerance of the bracket computation."""
-
+class _SettingsFields(NamedTuple):
     g_tolerance: float = 1e-10
     node_count: int = DEFAULT_NODE_COUNT
     node_range: tuple[float, float] = DEFAULT_NODE_RANGE
+
+
+class BetaSettings(_SettingsFields):
+    """Radial node grid and g tolerance of the bracket computation: an immutable
+    named tuple, checked whenever one is built (also by ``_replace``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _check_node_grid(self.node_count, self.node_range)
+        _check_tolerance(self.g_tolerance)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # what _replace builds through
+        return cls(*iterable)
 
 
 class WMaximinResult(NamedTuple):
@@ -136,10 +158,14 @@ def _golden_max(f, lo: float, hi: float, tolerance: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def maximize_g(tolerance: float) -> tuple[float, float]:
-    """Golden-section maximization of g over [0.8, 1] to the given bracket width."""
+def _check_tolerance(tolerance: float) -> None:
     if not tolerance > 0:  # also rejects NaN
         raise DomainError("tolerance must be positive")
+
+
+def maximize_g(tolerance: float) -> tuple[float, float]:
+    """Golden-section maximization of g over [0.8, 1] to the given bracket width."""
+    _check_tolerance(tolerance)
     lam0 = _golden_max(lambda lam: g_of_lambda(lam).g, *LAMBDA_DOMAIN, tolerance)
     return lam0, g_of_lambda(lam0).g
 
@@ -147,6 +173,23 @@ def maximize_g(tolerance: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # blended-kernel inner minimum on the reduced (a=1, b, c) domain
 # ---------------------------------------------------------------------------
+
+def w_lambda_reduced(lam: float, a: float, b: float, c: float) -> float:
+    """Blended two-kernel surrogate lambda*(a + b^2/c) + (1-lambda)*(c + (2/3) b^2/a).
+
+    Here a >= b >= 0 are the two radii and c the separation, which must be
+    realizable, |a-b| <= c <= a+b (only enforced for b > 0).
+    """
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError("lambda must lie in [0, 1]")
+    if a <= 0 or c <= 0 or not 0.0 <= b <= a:
+        raise DomainError("need a > 0, 0 <= b <= a, c > 0")
+    if b > 0 and not (a - b <= c <= a + b):
+        raise DomainError(
+            f"c = {c:g} outside the realizable range [{a - b:g}, {a + b:g}]"
+        )
+    return lam * (a + b * b / c) + (1.0 - lam) * (c + (2.0 / 3.0) * b * b / a)
+
 
 def _min_over_c(lam: float, b: float) -> float:
     """min over c in [max(1-b, 1e-9), 1+b] of W_lambda(1,b,c)/(1+b).
@@ -201,10 +244,7 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + tau, 0.0)
 
 
-def default_nodes(
-    count: int = DEFAULT_NODE_COUNT, node_range: tuple[float, float] = DEFAULT_NODE_RANGE
-) -> np.ndarray:
-    """Log-spaced node grid; only its dynamic range matters by dilation invariance."""
+def _check_node_grid(count: int, node_range: tuple[float, float]) -> None:
     lo, hi = node_range
     if not 1 <= count <= MAX_NODE_COUNT:
         raise DomainError(f"node count must lie in [1, {MAX_NODE_COUNT}], got {count}")
@@ -213,6 +253,14 @@ def default_nodes(
         raise DomainError(f"node range {lo:g}:{hi:g} needs 0 < lo < hi, lo^2 > 0, 2 hi^2 finite")
     if hi / lo > MAX_NODE_SPAN:
         raise DomainError(f"node range {lo:g}:{hi:g} spans more than hi/lo = {MAX_NODE_SPAN:g}")
+
+
+def default_nodes(
+    count: int = DEFAULT_NODE_COUNT, node_range: tuple[float, float] = DEFAULT_NODE_RANGE
+) -> np.ndarray:
+    """Log-spaced node grid; only its dynamic range matters by dilation invariance."""
+    _check_node_grid(count, node_range)
+    lo, hi = node_range
     if count == 1:
         return np.array([math.sqrt(lo * hi)])
     return np.geomspace(lo, hi, count)

@@ -132,9 +132,11 @@ def _json_text(payload: dict) -> str:
 
 
 def _csv_text(schema_id: str, header: str, rows: list[list]) -> str:
-    # cells are Python int, float or str; str(float) is the shortest round-trip repr
+    # cells are Python int, float or str, and the rows of a table are equally long;
+    # %s renders a float as str(float), the shortest round-trip repr
+    template = ",".join(["%s"] * len(rows[0] if rows else ()))
     lines = [f"#schema={schema_id}", header]
-    lines.extend(",".join(map(str, row)) for row in rows)
+    lines.extend(template % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -208,8 +210,8 @@ def _alpha_panel(estimates) -> Panel:
 
 
 def _beta_job(args, node_range):
+    # the settings check the node grid and tolerance here, before any stage runs
     settings = _lib.BetaSettings(g_tolerance=args.tol, node_count=args.nodes, node_range=node_range)
-    _lib.default_nodes(settings.node_count, settings.node_range)  # checked before any stage runs
     return lambda: _lib.bracket_detail(settings)
 
 
@@ -520,12 +522,18 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Process entry point: exit with main()'s code without tearing down the heap.
+    """Process entry point: run main() without the cyclic collector, and exit with
+    its code without tearing down the heap.
 
-    gc.freeze() moves every live object out of the collector's reach, so the
-    interpreter's final collections skip them and the OS reclaims the memory.
-    Output files are closed by then, and stdio is still flushed at exit.
+    A call leaves the same few cyclic objects however much work it does, so the
+    collections that its imports and its work would trigger free next to
+    nothing; the collector stays off (main() called in-process leaves it on).
+    gc.freeze() moves every live object out of the reach of the interpreter's
+    final collections, which run even with the collector off, so they skip them
+    and the OS reclaims the memory.  Output files are closed by then, and stdio
+    is still flushed at exit.
     """
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

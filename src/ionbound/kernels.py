@@ -188,23 +188,6 @@ def sphere_average_dipole(a, s: float) -> np.ndarray:
     return -(a / r) * min(r, s) / (3.0 * max(r, s) ** 2)
 
 
-def w_lambda_reduced(lam: float, a: float, b: float, c: float) -> float:
-    """Blended two-kernel surrogate lambda*(a + b^2/c) + (1-lambda)*(c + (2/3) b^2/a).
-
-    Here a >= b >= 0 are the two radii and c the separation, which must be
-    realizable, |a-b| <= c <= a+b (only enforced for b > 0).
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError("lambda must lie in [0, 1]")
-    if a <= 0 or c <= 0 or not 0.0 <= b <= a:
-        raise DomainError("need a > 0, 0 <= b <= a, c > 0")
-    if b > 0 and not (a - b <= c <= a + b):
-        raise DomainError(
-            f"c = {c:g} outside the realizable range [{a - b:g}, {a + b:g}]"
-        )
-    return lam * (a + b * b / c) + (1.0 - lam) * (c + (2.0 / 3.0) * b * b / a)
-
-
 def radial_kernel_triple(r: float, s: float) -> tuple[float, float, float]:
     """Sphere-sphere averages of the three pair kernels for shells of radii r, s.
 

@@ -9,7 +9,7 @@ calculators in ``bounds`` are pure Python; this is the numpy layer beside them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .bounds import KINETIC_COEFF, _beta1
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Outcome of one grid verification.
 
     ``passed`` is exactly (min_margin > 0) over the in-hypothesis grid;
@@ -47,10 +46,7 @@ MAX_GRID_POINTS = 10_000_000
 MAX_BETA_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class LemmaGrid:
-    """Grid specification for verify_lemma; unused axes are ignored per lemma."""
-
+class _GridFields(NamedTuple):
     z_points: int = 120
     ratio_points: int = 120
     beta_points: int = 1
@@ -58,7 +54,17 @@ class LemmaGrid:
     n_above: int = 24
     real_n: bool = False
 
-    def __post_init__(self):
+
+class LemmaGrid(_GridFields):
+    """Grid specification for verify_lemma; unused axes are ignored per lemma.
+
+    An immutable named tuple, checked whenever one is built (also by ``_replace``).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.z_points, self.ratio_points, self.beta_points, self.n_above) < 1:
             raise DomainError("grid counts must be >= 1")
         # the (Z, N/Z) arrays of lemma3 and the (Z, real N) arrays of lemma4
@@ -74,6 +80,11 @@ class LemmaGrid:
             raise DomainError(f"beta grid values must be >= {DEFAULT_BETA_LOWER}")
         if not lo <= hi < 1:
             raise DomainError(f"beta range {lo:g}:{hi:g} needs lo <= hi < 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # what _replace builds through
+        return cls(*iterable)
 
     def betas(self) -> np.ndarray:
         return np.linspace(*self.beta_range, self.beta_points)  # [lo] at one point

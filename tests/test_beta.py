@@ -97,8 +97,7 @@ def test_w_maximin_at_lambda_0_is_g_max():
                                     (0.95, 0.6), (1.0, 0.5)])
 def test_closed_form_c_minimizes_the_kernel(lam, b):
     """A bounded scalar search and a dense c-grid find no lower kernel value than c*."""
-    from ionbound.beta import _min_over_c
-    from ionbound.kernels import w_lambda_reduced
+    from ionbound.beta import _min_over_c, w_lambda_reduced
 
     optimize = pytest.importorskip("scipy.optimize")
     lo, hi = max(1.0 - b, 1e-9), 1.0 + b
@@ -193,6 +192,38 @@ def test_radial_measure_invariants():
         RadialMeasure([1.0, 2.0], [1.0])
     with pytest.raises(DomainError, match="non-negative"):
         RadialMeasure([1.0, 2.0], [1.5, -0.5])
+
+
+def test_radial_measure_is_an_immutable_named_tuple_checked_on_every_copy():
+    measure = RadialMeasure([1.0, 2.0], [0.25, 0.75])  # positional, as the bench builds one
+    nodes, weights = measure
+    assert nodes is measure.nodes and weights is measure.weights
+    assert measure.nodes.dtype == float and not measure.weights.flags.writeable
+    with pytest.raises(AttributeError):
+        measure.nodes = np.array([1.0, 3.0])
+    with pytest.raises(AttributeError):
+        measure.extra = 1.0
+    moved = measure._replace(nodes=[2.0, 3.0])
+    assert isinstance(moved, RadialMeasure) and not moved.nodes.flags.writeable
+    with pytest.raises(DomainError, match="nodes must be strictly increasing and positive"):
+        measure._replace(nodes=[2.0, 1.0])
+    with pytest.raises(DomainError, match="weights must sum to 1 within 1e-12"):
+        measure._replace(weights=[0.5, 0.6])
+    with pytest.raises(DomainError, match="weights must sum to 1 within 1e-12"):
+        RadialMeasure._make(([1.0, 2.0], [0.5, 0.6]))
+
+
+def test_beta_settings_are_checked_on_every_copy():
+    settings = BetaSettings(node_count=20)
+    assert settings == BetaSettings(1e-10, 20) and settings.node_range == (0.05, 20.0)
+    with pytest.raises(AttributeError):
+        settings.node_count = 0
+    with pytest.raises(DomainError, match="node count must lie in"):
+        settings._replace(node_count=0)
+    with pytest.raises(DomainError, match="node range 2:1 needs"):
+        BetaSettings(node_range=(2.0, 1.0))
+    with pytest.raises(DomainError, match="tolerance must be positive"):
+        settings._replace(g_tolerance=math.nan)
 
 
 def test_trial_measure_analytic_value():

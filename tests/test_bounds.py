@@ -547,6 +547,23 @@ def test_lemma_grid_validation():
             LemmaGrid(**bad)
 
 
+def test_lemma_grid_is_an_immutable_named_tuple_checked_on_every_copy():
+    grid = LemmaGrid(z_points=40)
+    assert grid == LemmaGrid(40) and grid._replace(z_points=120) == LemmaGrid()
+    with pytest.raises(AttributeError):
+        grid.z_points = 0
+    with pytest.raises(AttributeError):
+        grid.extra = 1
+    with pytest.raises(DomainError, match="grid counts must be >= 1"):
+        grid._replace(n_above=0)
+    with pytest.raises(DomainError, match="beta grid values must be >= 0.8218"):
+        grid._replace(beta_range=(0.8, 0.9))
+    with pytest.raises(DomainError, match="beta range 0.9:0.85 needs lo <= hi < 1"):
+        LemmaGrid(beta_range=(0.9, 0.85))
+    with pytest.raises(DomainError, match="grid arrays must hold at most"):
+        LemmaGrid._make((10**4, 10**4, 1, (0.8218, 0.8218), 24, False))
+
+
 def test_lemma_reports_deterministic():
     a = verify_lemma("lemma3", LemmaGrid())
     b = verify_lemma("lemma3", LemmaGrid())

@@ -684,7 +684,7 @@ def _loaded_after(argv: list) -> list:
     (["bounds", "--z", "1:3", "--format", "svg", "--out", "OUT"], ["bounds", "plots"]),
     (["bounds", "--z", "1:3", "--format", "svg"], ["bounds", "plots"]),  # an SVG on stdout
     (["verify", "--lemma", "cubic"], ["bounds", "lemmas", "numpy"]),
-    (["beta", "--nodes", "10"], ["beta", "kernels", "numpy"]),
+    (["beta", "--nodes", "10"], ["beta", "numpy"]),
     (["alpha", "--n", "2:2", "--restarts", "1"], ["alpha", "kernels", "numpy"]),
     (["bounds", "--z", "1:3", "--format", "json"], ["bounds"]),
     # a malformed range is reported before its command's layer loads
@@ -704,17 +704,23 @@ def test_a_call_loads_only_its_commands_layers(tmp_path, argv, layers):
     assert _loaded_after(argv) == sorted(modules)
 
 
-def _held_at_exit(argv: list) -> str:
-    """Which of dataclasses, json and numpy a fresh ``ionbound`` process holds at
-    its exit; the harness itself imports none of them."""
-    code = ("import atexit, runpy, sys\n"
-            "atexit.register(lambda: print(sorted({'dataclasses', 'json', 'numpy'}\n"
-            "                                     & set(sys.modules))))\n"
+def _at_exit(argv: list, expression: str) -> str:
+    """The value of ``expression`` at the exit of a fresh ``ionbound`` process run
+    as a program; the harness itself imports only ``atexit``, ``gc``, ``runpy`` and
+    ``sys``."""
+    code = ("import atexit, gc, runpy, sys\n"
+            f"atexit.register(lambda: print({expression}))\n"
             f"sys.argv = ['ionbound', *{argv!r}]\n"
             "runpy.run_module('ionbound.cli', run_name='__main__', alter_sys=True)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
+
+
+def _held_at_exit(argv: list) -> str:
+    """Which of dataclasses, json and numpy a fresh ``ionbound`` process holds at
+    its exit."""
+    return _at_exit(argv, "sorted({'dataclasses', 'json', 'numpy'} & set(sys.modules))")
 
 
 @pytest.mark.parametrize("argv, held", [
@@ -728,8 +734,22 @@ def test_a_bounds_call_loads_no_dataclasses_and_json_only_to_write_it(tmp_path, 
     assert _held_at_exit(argv) == held
 
 
+@pytest.mark.parametrize("argv, held", [
+    (["alpha", "--n", "2:3", "--restarts", "1", "--out", "OUT"], "['numpy']"),
+    (["beta", "--nodes", "10", "--out", "OUT"], "['json', 'numpy']"),
+    (["verify", "--lemma", "cubic", "--out", "OUT"], "['json', 'numpy']"),
+    (["report", "--n", "2:2", "--restarts", "1", "--nodes", "10", "--z", "1:3", "--out", "OUT"],
+     "['json', 'numpy']"),
+])
+def test_a_numpy_call_loads_no_dataclasses(tmp_path, argv, held):
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    assert _held_at_exit(argv) == held
+
+
 def test_the_pure_python_layers_import_no_dataclasses():
-    code = ("import sys, ionbound.bounds, ionbound.plots\n"
+    # and neither do the numpy layers: every layer is imported
+    layers = ", ".join(f"ionbound.{layer}" for layer in ionbound._LAYERS)
+    code = (f"import sys, {layers}\n"
             "print('dataclasses' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -751,6 +771,37 @@ def test_every_public_name_resolves_lazily():
         ionbound.no_such_name
     # the CLI binds the package's table: each public name is the package's object
     assert [n for n in ionbound.__all__ if getattr(cli, n) is not getattr(ionbound, n)] == []
+
+
+def test_the_process_runs_without_the_cyclic_collector_and_main_leaves_it_on(tmp_path):
+    out = str(tmp_path / "out.csv")
+    assert gc.isenabled()
+    assert main(["bounds", "--z", "1:3", "--out", out]) == 0
+    assert gc.isenabled()
+    assert _at_exit(["bounds", "--z", "1:3", "--out", out], "gc.isenabled()") == "False"
+
+
+@pytest.mark.parametrize("small, large", [
+    (["alpha", "--n", "2:6", "--restarts", "2"], ["alpha", "--n", "2:6", "--restarts", "60"]),
+    (["beta", "--nodes", "20"], ["beta", "--nodes", "400"]),
+    (["bounds", "--z", "1:2", "--format", "json"],
+     ["bounds", "--z", "1:118:0.001", "--format", "json"]),  # 117,001 rows
+])
+def test_the_cyclic_garbage_of_a_call_does_not_grow_with_its_work(tmp_path, small, large):
+    # the premise of running the process without the collector: what a collection
+    # would free is the same few objects, whatever the call's size
+    code = ("import gc, sys, ionbound.cli\n"
+            "gc.disable()\n"
+            "gc.collect()\n"
+            "ionbound.cli.main(sys.argv[1:])\n"
+            "print(gc.collect())")
+    found = []
+    for argv in (small, large):
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        found.append(int(proc.stdout))
+    assert found[1] <= found[0] < 1000
 
 
 def test_process_exit_writes_what_main_writes(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_configuration, random_rotation
+from ionbound.beta import w_lambda_reduced
 from ionbound.errors import DomainError
 from ionbound.kernels import (
     ParticleConfiguration,
@@ -12,7 +13,6 @@ from ionbound.kernels import (
     ratio_value,
     sphere_average_dipole,
     sphere_average_inverse_distance,
-    w_lambda_reduced,
 )
 from ionbound.kernels import _energy_normalizer, _distance_extremes
 from oracles import mc_dipole, mc_inverse_distance, mc_radial_kernel_triple, pair_kernel
