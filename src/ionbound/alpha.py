@@ -3,36 +3,31 @@
 The best ratio found over seeded restarts is an upper estimate of the true
 infimum; the matching lower bound comes from the statistical-limit constant
 through an explicit N-dependent correction.  Results are deterministic given
-(N, settings).
+(N, settings), and the same on every IEEE CPU: the starts come from Python's
+``random.Random``, whose ``random()`` stream is fixed across Python versions,
+and the descent runs on flat lists of Python floats with only correctly
+rounded operations (+, -, *, /, ``math.sqrt`` and ``math.fsum``), so it uses
+no numpy, no libm function and no builtin ``sum()`` of floats.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
+from operator import mul
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from . import DEFAULT_BETA_LOWER
 from .errors import DomainError
-from .kernels import (
-    COINCIDENCE_RTOL,
-    ParticleConfiguration,
-    RatioValue,
-    _norms,
-    _pair_geometry,
-    _ratio_and_gradient,
-    _ratio_gradient_from,
-    ratio_value,
-)
+from .kernels import COINCIDENCE_RTOL, ParticleConfiguration, RatioValue, _evaluate, ratio_value
 
 # Steps moving any point this close to the origin are rejected (the radial
 # term is not smooth there); configurations are kept at scale sum|x_i| = N.
 ORIGIN_GUARD = 1e-9
-# largest N; a descent step holds (N, N, 3) pair differences, 24 MB at this N
+# largest N; it and MAX_RESTARTS fit the bit fields of a start's seed
 MAX_POINT_COUNT = 1000
-# most restarts per N; estimate_alpha allocates its per-restart arrays up front
+# most restarts per N
 MAX_RESTARTS = 10**6
 
 _MAX_ITERATIONS = 5000  # descent steps per restart
@@ -42,7 +37,7 @@ _BASIN_TIE = 1e-9  # restarts this close to the best value hit its basin
 _MEMORY = 8  # curvature pairs kept by the L-BFGS two-loop recursion
 _STEP_INIT = 0.1  # scale of the gradient step taken without curvature pairs
 _STEP_SHRINK = 0.5  # backtracking factor
-_INIT_RADIAL_BAND = (0.2, 1.8)  # start radii are uniform in this band
+_INIT_RADIUS = (0.2, 1.6)  # start radii are 0.2 + 1.6 u, u uniform in [0, 1)
 
 
 class _OptimizerFields(NamedTuple):
@@ -77,11 +72,15 @@ class AlphaEstimate(NamedTuple):
     n: int
     value: float
     lower_bound: float
-    best_config: ParticleConfiguration
+    best_points: tuple  # the best configuration, one (x, y, z) tuple per point
     restarts_used: int
     converged_restarts: int
     # iterations_total, iterations_max, evaluations_total, cap_hits, basin_hits
     diagnostics: dict
+
+    @property
+    def best_config(self) -> ParticleConfiguration:
+        return ParticleConfiguration(self.best_points)
 
 
 class LocalMinimizeResult(NamedTuple):
@@ -91,59 +90,53 @@ class LocalMinimizeResult(NamedTuple):
     iterations: int
 
 
-def _normalized(points: np.ndarray) -> np.ndarray:
-    return points * (points.shape[0] / float(_norms(points).sum()))
-
-
-def _evaluate_trial(points: np.ndarray):
+def _evaluate_trial(points: list):
     """Ratio, points rescaled by t = N / sum|x_i| and the gradient there (the
-    trial's over t: the ratio is 0-homogeneous), from one pair-distance matrix;
-    None if a point lies within ORIGIN_GUARD of the origin at that scale or a
-    pair is closer than COINCIDENCE_RTOL times the diameter."""
-    n = points.shape[0]
-    norms2 = np.einsum("ij,ij->i", points, points)
-    norms = np.sqrt(norms2)
-    total = float(norms.sum())
-    if total == 0.0 or float(norms.min()) * (n / total) < ORIGIN_GUARD:
+    trial's over t: the ratio is 0-homogeneous), all flat; None if a coordinate
+    is not finite, a point lies within ORIGIN_GUARD of the origin at that scale
+    or a pair is closer than COINCIDENCE_RTOL times the diameter."""
+    parts = _evaluate(points)
+    if parts is None:
         return None
-    diff, d = _pair_geometry(points)
-    # d is exactly symmetric, so its extremes over i != j are those over i < j;
-    # the diagonal is 0 but for a point with an inf or NaN coordinate
-    d.flat[:: n + 1] = 0.0
-    dmax = float(d.max())
-    d.flat[:: n + 1] = np.inf
-    if float(d.min()) <= COINCIDENCE_RTOL * dmax:
+    _, total, dmin, dmax, norms, ratio, grad = parts
+    n = len(norms)
+    if not 0.0 < total < math.inf or min(norms) * (n / total) < ORIGIN_GUARD:
         return None
-    ratio, grad = _ratio_gradient_from(points, diff, d, norms2, norms, total)
+    if dmin <= COINCIDENCE_RTOL * dmax:
+        return None
     scale = n / total
-    return ratio, points * scale, grad / scale
+    return ratio, [x * scale for x in points], grad
 
 
-def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
+def _lbfgs_direction(grad: list, pairs: deque) -> list:
     """-H grad by the two-loop recursion over the (s, y, 1/sᵀy, sᵀy/yᵀy) pairs,
     oldest first; with no pairs, or if that does not descend, the pairs are
-    cleared and -_STEP_INIT * grad is returned."""
+    cleared and -_STEP_INIT * grad is returned.  Each dot product is an
+    exactly rounded fsum."""
+    fsum = math.fsum
     if pairs:
-        g = grad.ravel()
-        q = g.copy()
+        q = grad
         alphas = []
         for s, y, rho, _ in reversed(pairs):
-            a = rho * s.dot(q)
+            a = rho * fsum(map(mul, s, q))
             alphas.append(a)
-            q -= a * y
-        q *= pairs[-1][3]
+            q = [qi - a * yi for qi, yi in zip(q, y)]
+        gamma = pairs[-1][3]
+        q = [gamma * qi for qi in q]
         for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
-            q += (a - rho * y.dot(q)) * s
-        if q.dot(g) > 0.0:
-            return -q.reshape(grad.shape)
+            b = a - rho * fsum(map(mul, y, q))
+            q = [qi + b * si for qi, si in zip(q, s)]
+        if fsum(map(mul, q, grad)) > 0.0:
+            return [-qi for qi in q]
         pairs.clear()
-    return -_STEP_INIT * grad
+    return [-_STEP_INIT * g for g in grad]
 
 
 def _minimize_raw(
-    points: np.ndarray, settings: OptimizerSettings, history: Optional[list] = None
-) -> tuple[np.ndarray, float, bool, int, int]:
-    """L-BFGS descent on the normalized scale manifold sum|x_i| = N.
+    points: list, settings: OptimizerSettings, history: Optional[list] = None
+) -> tuple[list, float, bool, int, int]:
+    """L-BFGS descent on the normalized scale manifold sum|x_i| = N, from flat
+    coordinates with no coincident pair and no point at the origin.
 
     Backtracking by _STEP_SHRINK from the full step accepts the first trial
     that passes the guards with a strictly lower ratio, and gives up at the
@@ -152,37 +145,39 @@ def _minimize_raw(
     last _MEMORY, if sᵀy > 1e-12 |s||y|.  Stops at the iteration cap, or when
     a step along -_STEP_INIT * gradient improves by less than ratio_tolerance
     or finds no improving step above the step floor; a quasi-Newton step that
-    meets either test clears the memory instead.  Returns the points, the
+    meets either test clears the memory instead.  Returns the flat points, the
     ratio, the convergence flag, and the counts of iterations and trial
     evaluations.
     """
     trace = history if history is not None else []
-    pts = _normalized(np.array(points, dtype=float))
-    ratio, grad = _ratio_and_gradient(pts)
+    _, total, _, _, norms, ratio, grad = _evaluate(points)
+    scale = len(norms) / total
+    pts = [x * scale for x in points]
     trace.append(ratio)
     pairs: deque = deque(maxlen=_MEMORY)
+    fsum, tolerance = math.fsum, settings.ratio_tolerance
     converged, iterations, evaluations = False, 0, 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
         direction = _lbfgs_direction(grad, pairs)
         step = 1.0
         while step > _STEP_FLOOR:
             evaluations += 1
-            # 1.0 * direction is direction, so the full step skips the product
-            candidate = pts + (direction if step == 1.0 else step * direction)
+            candidate = [x + step * d for x, d in zip(pts, direction)]
             trial = _evaluate_trial(candidate)
             if trial is not None and trial[0] < ratio:
                 break
             # once the step rounds away, every shorter one gives pts and this same trial
-            step = 0.0 if np.array_equal(candidate, pts) else step * _STEP_SHRINK
+            step = 0.0 if candidate == pts else step * _STEP_SHRINK
         else:
             trial = None
-        if trial is None or ratio - trial[0] < settings.ratio_tolerance:
+        if trial is None or ratio - trial[0] < tolerance:
             converged = not pairs
             pairs.clear()
         else:
-            s, y = (trial[1] - pts).ravel(), (trial[2] - grad).ravel()
-            sy, yy = float(s.dot(y)), float(y.dot(y))
-            if sy > 1e-12 * (math.sqrt(s.dot(s)) * math.sqrt(yy)):
+            s = [a - b for a, b in zip(trial[1], pts)]
+            y = [a - b for a, b in zip(trial[2], grad)]
+            sy, yy = fsum(map(mul, s, y)), fsum(map(mul, y, y))
+            if sy > 1e-12 * (math.sqrt(fsum(map(mul, s, s))) * math.sqrt(yy)):
                 pairs.append((s, y, 1.0 / sy, sy / yy))
         if trial is not None:
             ratio, pts, grad = trial
@@ -202,10 +197,11 @@ def local_minimize(
     Non-convergence within the iteration cap is flagged, not raised.  The
     optional ``history`` list collects the (non-increasing) ratio trace.
     """
-    if np.any(_norms(start.points) == 0.0):
+    points = start.points.ravel().tolist()
+    if any(x * x + y * y + z * z == 0.0 for x, y, z in _triples(points)):
         raise DomainError("local_minimize needs every start point off the origin")
-    pts, ratio, converged, iterations, _ = _minimize_raw(start.points, settings, history)
-    config = ParticleConfiguration(pts)
+    pts, ratio, converged, iterations, _ = _minimize_raw(points, settings, history)
+    config = ParticleConfiguration(_triples(pts))
     return LocalMinimizeResult(
         config=config,
         value=ratio_value(config),
@@ -214,15 +210,27 @@ def local_minimize(
     )
 
 
-def _initial_points(n: int, settings: OptimizerSettings, restart: int) -> np.ndarray:
-    """Seeded start: i.i.d. uniform directions, radii uniform in the init band."""
-    seq = np.random.SeedSequence(entropy=settings.seed, spawn_key=(n, restart))
-    rng = np.random.default_rng(seq)
-    low, high = _INIT_RADIAL_BAND
+def _triples(flat: list) -> tuple:
+    return tuple(zip(flat[0::3], flat[1::3], flat[2::3]))
+
+
+def _initial_points(n: int, settings: OptimizerSettings, restart: int) -> list:
+    """Seeded start, flat: i.i.d. uniform directions, by rejection from the
+    cube, at radii 0.2 + 1.6 u, redrawn until it passes the trial guards and
+    rescaled as a trial is.  The generator is seeded with
+    (seed << 30) | (n << 20) | restart: n < 2^10 and restart < 2^20."""
+    draw = random.Random((settings.seed << 30) | (n << 20) | restart).random
+    low, width = _INIT_RADIUS
     while True:
-        dirs = rng.standard_normal((n, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = dirs * rng.uniform(low, high, size=n)[:, None]
+        pts = []
+        for _ in range(n):
+            while True:
+                x, y, z = 2.0 * draw() - 1.0, 2.0 * draw() - 1.0, 2.0 * draw() - 1.0
+                r2 = x * x + y * y + z * z
+                if 0.0 < r2 <= 1.0:
+                    break
+            k = (low + width * draw()) / math.sqrt(r2)
+            pts += (x * k, y * k, z * k)
         if (trial := _evaluate_trial(pts)) is not None:
             return trial[1]
 
@@ -236,26 +244,26 @@ def estimate_alpha(n: int, settings: OptimizerSettings) -> AlphaEstimate:
     """
     if not 2 <= n <= MAX_POINT_COUNT:
         raise DomainError(f"n must lie in [2, {MAX_POINT_COUNT}]")
-    values = np.empty(settings.restarts)
-    counts = np.empty((settings.restarts, 3), dtype=int)  # converged, iterations, evaluations
-    configs: list[np.ndarray] = []
-    for k in range(settings.restarts):
-        pts, values[k], *counts[k] = _minimize_raw(_initial_points(n, settings, k), settings)
-        configs.append(pts)
-    best = int(np.nonzero(values <= values.min() + _VALUE_TIE)[0][0])
+    runs = [_minimize_raw(_initial_points(n, settings, k), settings)
+            for k in range(settings.restarts)]
+    values = [run[1] for run in runs]
+    iterations = [run[3] for run in runs]
+    low = min(values)
+    best = next(run for run in runs if run[1] <= low + _VALUE_TIE)
+    converged = sum(run[2] for run in runs)
     return AlphaEstimate(
         n=n,
-        value=float(values[best]),
+        value=best[1],
         lower_bound=alpha_sandwich(n, DEFAULT_BETA_LOWER),
-        best_config=ParticleConfiguration(configs[best]),
+        best_points=_triples(best[0]),
         restarts_used=settings.restarts,
-        converged_restarts=int(counts[:, 0].sum()),
+        converged_restarts=converged,
         diagnostics={
-            "iterations_total": int(counts[:, 1].sum()),
-            "iterations_max": int(counts[:, 1].max()),
-            "evaluations_total": int(counts[:, 2].sum()),
-            "cap_hits": int(np.sum(counts[:, 0] == 0)),
-            "basin_hits": int(np.sum(values <= values.min() + _BASIN_TIE)),
+            "iterations_total": sum(iterations),
+            "iterations_max": max(iterations),
+            "evaluations_total": sum(run[4] for run in runs),
+            "cap_hits": settings.restarts - converged,
+            "basin_hits": sum(v <= low + _BASIN_TIE for v in values),
         },
     )
 

@@ -12,6 +12,7 @@ exactly by an active-set method on the weight simplex).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -48,15 +49,16 @@ class _MeasureFields(NamedTuple):
 class RadialMeasure(_MeasureFields):
     """Discrete probability measure on (0, inf): increasing nodes, weights summing to 1.
 
-    An immutable named tuple whose nodes and weights are checked, and made
-    read-only float arrays, whenever one is built (also by ``_replace``).
+    An immutable named tuple whose nodes and weights are checked, and copied
+    into read-only float arrays, whenever one is built (also by ``_replace``).
     """
 
     __slots__ = ()
 
     def __new__(cls, nodes, weights):
-        nodes = np.asarray(nodes, dtype=float)
-        weights = np.asarray(weights, dtype=float)
+        # copies: the caller's arrays stay writable
+        nodes = np.array(nodes, dtype=float)
+        weights = np.array(weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
             raise DomainError("nodes and weights must be matching non-empty 1-d arrays")
         if nodes[0] <= 0 or np.any(np.diff(nodes) <= 0):
@@ -233,6 +235,16 @@ def _radial_kernel(r: np.ndarray) -> np.ndarray:
     return 0.5 * (r[:, None] ** 2 + r[None, :] ** 2) / np.maximum.outer(r, r)
 
 
+@lru_cache(maxsize=1)
+def _shared_kernel(node_bytes: bytes) -> np.ndarray:
+    """The radial kernel of the float64 nodes with these bytes, read-only: built by
+    ``minimize_radial_ratio`` and reused by ``kkt_residual`` at its minimizer (only
+    the last one is kept)."""
+    q = _radial_kernel(np.frombuffer(node_bytes))
+    q.setflags(write=False)
+    return q
+
+
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (exact, sort-based)."""
     v = np.asarray(v, dtype=float)
@@ -300,7 +312,7 @@ def minimize_radial_ratio(
     if nodes is None:
         nodes = default_nodes(settings.node_count, settings.node_range)
     r = np.asarray(nodes, dtype=float)
-    q = _radial_kernel(r)
+    q = _shared_kernel(r.tobytes())
     w = trial_weights_on_nodes(r)
     theta = float(w @ q @ w) / float(w @ r)
     history = [] if history is None else history
@@ -365,7 +377,7 @@ def kkt_residual(measure: RadialMeasure) -> float:
     g's spread on the support and its largest drop off the support below its mean there,
     over the largest node (so dilation leaves it unchanged)."""
     r, w = measure.nodes, measure.weights
-    q = _radial_kernel(r)
+    q = _shared_kernel(r.tobytes())
     g = 2.0 * (q @ w) - float(w @ q @ w) / float(w @ r) * r  # radial_ratio(measure), same kernel
     on = w > 0
     return float(max(np.ptp(g[on]), g[on].mean() - g[~on].min(initial=np.inf)) / r.max())

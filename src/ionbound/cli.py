@@ -25,8 +25,9 @@ from .errors import DomainError, IonboundError
 # The package's public names, on the package's table.  Stage code reads each
 # one as _lib.<name>, and the first read imports its layer, so a call loads
 # only the layers it touches: --version, --help and malformed flags return
-# before numpy loads, bounds (pure Python) never loads it, and plots loads only
-# when an SVG is written.  A name rebound on this module is what the stages call.
+# before numpy loads, alpha and bounds (pure Python) never load it, and plots
+# loads only when an SVG is written.  A name rebound on this module is what the
+# stages call.
 __getattr__ = _lazy_names(globals(), _LAYERS)
 _lib = sys.modules[__name__]  # this module, also when it runs as __main__
 
@@ -180,7 +181,7 @@ def _alpha_section(estimates) -> list:
     return [
         {"N": e.n, "value": e.value, "lower_bound": e.lower_bound, "restarts": e.restarts_used,
          "converged_restarts": e.converged_restarts,
-         "best_config": [list(map(float, p)) for p in e.best_config.points],
+         "best_config": [list(p) for p in e.best_points],
          "diagnostics": e.diagnostics}
         for e in estimates
     ]
@@ -197,7 +198,7 @@ def _alpha_csv(estimates, args) -> str:
     rows = [[e.n, e.value, e.lower_bound, e.restarts_used, e.converged_restarts] for e in estimates]
     # stochastic results always travel with their seed, on the line after the schema
     header = f"#seed={args.seed}\nN,value,lower_bound,restarts,converged_restarts"
-    return _csv_text("ionbound.alpha.v1", header, rows)
+    return _csv_text("ionbound.alpha.v2", header, rows)
 
 
 def _alpha_panel(estimates) -> Panel:

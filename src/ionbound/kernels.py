@@ -4,15 +4,18 @@ The central object is the energy-to-normalizer ratio of a labelled point
 configuration: the pair kernel (|x|^2+|y|^2)/|x-y| summed over pairs, divided
 by (N-1) times the total distance from the origin.  Everything here is a pure
 function.
+
+One evaluator, ``_evaluate``, computes the ratio, its gradient and the
+configuration checks in Python floats, from a flat coordinate list, with only
+correctly rounded operations (+, -, *, /, ``math.sqrt`` and ``math.fsum``) in
+a fixed order, so its bits are the same on every IEEE CPU.  numpy is imported
+only where an array is built or returned.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -26,7 +29,7 @@ COINCIDENCE_RTOL = 1e-12
 # ---------------------------------------------------------------------------
 
 class _Points(NamedTuple):
-    points: np.ndarray
+    points: "np.ndarray"
 
 
 class ParticleConfiguration(_Points):
@@ -34,25 +37,30 @@ class ParticleConfiguration(_Points):
 
     At most one point may sit at the origin; the pair kernel stays finite
     there but the radial derivative does not.  An immutable named tuple whose
-    points are checked, and made a read-only float array, whenever one is built.
+    points are checked, and copied into a read-only float array, whenever one
+    is built.
     """
 
     __slots__ = ()
 
     def __new__(cls, points):
-        pts = np.asarray(points, dtype=float)
+        import numpy as np
+
+        pts = np.array(points, dtype=float)  # a copy: the caller's array stays writable
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise DomainError(f"points must have shape (N, 3), got {pts.shape}")
         if pts.shape[0] < 2:
             raise DomainError("a configuration needs at least two points")
-        if not np.all(np.isfinite(pts)):
+        flat = pts.ravel().tolist()
+        if not all(map(math.isfinite, flat)):
             raise DomainError("all coordinates must be finite")
-        dmin, dmax = _distance_extremes(pts)
+        parts = _evaluate(flat)  # None if two points coincide
+        dmin, dmax, norms = (0.0, 0.0, []) if parts is None else parts[2:5]
         if dmin <= COINCIDENCE_RTOL * dmax:
             raise DomainError(
                 f"minimum pair distance {dmin:g} below coincidence threshold"
             )
-        if int(np.sum(_norms(pts) == 0.0)) > 1:
+        if norms.count(0.0) > 1:
             raise DomainError("more than one point at the origin")
         pts.setflags(write=False)
         return super().__new__(cls, pts)
@@ -71,70 +79,74 @@ class RatioValue(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# raw array helpers (shared with the optimizers; no validation)
+# the evaluator (shared with the optimizers; no validation)
 # ---------------------------------------------------------------------------
 
-def _norms(points: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", points, points))
+def _evaluate(p: list) -> tuple | None:
+    """The ratio's parts at the points with flat coordinates p = [x0, y0, z0, x1, ...].
 
+    Returns (energy, total, dmin, dmax, norms, ratio, gradient): the energy
+    sum and total = sum|x_i|, each exactly rounded by ``fsum`` (so both are
+    independent of the labelling); the smallest and largest pair distance;
+    the norms; and, when no point sits at the origin, the ratio
+    energy / ((N-1) total) and its gradient at the points rescaled to
+    sum|x_i| = N, flat (else None for both).  Returns None if two points
+    coincide.
 
-@lru_cache(maxsize=64)
-def _triu(n: int):
-    return np.triu_indices(n, 1)
-
-
-def _pair_geometry(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair differences x_i - x_j, shape (N, N, 3), and distances |x_i - x_j|."""
-    diff = points[:, None, :] - points[None, :, :]
-    return diff, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
-def _distance_extremes(points: np.ndarray) -> tuple[float, float]:
-    d = _pair_geometry(points)[1][_triu(points.shape[0])]
-    return float(d.min()), float(d.max())
-
-
-def _energy_normalizer(points: np.ndarray) -> tuple[float, float]:
-    # fsum reductions are exactly rounded, making the result independent of
-    # the point labelling (bit-exact permutation invariance)
-    n = points.shape[0]
-    iu = _triu(n)
-    d = _pair_geometry(points)[1][iu]
-    norms2 = np.einsum("ij,ij->i", points, points)
-    energy = math.fsum((norms2[:, None] + norms2[None, :])[iu] / d)
-    normalizer = (n - 1) * math.fsum(np.sqrt(norms2))
-    return energy, normalizer
-
-
-def _ratio_and_gradient(points: np.ndarray) -> tuple[float, np.ndarray]:
-    """Ratio and its gradient with respect to every coordinate.
-
-    The ratio is homogeneous of degree zero, so the gradient has zero
-    directional derivative along the scaling direction x -> x.
+    The ratio is homogeneous of degree zero, so the gradient at p is the one
+    returned times N / total, and it has zero directional derivative along the
+    scaling direction x -> x.  With s_i = |x_i|^2 and d_ij = |x_i - x_j|, the
+    energy's gradient at x_i is 2 x_i sum_j 1/d_ij - sum_j (s_i + s_j)(x_i - x_j)/d_ij^3.
     """
-    diff, d = _pair_geometry(points)
-    np.fill_diagonal(d, np.inf)
-    norms2 = np.einsum("ij,ij->i", points, points)
-    norms = np.sqrt(norms2)
-    return _ratio_gradient_from(points, diff, d, norms2, norms, float(norms.sum()))
-
-
-def _ratio_gradient_from(points, diff, d, norms2, norms, total) -> tuple[float, np.ndarray]:
-    """``_ratio_and_gradient`` from the parts a guarded caller already holds:
-    ``_pair_geometry(points)`` with inf on the distance diagonal, the squared
-    norms, the norms and their sum."""
-    n = points.shape[0]
-    s2 = norms2[:, None] + norms2
-    inv = 1.0 / d
-    energy = 0.5 * float((s2 * inv).sum())
-    normalizer = (n - 1) * total
-    ratio = energy / normalizer
-    d_energy = 2.0 * points * inv.sum(axis=1)[:, None] - np.einsum(
-        "ij,ijk->ik", s2 * inv**3, diff
-    )
-    d_norm = (n - 1) * points / norms[:, None]
-    grad = (d_energy - ratio * d_norm) / normalizer
-    return ratio, grad
+    n = len(p) // 3
+    xs, ys, zs = p[0::3], p[1::3], p[2::3]
+    s = [x * x + y * y + z * z for x, y, z in zip(xs, ys, zs)]
+    norms = list(map(math.sqrt, s))
+    # per point: sum_j 1/d_ij, and sum_j (s_i + s_j)(x_i - x_j)/d_ij^3 by component
+    inv_sums, bx, by, bz = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    energies, distances = [], []
+    add_energy, add_distance, sqrt = energies.append, distances.append, math.sqrt
+    try:
+        for i in range(n - 1):
+            xi, yi, zi, si = xs[i], ys[i], zs[i], s[i]
+            ai = bxi = byi = bzi = 0.0
+            for j in range(i + 1, n):
+                dx, dy, dz = xi - xs[j], yi - ys[j], zi - zs[j]
+                d2 = dx * dx + dy * dy + dz * dz
+                d = sqrt(d2)
+                add_distance(d)
+                inv = 1.0 / d  # ZeroDivisionError: the pair coincides
+                e = (si + s[j]) * inv
+                add_energy(e)
+                w = e / d2
+                wx, wy, wz = w * dx, w * dy, w * dz
+                ai += inv
+                bxi += wx
+                byi += wy
+                bzi += wz
+                inv_sums[j] += inv
+                bx[j] -= wx
+                by[j] -= wy
+                bz[j] -= wz
+            inv_sums[i] += ai
+            bx[i] += bxi
+            by[i] += byi
+            bz[i] += bzi
+    except ZeroDivisionError:
+        return None
+    energy, total = math.fsum(energies), math.fsum(norms)
+    dmin, dmax = min(distances), max(distances)
+    if not min(norms) > 0.0:
+        return energy, total, dmin, dmax, norms, None, None
+    ratio = energy / ((n - 1) * total)
+    # (energy gradient - ratio * normalizer gradient) / normalizer, at sum|x_i| = N
+    c, denominator = ratio * (n - 1), float(n * (n - 1))
+    grad = []
+    for x, y, z, r, a, gx, gy, gz in zip(xs, ys, zs, norms, inv_sums, bx, by, bz):
+        k = 2.0 * a - c / r
+        grad += ((k * x - gx) / denominator, (k * y - gy) / denominator,
+                 (k * z - gz) / denominator)
+    return energy, total, dmin, dmax, norms, ratio, grad
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +156,12 @@ def _ratio_gradient_from(points, diff, d, norms2, norms, total) -> tuple[float, 
 def ratio_value(config: ParticleConfiguration) -> RatioValue:
     """Evaluate the pair-energy sum, the normalizer, and their ratio.
 
-    Invariant under scaling, rotation, and relabelling of the points.
+    Invariant under scaling, rotation, and relabelling of the points; the
+    energy sum and the normalizer are exactly rounded sums, so relabelling
+    leaves every bit of them unchanged.
     """
-    energy, normalizer = _energy_normalizer(config.points)
+    energy, total = _evaluate(config.points.ravel().tolist())[:2]
+    normalizer = (config.points.shape[0] - 1) * total
     return RatioValue(energy=energy, normalizer=normalizer, ratio=energy / normalizer)
 
 
@@ -156,15 +171,18 @@ def ratio_gradient(config: ParticleConfiguration) -> np.ndarray:
     Requires every point off the origin; agrees with central finite
     differences to better than 1e-5 relative on generic configurations.
     """
-    if np.any(_norms(config.points) == 0.0):
+    import numpy as np
+
+    n = config.points.shape[0]
+    _, total, _, _, _, _, grad = _evaluate(config.points.ravel().tolist())
+    if grad is None:
         raise DomainError("gradient undefined with a point at the origin")
-    _, grad = _ratio_and_gradient(config.points)
-    return grad
+    return np.array(grad).reshape(n, 3) * (n / total)
 
 
 def sphere_average_inverse_distance(a, s: float) -> float:
     """Average of 1/|a + s*w| over unit directions w: equals 1/max(|a|, s)."""
-    r = float(np.linalg.norm(np.asarray(a, dtype=float)))
+    r = math.hypot(*map(float, a))
     if s < 0:
         raise DomainError("radius must be non-negative")
     m = max(r, float(s))
@@ -179,6 +197,8 @@ def sphere_average_dipole(a, s: float) -> np.ndarray:
     Closed form -(1/3) (a/|a|) min(|a|, s) / max(|a|, s)^2; the center must
     be off the origin.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     r = float(np.linalg.norm(a))
     if r == 0.0:

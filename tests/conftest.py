@@ -72,6 +72,11 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def diameter(pts: np.ndarray) -> float:
+    """Largest pair distance of an (N, 3) point array."""
+    return float(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2).max())
+
+
 def random_configuration(rng: np.random.Generator, n: int) -> np.ndarray:
     """Generic point set with no near-coincidences and no point near the origin."""
     while True:

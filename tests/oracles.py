@@ -3,9 +3,9 @@
 Seeded Monte Carlo estimates of the spherical averages and shell averages in
 ``ionbound.kernels``, a Gauss-Legendre quadrature of the radial trial measure
 behind ``ionbound.beta.TRIAL_MEASURE_ANALYTIC``, the bare pair kernel, the
-shell family whose maximum is ``ionbound.alpha.alpha_sandwich``, and frozen
-reference copies of the descent's guarded evaluator and L-BFGS direction.
-numpy only.
+shell family whose maximum is ``ionbound.alpha.alpha_sandwich``, and numpy
+copies of the descent's guarded evaluator and L-BFGS direction, which the
+Python-float ones must match to 1e-13 relative.  numpy only.
 """
 
 import numpy as np
@@ -95,13 +95,13 @@ def sandwich_maximizing_r(n: int, beta_lower: float) -> float:
 
 
 def reference_evaluate_trial(points: np.ndarray, origin_guard: float, coincidence_rtol: float):
-    """The descent's guarded evaluator as it was written before its numpy calls
-    were cut, with the kernel helpers it called inlined and every operation
-    kept as written, as the bit-level reference for
-    ``ionbound.alpha._evaluate_trial``: ratio, points rescaled by
+    """The descent's guarded evaluator in numpy, as it was written before its
+    numpy calls were cut, with the kernel helpers it called inlined, as the
+    oracle for ``ionbound.alpha._evaluate_trial``: ratio, points rescaled by
     t = N / sum|x_i| and the gradient there, or None if a point lies within
     ``origin_guard`` of the origin at that scale or a pair is closer than
-    ``coincidence_rtol`` times the diameter."""
+    ``coincidence_rtol`` times the diameter.  A NaN coordinate slips past
+    these guards here."""
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))
     total = float(norms.sum())
     if total == 0.0 or float(norms.min()) * (points.shape[0] / total) < origin_guard:
@@ -130,8 +130,8 @@ def reference_evaluate_trial(points: np.ndarray, origin_guard: float, coincidenc
 
 
 def reference_lbfgs_direction(grad: np.ndarray, pairs: list, step_init: float):
-    """The descent's L-BFGS two-loop recursion as it was written before its
-    numpy calls were cut, kept verbatim as the bit-level reference for
+    """The descent's L-BFGS two-loop recursion in numpy, as it was written
+    before its numpy calls were cut, as the oracle for
     ``ionbound.alpha._lbfgs_direction``: -H grad over the (s, y, 1/sᵀy) pairs,
     oldest first, or -step_init * grad (and the pairs cleared) if that does
     not descend."""

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import random_configuration
+from conftest import diameter, random_configuration
 from ionbound.alpha import OptimizerSettings, alpha_sandwich, estimate_alpha
 from ionbound.beta import (
     TRIAL_MEASURE_ANALYTIC,
@@ -29,7 +29,6 @@ from ionbound.kernels import (
     sphere_average_dipole,
     sphere_average_inverse_distance,
 )
-from ionbound.kernels import _distance_extremes, _energy_normalizer
 from ionbound.lemmas import LemmaGrid, verify_lemma
 from oracles import trial_measure_quadrature
 
@@ -230,16 +229,15 @@ def test_criterion_13_gradient_suite():
     for case in range(100):
         pts = random_configuration(rng, 2 + case % 7)
         grad = ratio_gradient(ParticleConfiguration(pts))
-        h = 1e-6 * _distance_extremes(pts)[1]
+        h = 1e-6 * diameter(pts)
         fd = np.zeros_like(pts)
         for i in range(pts.shape[0]):
             for j in range(3):
                 up, down = pts.copy(), pts.copy()
                 up[i, j] += h
                 down[i, j] -= h
-                e1, n1 = _energy_normalizer(up)
-                e2, n2 = _energy_normalizer(down)
-                fd[i, j] = (e1 / n1 - e2 / n2) / (2 * h)
+                fd[i, j] = (ratio_value(ParticleConfiguration(up)).ratio
+                            - ratio_value(ParticleConfiguration(down)).ratio) / (2 * h)
         rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
         worst = max(worst, rel)
         ok &= rel < 1e-5

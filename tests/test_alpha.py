@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+import struct
 from collections import deque
 
 import numpy as np
@@ -25,7 +27,6 @@ from ionbound.errors import DomainError
 from ionbound.kernels import (
     COINCIDENCE_RTOL,
     ParticleConfiguration,
-    _ratio_and_gradient,
     ratio_gradient,
     ratio_value,
 )
@@ -44,17 +45,22 @@ def equilateral():
 
 
 # ---------------------------------------------------------------------------
-# _normalized
+# normalization: a trial's points are rescaled to sum|x_i| = N
 # ---------------------------------------------------------------------------
 
+def _normalized(points) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    return np.reshape(alpha._evaluate_trial(points.ravel().tolist())[1], points.shape)
+
+
 def test_normalize_scales_to_n():
-    pts = alpha._normalized(np.array([[2.0, 0, 0], [-2.0, 0, 0]]))
+    pts = _normalized([[2.0, 0, 0], [-2.0, 0, 0]])
     np.testing.assert_allclose(pts, [[1, 0, 0], [-1, 0, 0]], atol=1e-15)
 
 
 def test_normalize_idempotent():
-    once = alpha._normalized(equilateral().points)
-    twice = alpha._normalized(once)
+    once = _normalized(equilateral().points)
+    twice = _normalized(once)
     np.testing.assert_array_equal(once, twice)
 
 
@@ -63,7 +69,7 @@ def test_normalize_preserves_ratio():
     for _ in range(20):
         pts = random_configuration(rng, 5)
         cfg = ParticleConfiguration(pts)
-        normalized = ParticleConfiguration(alpha._normalized(cfg.points))
+        normalized = ParticleConfiguration(_normalized(cfg.points))
         assert np.linalg.norm(normalized.points, axis=1).sum() == pytest.approx(
             5.0, abs=1e-12
         )
@@ -220,15 +226,14 @@ STEEPEST_DESCENT_BEST = {
     12: 0.7449281115953629,
 }
 
-# sha256 of _initial_points(n, OptimizerSettings(seed=seed), k).tobytes(),
-# recorded before the guarded evaluator replaced the old trial-ratio check
+# sha256 of the little-endian doubles of _initial_points(n, OptimizerSettings(seed=seed), k)
 INITIAL_POINTS_SHA256 = {
-    (2, 0, 7): "f199cba73a9534f43880528d21383f1e7076b157ec5bb2424912549da8769992",
-    (5, 3, 7): "91f42572f9e11c16c33ac66e323917a88c01028a848446ace2de53f6b35b185b",
-    (8, 17, 7): "b1f0da6aec7561f52ebe3139eded3a5723675969f2df4dfd0cfdd17afd30d63d",
-    (12, 63, 7): "a4c1b74c9478d45e17995542243f5573bba1a8ddd92100cc5576b21958c164bc",
-    (12, 1, 0): "aa173b71c7805748cee246d6bb12668877a0bb4f2a7fc2c574ad34663a9062cf",
-    (7, 5, 2**64 - 1): "d5f0d1516c48367cedaf1adba9a90cfc9302557a6d8a0b98031547e2b7ff8789",
+    (2, 0, 7): "a0e7466b7682e0ae0f0b588a8e69803bd37dd145be3310645f8903dd521b6345",
+    (5, 3, 7): "e2dbb79e46c5a4fad97b6f4868327650cc717228b98c0bf44c5df1710ff9c0e7",
+    (8, 17, 7): "f95e486c36f84d670eb63f38f620627081e300799b7fe6b8fe41bc1913b587e8",
+    (12, 63, 7): "15c98bb6ee6a1a6f299839afe97acd186769e91ad4b5c82c6f72240b4df25e6e",
+    (12, 1, 0): "1494f8cac6dd581985c90d491b90d7fe5c5dc19a54cf2a762d9f5513ad700bc6",
+    (7, 5, 2**64 - 1): "f3f0882e0517538c3644a345cd0dd2ea26cf85d2d44166dc30239f87da4b77c0",
 }
 
 
@@ -242,8 +247,8 @@ def test_descent_ends_where_scipy_finds_no_lower_value(n):
         assert ours.converged
 
         def ratio_and_gradient(x):
-            ratio, grad = _ratio_and_gradient(x.reshape(n, 3))
-            return ratio, grad.ravel()
+            config = ParticleConfiguration(x.reshape(n, 3))
+            return ratio_value(config).ratio, ratio_gradient(config).ravel()
 
         polished = scipy_optimize.minimize(
             ratio_and_gradient, ours.config.points.ravel(), jac=True, method="BFGS",
@@ -280,7 +285,7 @@ def test_guarded_descent_keeps_every_iterate_valid(monkeypatch, make_start):
     def recording(points):
         trial = evaluate_trial(points)
         if trial is not None:
-            accepted.append(trial[1])
+            accepted.append(np.reshape(trial[1], (-1, 3)))
         return trial
 
     evaluate_trial = alpha._evaluate_trial
@@ -304,7 +309,8 @@ def test_guarded_descent_keeps_every_iterate_valid(monkeypatch, make_start):
 def test_evaluate_trial_guards_and_rescales():
     rng = np.random.default_rng(3)
     pts = random_configuration(rng, 5) * 7.0
-    ratio, scaled, grad = alpha._evaluate_trial(pts)
+    ratio, scaled, grad = alpha._evaluate_trial(pts.ravel().tolist())
+    scaled, grad = np.reshape(scaled, (5, 3)), np.reshape(grad, (5, 3))
     assert ratio == pytest.approx(ratio_value(ParticleConfiguration(pts)).ratio, rel=1e-13)
     assert np.linalg.norm(scaled, axis=1).sum() == pytest.approx(5.0, rel=1e-14)
     np.testing.assert_allclose(grad, ratio_gradient(ParticleConfiguration(scaled)), rtol=1e-12)
@@ -314,86 +320,151 @@ def test_evaluate_trial_guards_and_rescales():
     near_origin = pts.copy()
     near_origin[2] *= 1e-11
     for bad in (coincident, near_origin, np.zeros((3, 3))):
-        assert alpha._evaluate_trial(bad) is None
+        assert alpha._evaluate_trial(bad.ravel().tolist()) is None
 
 
-def _trial_bits(trial):
-    if trial is None:
-        return None
-    ratio, points, grad = trial
-    return np.float64(ratio).tobytes(), points.shape, points.tobytes(), grad.shape, grad.tobytes()
+def _uniform(rng: random.Random, count: int, scale: float = 1.0) -> list:
+    # exact arithmetic on the stream of random(), so the cases are the same everywhere
+    return [scale * (2.0 * rng.random() - 1.0) for _ in range(count)]
 
 
 def _evaluator_cases():
-    rng = np.random.default_rng(24)
+    """Flat coordinate lists: 3,000 generic and descent-sized cases at N = 2..24
+    over twelve orders of magnitude, then guard, boundary and non-finite cases."""
+    rng = random.Random(24)
     for k in range(3000):
         n = 2 + k % 23
-        pts = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3, 3)
+        pts = _uniform(rng, 3 * n, math.ldexp(1.0, rng.randrange(-20, 21)))
         if k % 5 == 0:  # a descent-sized step from a generic configuration
-            pts = random_configuration(rng, n) + 0.05 * rng.standard_normal((n, 3))
+            pts = [x + 0.05 * d for x, d in zip(_generic(rng, n), _uniform(rng, 3 * n))]
         yield pts
     inf, nan = math.inf, math.nan
-    base = random_configuration(rng, 6)
+    base = _generic(rng, 6)
     for i, value in ((0, 0.5 * ORIGIN_GUARD), (1, 2.0 * ORIGIN_GUARD)):
-        near_origin = base.copy()
-        near_origin[i] = [0.0, 0.6 * value, 0.8 * value]
+        near_origin = list(base)
+        near_origin[3 * i:3 * i + 3] = [0.0, 0.6 * value, 0.8 * value]
         yield near_origin
     for gap in (0.0, 1e-13, 1e-11):
-        coincident = base.copy()
-        coincident[3] = coincident[2] + gap * np.array([0.0, 0.6, 0.8])
+        coincident = list(base)
+        coincident[9:12] = [coincident[6], coincident[7] + 0.6 * gap, coincident[8] + 0.8 * gap]
         yield coincident
-    for i, j, value in ((0, 0, nan), (2, 1, inf), (5, 2, -inf)):
-        bad = base.copy()
-        bad[i, j] = value
+    for index, value in ((0, nan), (7, inf), (17, -inf)):
+        bad = list(base)
+        bad[index] = value
         yield bad
-    yield np.full((4, 3), nan)
-    yield np.array([[inf, 0.0, 0.0], [-inf, 0.0, 0.0]])
-    yield np.array([[inf, 0.0, 0.0], [inf, 1.0, 0.0], [0.0, inf, 0.0]])
-    yield np.array([[inf, 0.0, 0.0], [-inf, 0.0, 0.0], [0.0, nan, 0.0]])
-    yield base * 1e200
-    yield base * 1e-200
-    yield np.zeros((3, 3))
+    yield [nan] * 12
+    yield [inf, 0.0, 0.0, -inf, 0.0, 0.0]
+    yield [inf, 0.0, 0.0, inf, 1.0, 0.0, 0.0, inf, 0.0]
+    yield [x * 1e200 for x in base]
+    yield [x * 1e-200 for x in base]
+    yield [0.0] * 9
+
+
+def _generic(rng: random.Random, n: int) -> list:
+    """Points in the cube [-1, 1)^3 with norms and pair distances above 0.1."""
+    while True:
+        pts = _uniform(rng, 3 * n)
+        triples = list(zip(pts[0::3], pts[1::3], pts[2::3]))
+        if all(x * x + y * y + z * z > 0.01 for x, y, z in triples) and all(
+                (a - x) * (a - x) + (b - y) * (b - y) + (c - z) * (c - z) > 0.01
+                for i, (a, b, c) in enumerate(triples) for x, y, z in triples[i + 1:]):
+            return pts
+
+
+def _doubles(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _relative_gap(ours, reference) -> float:
+    """max |ours - reference| over max |reference|, elementwise over flat lists."""
+    reference = np.ravel(reference)
+    return float(np.abs(np.subtract(ours, reference)).max() / np.abs(reference).max())
+
+
+# sha256 of every outcome of _evaluate_trial on _evaluator_cases(), and of
+# _lbfgs_direction on _direction_cases(): b"-" for None, else the little-endian
+# doubles of the ratio, the points and the gradient (the direction)
+EVALUATE_TRIAL_SHA256 = "2a3beea831fa7ee641b7e95ea71bd1e97fc1c7f72d10c5cb9fca2991c3e54df3"
+LBFGS_DIRECTION_SHA256 = "b2fe6092cb9ea598a71faf5c6356ec01e3c79ec53076f67c6fb698c09c2d8104"
 
 
 def test_evaluate_trial_matches_the_reference_bit_for_bit():
+    digest = hashlib.sha256()
     outcomes = set()
-    with np.errstate(all="ignore"):  # the inf and NaN cases warn in both
-        for pts in _evaluator_cases():
-            ours = _trial_bits(alpha._evaluate_trial(pts.copy()))
-            reference = reference_evaluate_trial(pts.copy(), ORIGIN_GUARD, COINCIDENCE_RTOL)
-            assert ours == _trial_bits(reference)
-            outcomes.add(ours is None)
+    for pts in _evaluator_cases():
+        trial = alpha._evaluate_trial(pts)
+        digest.update(b"-" if trial is None else _doubles([trial[0], *trial[1], *trial[2]]))
+        outcomes.add(trial is None)
     assert outcomes == {True, False}
+    assert digest.hexdigest() == EVALUATE_TRIAL_SHA256
+
+
+def test_evaluate_trial_agrees_with_the_numpy_oracle():
+    worst = 0.0
+    with np.errstate(all="ignore"):  # the non-finite cases warn in the oracle
+        for pts in _evaluator_cases():
+            ours = alpha._evaluate_trial(pts)
+            reference = reference_evaluate_trial(
+                np.reshape(pts, (-1, 3)), ORIGIN_GUARD, COINCIDENCE_RTOL)
+            if ours is None:
+                # the oracle lets a NaN slip past its guards
+                assert reference is None or not np.isfinite(reference[0]), pts
+                continue
+            ratio, points, grad = reference
+            worst = max(worst, abs(ours[0] - ratio) / ratio,
+                        _relative_gap(ours[1], points), _relative_gap(ours[2], grad))
+    assert worst <= 1e-13
+
+
+def _direction_cases():
+    """(gradient, pairs) cases at N = 2..24: up to 10 pairs, of which the deque
+    keeps the last 8, mostly with positive curvature, and in every tenth case
+    with whatever curvature comes, so that the recursion may not descend."""
+    rng = random.Random(8)
+    for k in range(1000):
+        n = 2 + k % 23
+        grad = _uniform(rng, 3 * n, math.ldexp(1.0, rng.randrange(-20, 7)))
+        pairs = deque(maxlen=alpha._MEMORY)
+        for _ in range(k % 11):
+            s = _uniform(rng, 3 * n, math.ldexp(1.0, rng.randrange(-13, 1)))
+            y = [si * (0.1 + 9.9 * rng.random()) + 0.5 * (k % 3) * d
+                 for si, d in zip(s, _uniform(rng, 3 * n))]
+            sy = math.fsum(map(float.__mul__, s, y))
+            if sy > 0.0 or k % 10 == 9:
+                pairs.append((s, y, 1.0 / sy, sy / math.fsum(map(float.__mul__, y, y))))
+        yield grad, pairs
 
 
 def test_lbfgs_direction_matches_the_reference_bit_for_bit():
-    rng = np.random.default_rng(8)
+    digest = hashlib.sha256()
     cleared = 0
-    for k in range(1000):
-        n = 2 + k % 23
-        grad = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-6, 2)
-        ours, reference = deque(maxlen=alpha._MEMORY), []
-        for _ in range(k % 11):  # up to 10 pairs, of which the deque keeps the last 8
-            s = rng.standard_normal(3 * n) * 10.0 ** rng.uniform(-4, 0)
-            # mostly positive curvature; sometimes an indefinite y that may not descend
-            y = s * rng.uniform(0.1, 10.0, 3 * n) + rng.standard_normal(3 * n) * (k % 3) * 0.5
-            sy, yy = float(s @ y), float(y @ y)
-            if sy > 0.0:
-                ours.append((s, y, 1.0 / sy, sy / yy))
-                reference.append((s, y, 1.0 / sy))
-        reference = reference[-alpha._MEMORY:]
-        direction = alpha._lbfgs_direction(grad, ours)
-        assert direction.tobytes() == reference_lbfgs_direction(grad, reference, alpha._STEP_INIT).tobytes()
-        assert direction.shape == grad.shape and len(ours) == len(reference)
-        cleared += bool(k % 11) and not ours
+    for grad, pairs in _direction_cases():
+        had_pairs = bool(pairs)
+        direction = alpha._lbfgs_direction(grad, pairs)
+        assert len(direction) == len(grad)
+        digest.update(_doubles(direction))
+        cleared += had_pairs and not pairs
     assert cleared  # the not-descending branch ran
+    assert digest.hexdigest() == LBFGS_DIRECTION_SHA256
+
+
+def test_lbfgs_direction_agrees_with_the_numpy_oracle():
+    worst = 0.0
+    for grad, pairs in _direction_cases():
+        reference_pairs = [(np.array(s), np.array(y), rho) for s, y, rho, _ in pairs]
+        reference = reference_lbfgs_direction(np.array(grad), reference_pairs, alpha._STEP_INIT)
+        ours = alpha._lbfgs_direction(grad, pairs)
+        assert len(pairs) == len(reference_pairs)  # both cleared, or neither
+        worst = max(worst, _relative_gap(ours, reference))
+    assert worst <= 1e-13
 
 
 @pytest.mark.parametrize("key", list(INITIAL_POINTS_SHA256), ids=str)
 def test_initial_points_unchanged(key):
     n, k, seed = key
     pts = _initial_points(n, OptimizerSettings(seed=seed), k)
-    assert hashlib.sha256(pts.tobytes()).hexdigest() == INITIAL_POINTS_SHA256[key]
+    assert len(pts) == 3 * n
+    assert hashlib.sha256(_doubles(pts)).hexdigest() == INITIAL_POINTS_SHA256[key]
 
 
 def test_diagnostics_count_cap_hits(monkeypatch):

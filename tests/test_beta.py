@@ -213,6 +213,14 @@ def test_radial_measure_is_an_immutable_named_tuple_checked_on_every_copy():
         RadialMeasure._make(([1.0, 2.0], [0.5, 0.6]))
 
 
+def test_radial_measure_leaves_the_callers_arrays_writable():
+    nodes, weights = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+    measure = RadialMeasure(nodes, weights)
+    nodes[0], weights[:] = 0.5, (0.25, 0.75)  # the caller's arrays, not the measure's
+    assert measure.nodes.tolist() == [1.0, 2.0] and measure.weights.tolist() == [0.5, 0.5]
+    assert not measure.nodes.flags.writeable and not measure.weights.flags.writeable
+
+
 def test_beta_settings_are_checked_on_every_copy():
     settings = BetaSettings(node_count=20)
     assert settings == BetaSettings(1e-10, 20) and settings.node_range == (0.05, 20.0)
@@ -459,6 +467,24 @@ def test_bracket_diagnostics_describe_the_radial_minimum():
     assert detail.diagnostics["dinkelbach_steps"] == len(history) - 1
     assert detail.diagnostics["support_size"] == np.count_nonzero(measure.weights)
     assert 0.0 <= detail.diagnostics["kkt_residual"] <= 1e-10
+
+
+def test_bracket_builds_the_radial_kernel_once(monkeypatch):
+    from ionbound import beta
+
+    built = []
+
+    def counting(r):
+        built.append(r.size)
+        return kernel(r)
+
+    kernel = beta._radial_kernel
+    monkeypatch.setattr(beta, "_radial_kernel", counting)
+    beta._shared_kernel.cache_clear()
+    detail = beta.bracket_detail()
+    # the solve builds it, and the KKT residual at its minimizer reuses it
+    assert built == [200]
+    assert detail.diagnostics["kkt_residual"] == beta.kkt_residual(detail.certificate_measure)
 
 
 def test_kkt_residual_hand_computed():

@@ -28,7 +28,7 @@ def test_alpha_csv(tmp_path):
     )
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "#schema=ionbound.alpha.v1"
+    assert lines[0] == "#schema=ionbound.alpha.v2"
     assert lines[1] == "#seed=7"
     assert lines[2] == "N,value,lower_bound,restarts,converged_restarts"
     assert len(lines) == 6
@@ -685,7 +685,7 @@ def _loaded_after(argv: list) -> list:
     (["bounds", "--z", "1:3", "--format", "svg"], ["bounds", "plots"]),  # an SVG on stdout
     (["verify", "--lemma", "cubic"], ["bounds", "lemmas", "numpy"]),
     (["beta", "--nodes", "10"], ["beta", "numpy"]),
-    (["alpha", "--n", "2:2", "--restarts", "1"], ["alpha", "kernels", "numpy"]),
+    (["alpha", "--n", "2:2", "--restarts", "1"], ["alpha", "kernels"]),  # pure Python too
     (["bounds", "--z", "1:3", "--format", "json"], ["bounds"]),
     # a malformed range is reported before its command's layer loads
     (["bounds", "--z", "nan:3"], []),
@@ -723,6 +723,24 @@ def _held_at_exit(argv: list) -> str:
     return _at_exit(argv, "sorted({'dataclasses', 'json', 'numpy'} & set(sys.modules))")
 
 
+def test_import_alpha_loads_no_numpy():
+    code = "import sys, ionbound.alpha; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, held", [
+    (["alpha", "--n", "2:3", "--restarts", "1", "--out", "OUT"], "[]"),
+    (["alpha", "--n", "2:3", "--restarts", "1", "--format", "json", "--out", "OUT"], "['json']"),
+    (["alpha", "--n", "2:3", "--restarts", "1", "--format", "svg", "--out", "OUT"], "[]"),
+    (["alpha", "--n", "2:3", "--restarts", "1", "--format", "json"], "['json']"),  # on stdout
+])
+def test_an_alpha_call_holds_no_numpy_in_any_format(tmp_path, argv, held):
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    assert _held_at_exit(argv) == held
+
+
 @pytest.mark.parametrize("argv, held", [
     (["bounds", "--z", "1:3", "--format", "csv", "--out", "OUT"], "[]"),
     (["bounds", "--z", "1:3", "--format", "svg", "--out", "OUT"], "[]"),
@@ -735,7 +753,7 @@ def test_a_bounds_call_loads_no_dataclasses_and_json_only_to_write_it(tmp_path, 
 
 
 @pytest.mark.parametrize("argv, held", [
-    (["alpha", "--n", "2:3", "--restarts", "1", "--out", "OUT"], "['numpy']"),
+    (["beta", "--nodes", "10", "--format", "csv", "--out", "OUT"], "['numpy']"),
     (["beta", "--nodes", "10", "--out", "OUT"], "['json', 'numpy']"),
     (["verify", "--lemma", "cubic", "--out", "OUT"], "['json', 'numpy']"),
     (["report", "--n", "2:2", "--restarts", "1", "--nodes", "10", "--z", "1:3", "--out", "OUT"],

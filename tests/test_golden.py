@@ -8,12 +8,16 @@ regenerated when ``implicit_N`` moved from a bisection to 1e-9 relative to a
 Newton root good to a few ulps; the other four columns of those tables stay
 pinned to the bytes from before that change.  The bounds SVG and JSON results
 and the extreme-charge roots were pinned before the bounds and plot types
-became named tuples.  Any later drift in these bytes fails here instead of in
-a manual diff.
+became named tuples.  Every ``alpha`` digest was re-pinned when the descent
+and its seeded starts moved to Python floats (``ionbound.alpha.v2``).  Any
+later drift in these bytes fails here instead of in a manual diff.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -76,18 +80,19 @@ EXTREME_ROOTS_SHA256 = {
 # json.dumps(payload["results"], indent=2) of the benchmark's alpha-sweep call
 # `alpha --n 2:12 --restarts 2 --seed S --format json`, at the CLI seeds of its
 # first sequences and at 7, and the bytes of the same call's CSV at seed 7;
-# pinned before the descent's per-iteration numpy calls were cut
+# pinned when the descent and its seeded starts moved to Python floats
+# (ionbound.alpha.v2), whose bytes are the same on every IEEE CPU
 ALPHA_SWEEP_RESULTS_SHA256 = {
-    7: "b640109304ecf85cd18b3d4e85226bb862d70ff1a6846e4820b76172c87cf5e4",
-    1048576: "88e082ef5c5a4b8f013a1d2e80b2d8f7a0a9b0ce539fb19a4a842fe05d061648",
-    1048577: "240e91f63e9fded5f91b6e705cbe492bec9939495d2e8b4802836ec7a2ad371e",
+    7: "47d5c47a537240281a3731fd98847a9eb28f790bf59f072181cf4bed184570c3",
+    1048576: "f2df84c9e4983219d8c7fbda19b662cfec229b08d2017ab76b8287d9693872d6",
+    1048577: "09137f81d94f0c66ddec5d84d5b2ad884a98460eba133c1667193201d0ae546a",
 }
-ALPHA_SWEEP_CSV_SHA256 = "78e8825c4f0221dd6375061702fa5e6d1f38825704a0b8ee3ced6a8475748769"
+ALPHA_SWEEP_CSV_SHA256 = "94029e7e18550f5bee5aaa2587b4851f88962edf0841fa8da97a1d0b2d433cbc"
 ALPHA_SWEEP_ARGS = ["alpha", "--n", "2:12", "--restarts", "2"]
 
 # the other writers of the shared CSV formatter
 STAGE_CSV_SHA256 = {
-    "alpha --n 2:4 --restarts 4 --seed 7": "ed9bf6cc366f1a198973558418dbc5a68042e9fcc8951df3622497c6f920dab9",
+    "alpha --n 2:4 --restarts 4 --seed 7": "5db4a6f6a44b27e283f9b567542ebbde895e878b52afb217b398b95ad7eab8f1",
     "beta --nodes 30": "0ec9e52792af9496a9cbfab99b41e7b92d8b6dc08acba72dc7ff50c2617533d3",
 }
 
@@ -178,3 +183,33 @@ def test_bounds_json_results_bytes(tmp_path):
 def test_extreme_charge_roots(beta):
     roots = implicit_bound([float(f"1e{k}") for k in range(-300, 301, 5)], beta)
     assert hashlib.sha256(",".join(map(repr, roots)).encode()).hexdigest() == EXTREME_ROOTS_SHA256[beta]
+
+
+# environment settings that act only on the process they are given to: numpy
+# without its AVX-512 paths, and glibc's libm without its FMA and AVX paths
+REDUCED_DISPATCH = {
+    "numpy-avx2": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+    "glibc-no-fma": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F,-AVX"},
+}
+
+
+@pytest.mark.parametrize("setting", list(REDUCED_DISPATCH))
+def test_alpha_goldens_hold_under_reduced_dispatch(tmp_path, setting):
+    # alpha runs on Python floats alone, so its bytes are the same at every dispatch level
+    env = {**os.environ, **REDUCED_DISPATCH[setting]}
+
+    def run(args):
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "ionbound.cli", *args, "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return out.read_bytes()
+
+    for seed, expected in ALPHA_SWEEP_RESULTS_SHA256.items():
+        results = json.loads(run([*ALPHA_SWEEP_ARGS, "--seed", str(seed), "--format", "json"]))["results"]
+        assert hashlib.sha256(json.dumps(results, indent=2).encode()).hexdigest() == expected, seed
+    csv = run([*ALPHA_SWEEP_ARGS, "--seed", "7", "--format", "csv"])
+    assert hashlib.sha256(csv).hexdigest() == ALPHA_SWEEP_CSV_SHA256
+    command = "alpha --n 2:4 --restarts 4 --seed 7"
+    csv = run([*command.split(), "--format", "csv"])
+    assert hashlib.sha256(csv).hexdigest() == STAGE_CSV_SHA256[command]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_configuration, random_rotation
+from conftest import diameter, random_configuration, random_rotation
 from ionbound.beta import w_lambda_reduced
 from ionbound.errors import DomainError
 from ionbound.kernels import (
@@ -14,7 +14,6 @@ from ionbound.kernels import (
     sphere_average_dipole,
     sphere_average_inverse_distance,
 )
-from ionbound.kernels import _energy_normalizer, _distance_extremes
 from oracles import mc_dipole, mc_inverse_distance, mc_radial_kernel_triple, pair_kernel
 
 ANTIPODAL = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
@@ -48,6 +47,13 @@ def test_configuration_invariants():
     # both norms underflow to 0, but their distance 3e-162 passes the coincidence test
     with pytest.raises(DomainError, match="more than one point at the origin"):
         ParticleConfiguration([[1.5e-162, 0, 0], [-1.5e-162, 0, 0], [0, 1e-151, 0]])
+
+
+def test_configuration_leaves_the_callers_array_writable():
+    pts = np.array(ANTIPODAL)
+    config = ParticleConfiguration(pts)
+    pts[0, 0] = 2.0  # the caller's array, not the configuration's
+    assert config.points.tolist() == ANTIPODAL and not config.points.flags.writeable
 
 
 def test_ratio_antipodal_pair():
@@ -108,9 +114,8 @@ def finite_difference_gradient(pts: np.ndarray, h: float) -> np.ndarray:
             up, down = pts.copy(), pts.copy()
             up[i, j] += h
             down[i, j] -= h
-            e1, n1 = _energy_normalizer(up)
-            e2, n2 = _energy_normalizer(down)
-            fd[i, j] = (e1 / n1 - e2 / n2) / (2 * h)
+            fd[i, j] = (ratio_value(ParticleConfiguration(up)).ratio
+                        - ratio_value(ParticleConfiguration(down)).ratio) / (2 * h)
     return fd
 
 
@@ -124,7 +129,7 @@ def test_gradient_matches_finite_differences_on_triangle():
     # guard above the finite-difference roundoff floor (~1e-11 here)
     pts = equilateral()
     grad = ratio_gradient(ParticleConfiguration(pts))
-    fd = finite_difference_gradient(pts, 1e-6 * _distance_extremes(pts)[1])
+    fd = finite_difference_gradient(pts, 1e-6 * diameter(pts))
     assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(fd) + 1e-9
 
 
@@ -134,7 +139,7 @@ def test_gradient_suite_100_seeded_cases():
         n = 2 + case % 7
         pts = random_configuration(rng, n)
         grad = ratio_gradient(ParticleConfiguration(pts))
-        fd = finite_difference_gradient(pts, 1e-6 * _distance_extremes(pts)[1])
+        fd = finite_difference_gradient(pts, 1e-6 * diameter(pts))
         assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(fd), f"case {case}"
 
 
