@@ -25,9 +25,11 @@ from .kernels import COINCIDENCE_RTOL, ParticleConfiguration, RatioValue, _evalu
 # Steps moving any point this close to the origin are rejected (the radial
 # term is not smooth there); configurations are kept at scale sum|x_i| = N.
 ORIGIN_GUARD = 1e-9
-# largest N; it and MAX_RESTARTS fit the bit fields of a start's seed
-MAX_POINT_COUNT = 1000
-# most restarts per N
+# largest N. An evaluation loops over the N(N-1)/2 pairs in Python, so one
+# restart takes about 20 s at N = 256 and 6 min at N = 1000 (README,
+# "Reproducibility"); N < 2^10 also fits the bit field of a start's seed
+MAX_POINT_COUNT = 256
+# most restarts per N; every restart index fits the 20-bit field of a start's seed
 MAX_RESTARTS = 10**6
 
 _MAX_ITERATIONS = 5000  # descent steps per restart
@@ -59,6 +61,8 @@ class OptimizerSettings(_OptimizerFields):
             raise DomainError(f"restarts must lie in [1, {MAX_RESTARTS}]")
         if self.ratio_tolerance <= 0:
             raise DomainError("ratio_tolerance must be positive")
+        if self.seed < 0:  # random.Random seeds from |x|: a negative seed would share starts
+            raise DomainError("seed must be non-negative")
         return self
 
     @classmethod

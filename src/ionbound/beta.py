@@ -12,7 +12,6 @@ exactly by an active-set method on the weight simplex).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -235,16 +234,6 @@ def _radial_kernel(r: np.ndarray) -> np.ndarray:
     return 0.5 * (r[:, None] ** 2 + r[None, :] ** 2) / np.maximum.outer(r, r)
 
 
-@lru_cache(maxsize=1)
-def _shared_kernel(node_bytes: bytes) -> np.ndarray:
-    """The radial kernel of the float64 nodes with these bytes, read-only: built by
-    ``minimize_radial_ratio`` and reused by ``kkt_residual`` at its minimizer (only
-    the last one is kept)."""
-    q = _radial_kernel(np.frombuffer(node_bytes))
-    q.setflags(write=False)
-    return q
-
-
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (exact, sort-based)."""
     v = np.asarray(v, dtype=float)
@@ -312,7 +301,7 @@ def minimize_radial_ratio(
     if nodes is None:
         nodes = default_nodes(settings.node_count, settings.node_range)
     r = np.asarray(nodes, dtype=float)
-    q = _shared_kernel(r.tobytes())
+    q = _radial_kernel(r)
     w = trial_weights_on_nodes(r)
     theta = float(w @ q @ w) / float(w @ r)
     history = [] if history is None else history
@@ -377,7 +366,7 @@ def kkt_residual(measure: RadialMeasure) -> float:
     g's spread on the support and its largest drop off the support below its mean there,
     over the largest node (so dilation leaves it unchanged)."""
     r, w = measure.nodes, measure.weights
-    q = _shared_kernel(r.tobytes())
+    q = _radial_kernel(r)
     g = 2.0 * (q @ w) - float(w @ q @ w) / float(w @ r) * r  # radial_ratio(measure), same kernel
     on = w > 0
     return float(max(np.ptp(g[on]), g[on].mean() - g[~on].min(initial=np.inf)) / r.max())

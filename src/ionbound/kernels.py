@@ -33,7 +33,8 @@ class _Points(NamedTuple):
 
 
 class ParticleConfiguration(_Points):
-    """N labelled points in R^3, N >= 2, with no coincident pair.
+    """N labelled points in R^3, N >= 2, with no coincident pair and a finite
+    pair-energy sum.
 
     At most one point may sit at the origin; the pair kernel stays finite
     there but the radial derivative does not.  An immutable named tuple whose
@@ -55,13 +56,15 @@ class ParticleConfiguration(_Points):
         if not all(map(math.isfinite, flat)):
             raise DomainError("all coordinates must be finite")
         parts = _evaluate(flat)  # None if two points coincide
-        dmin, dmax, norms = (0.0, 0.0, []) if parts is None else parts[2:5]
+        energy, _, dmin, dmax, norms = (0.0, 0.0, 0.0, 0.0, []) if parts is None else parts[:5]
         if dmin <= COINCIDENCE_RTOL * dmax:
             raise DomainError(
                 f"minimum pair distance {dmin:g} below coincidence threshold"
             )
         if norms.count(0.0) > 1:
             raise DomainError("more than one point at the origin")
+        if not energy < math.inf:  # so ratio_value's energy is finite on every configuration
+            raise DomainError("the pair energy sum overflows the floats")
         pts.setflags(write=False)
         return super().__new__(cls, pts)
 
@@ -87,11 +90,11 @@ def _evaluate(p: list) -> tuple | None:
 
     Returns (energy, total, dmin, dmax, norms, ratio, gradient): the energy
     sum and total = sum|x_i|, each exactly rounded by ``fsum`` (so both are
-    independent of the labelling); the smallest and largest pair distance;
-    the norms; and, when no point sits at the origin, the ratio
-    energy / ((N-1) total) and its gradient at the points rescaled to
-    sum|x_i| = N, flat (else None for both).  Returns None if two points
-    coincide.
+    independent of the labelling; a sum past the largest float is inf); the
+    smallest and largest pair distance; the norms; and, when no point sits
+    at the origin, the ratio energy / ((N-1) total) and its gradient at the
+    points rescaled to sum|x_i| = N, flat (else None for both).  Returns None
+    if two points coincide.
 
     The ratio is homogeneous of degree zero, so the gradient at p is the one
     returned times N / total, and it has zero directional derivative along the
@@ -134,7 +137,11 @@ def _evaluate(p: list) -> tuple | None:
             bz[i] += bzi
     except ZeroDivisionError:
         return None
-    energy, total = math.fsum(energies), math.fsum(norms)
+    try:
+        energy = math.fsum(energies)
+    except OverflowError:  # the terms are non-negative: the rounded sum is inf
+        energy = math.inf
+    total = math.fsum(norms)  # each norm is below 2^512, or inf
     dmin, dmax = min(distances), max(distances)
     if not min(norms) > 0.0:
         return energy, total, dmin, dmax, norms, None, None

@@ -159,6 +159,17 @@ def test_alpha_input_caps_are_domain_errors():
         estimate_alpha(alpha.MAX_POINT_COUNT + 1, OptimizerSettings(restarts=1))
 
 
+def test_negative_seed_is_a_domain_error():
+    # random.Random seeds from |x|, so seed -1 at N = 24 would start where seed 0
+    # at N = 1000 starts: (-1 << 30) | (24 << 20) == -(1000 << 20)
+    assert (-1 << 30) | (24 << 20) == -(1000 << 20)
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        OptimizerSettings(seed=-1)
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        OptimizerSettings(seed=0)._replace(seed=-1)
+    assert OptimizerSettings(seed=2**64 - 1).seed == 2**64 - 1
+
+
 # ---------------------------------------------------------------------------
 # alpha_sandwich
 # ---------------------------------------------------------------------------

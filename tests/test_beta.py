@@ -469,24 +469,6 @@ def test_bracket_diagnostics_describe_the_radial_minimum():
     assert 0.0 <= detail.diagnostics["kkt_residual"] <= 1e-10
 
 
-def test_bracket_builds_the_radial_kernel_once(monkeypatch):
-    from ionbound import beta
-
-    built = []
-
-    def counting(r):
-        built.append(r.size)
-        return kernel(r)
-
-    kernel = beta._radial_kernel
-    monkeypatch.setattr(beta, "_radial_kernel", counting)
-    beta._shared_kernel.cache_clear()
-    detail = beta.bracket_detail()
-    # the solve builds it, and the KKT residual at its minimizer reuses it
-    assert built == [200]
-    assert detail.diagnostics["kkt_residual"] == beta.kkt_residual(detail.certificate_measure)
-
-
 def test_kkt_residual_hand_computed():
     from ionbound.beta import kkt_residual
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import diameter, random_configuration, random_rotation
+from ionbound import kernels
 from ionbound.beta import w_lambda_reduced
 from ionbound.errors import DomainError
 from ionbound.kernels import (
@@ -47,6 +48,15 @@ def test_configuration_invariants():
     # both norms underflow to 0, but their distance 3e-162 passes the coincidence test
     with pytest.raises(DomainError, match="more than one point at the origin"):
         ParticleConfiguration([[1.5e-162, 0, 0], [-1.5e-162, 0, 0], [0, 1e-151, 0]])
+    # three finite pair energies near the largest float: their sum overflows, and the
+    # evaluator (which the descent calls unguarded) gives inf rather than raising
+    big = [[9.4e153, 0, 0], [9.4e153, 1, 0], [9.4e153, 2, 0]]
+    assert kernels._evaluate([float(x) for p in big for x in p])[0] == math.inf
+    with pytest.raises(DomainError, match="overflows the floats"):
+        ParticleConfiguration(big)
+    # the squared norms overflow though the distance is 1
+    with pytest.raises(DomainError, match="overflows the floats"):
+        ParticleConfiguration([[1e155, 0, 0], [1e155, 1, 0]])
 
 
 def test_configuration_leaves_the_callers_array_writable():
