@@ -19,7 +19,7 @@ from operator import mul
 from typing import NamedTuple, Optional
 
 from . import DEFAULT_BETA_LOWER
-from .errors import DomainError
+from .errors import Checked, DomainError
 from .kernels import COINCIDENCE_RTOL, ParticleConfiguration, RatioValue, _evaluate, ratio_value
 
 # Steps moving any point this close to the origin are rejected (the radial
@@ -48,26 +48,19 @@ class _OptimizerFields(NamedTuple):
     seed: int = 0
 
 
-class OptimizerSettings(_OptimizerFields):
+class OptimizerSettings(Checked, _OptimizerFields):
     """Restarts, seed and stopping rule of the multi-start L-BFGS descent; a
-    restart takes 10-100 steps for N <= 12.  An immutable named tuple, checked
-    whenever one is built."""
+    restart takes 10-100 steps for N <= 12."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not 1 <= self.restarts <= MAX_RESTARTS:
             raise DomainError(f"restarts must lie in [1, {MAX_RESTARTS}]")
         if self.ratio_tolerance <= 0:
             raise DomainError("ratio_tolerance must be positive")
         if self.seed < 0:  # random.Random seeds from |x|: a negative seed would share starts
             raise DomainError("seed must be non-negative")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # what _replace builds through
-        return cls(*iterable)
 
 
 class AlphaEstimate(NamedTuple):

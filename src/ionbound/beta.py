@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import DEFAULT_BETA_LOWER  # re-exported: the bounds default, kept beside __version__
-from .errors import DomainError, IonboundError, IterationLimitError
+from .errors import Checked, DomainError, IonboundError, IterationLimitError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -45,12 +45,9 @@ class _MeasureFields(NamedTuple):
     weights: np.ndarray
 
 
-class RadialMeasure(_MeasureFields):
-    """Discrete probability measure on (0, inf): increasing nodes, weights summing to 1.
-
-    An immutable named tuple whose nodes and weights are checked, and copied
-    into read-only float arrays, whenever one is built (also by ``_replace``).
-    """
+class RadialMeasure(Checked, _MeasureFields):
+    """Discrete probability measure on (0, inf): increasing nodes, weights
+    summing to 1, each held as a read-only float array."""
 
     __slots__ = ()
 
@@ -58,6 +55,12 @@ class RadialMeasure(_MeasureFields):
         # copies: the caller's arrays stay writable
         nodes = np.array(nodes, dtype=float)
         weights = np.array(weights, dtype=float)
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        return super().__new__(cls, nodes, weights)
+
+    def _check(self):
+        nodes, weights = self
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
             raise DomainError("nodes and weights must be matching non-empty 1-d arrays")
         if nodes[0] <= 0 or np.any(np.diff(nodes) <= 0):
@@ -66,13 +69,6 @@ class RadialMeasure(_MeasureFields):
             raise DomainError("weights must be non-negative")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise DomainError("weights must sum to 1 within 1e-12")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return super().__new__(cls, nodes, weights)
-
-    @classmethod
-    def _make(cls, iterable):  # what _replace builds through
-        return cls(*iterable)
 
 
 class LambdaPoint(NamedTuple):
@@ -98,21 +94,14 @@ class _SettingsFields(NamedTuple):
     node_range: tuple[float, float] = DEFAULT_NODE_RANGE
 
 
-class BetaSettings(_SettingsFields):
-    """Radial node grid and g tolerance of the bracket computation: an immutable
-    named tuple, checked whenever one is built (also by ``_replace``)."""
+class BetaSettings(Checked, _SettingsFields):
+    """Radial node grid and g tolerance of the bracket computation."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         _check_node_grid(self.node_count, self.node_range)
         _check_tolerance(self.g_tolerance)
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # what _replace builds through
-        return cls(*iterable)
 
 
 class WMaximinResult(NamedTuple):

@@ -17,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from . import DEFAULT_BETA_LOWER, MODELS
-from .errors import DomainError, IonboundError
+from .errors import Checked, DomainError, IonboundError
 
 # Kinetic-correction coefficient of the exclusion lemma, conservative by
 # construction relative to the exact constant chain below.
@@ -51,20 +51,17 @@ class _BoundFields(NamedTuple):
     C_2: float = 1.0
 
 
-class BoundInputs(_BoundFields):
+class BoundInputs(Checked, _BoundFields):
     """Model parameters that every row of a bound table shares; each
     calculator takes the charge Z as its own argument.
 
-    An immutable named tuple, validated whenever one is built (also by
-    ``_replace``).  The universal constants C_universal, C_kappa and C_2 have
-    no derived values; the defaults of 1.0 are placeholders the caller should
-    override.
+    The universal constants C_universal, C_kappa and C_2 have no derived
+    values; the defaults of 1.0 are placeholders the caller should override.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not all(map(math.isfinite, self[1:])):  # every field but model
             raise DomainError("bound inputs must be finite")
         if self.model not in MODELS:
@@ -78,11 +75,6 @@ class BoundInputs(_BoundFields):
             raise DomainError("coeff must be at least 1/beta_lower")
         if min(self.C_universal, self.C_kappa, self.C_2) <= 0:
             raise DomainError("universal constants must be positive")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # what _replace builds through
-        return cls(*iterable)
 
 
 class BoundRow(NamedTuple):

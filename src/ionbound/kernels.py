@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import Checked, DomainError
 
 # Pairs closer than this fraction of the configuration diameter are rejected:
 # the pair kernel diverges there and callers must see a hard error.
@@ -32,14 +32,13 @@ class _Points(NamedTuple):
     points: "np.ndarray"
 
 
-class ParticleConfiguration(_Points):
+class ParticleConfiguration(Checked, _Points):
     """N labelled points in R^3, N >= 2, with no coincident pair and a finite
     pair-energy sum.
 
     At most one point may sit at the origin; the pair kernel stays finite
-    there but the radial derivative does not.  An immutable named tuple whose
-    points are checked, and copied into a read-only float array, whenever one
-    is built.
+    there but the radial derivative does not.  The points are held as a
+    read-only float array.
     """
 
     __slots__ = ()
@@ -48,6 +47,11 @@ class ParticleConfiguration(_Points):
         import numpy as np
 
         pts = np.array(points, dtype=float)  # a copy: the caller's array stays writable
+        pts.setflags(write=False)
+        return super().__new__(cls, pts)
+
+    def _check(self):
+        pts = self.points
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise DomainError(f"points must have shape (N, 3), got {pts.shape}")
         if pts.shape[0] < 2:
@@ -58,19 +62,11 @@ class ParticleConfiguration(_Points):
         parts = _evaluate(flat)  # None if two points coincide
         energy, _, dmin, dmax, norms = (0.0, 0.0, 0.0, 0.0, []) if parts is None else parts[:5]
         if dmin <= COINCIDENCE_RTOL * dmax:
-            raise DomainError(
-                f"minimum pair distance {dmin:g} below coincidence threshold"
-            )
+            raise DomainError(f"minimum pair distance {dmin:g} below coincidence threshold")
         if norms.count(0.0) > 1:
             raise DomainError("more than one point at the origin")
         if not energy < math.inf:  # so ratio_value's energy is finite on every configuration
             raise DomainError("the pair energy sum overflows the floats")
-        pts.setflags(write=False)
-        return super().__new__(cls, pts)
-
-    @classmethod
-    def _make(cls, iterable):  # what _replace builds through
-        return cls(*iterable)
 
 
 class RatioValue(NamedTuple):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import DEFAULT_BETA_LOWER
 from .bounds import KINETIC_COEFF, _beta1
-from .errors import DomainError
+from .errors import Checked, DomainError
 
 
 class LemmaReport(NamedTuple):
@@ -55,16 +55,12 @@ class _GridFields(NamedTuple):
     real_n: bool = False
 
 
-class LemmaGrid(_GridFields):
-    """Grid specification for verify_lemma; unused axes are ignored per lemma.
-
-    An immutable named tuple, checked whenever one is built (also by ``_replace``).
-    """
+class LemmaGrid(Checked, _GridFields):
+    """Grid specification for verify_lemma; unused axes are ignored per lemma."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if min(self.z_points, self.ratio_points, self.beta_points, self.n_above) < 1:
             raise DomainError("grid counts must be >= 1")
         # the (Z, N/Z) arrays of lemma3 and the (Z, real N) arrays of lemma4
@@ -80,11 +76,6 @@ class LemmaGrid(_GridFields):
             raise DomainError(f"beta grid values must be >= {DEFAULT_BETA_LOWER}")
         if not lo <= hi < 1:
             raise DomainError(f"beta range {lo:g}:{hi:g} needs lo <= hi < 1")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # what _replace builds through
-        return cls(*iterable)
 
     def betas(self) -> np.ndarray:
         return np.linspace(*self.beta_range, self.beta_points)  # [lo] at one point
