@@ -17,6 +17,15 @@ DEFAULT_BETA_LOWER = 0.8218
 # the bounds models; here so that the CLI can list them without loading a layer
 MODELS = ("nonrel", "magnetic", "relativistic", "bosonic")
 
+# the exclusion lemma's kinetic coefficient, above bounds.derived_constants().c_kinetic
+KINETIC_COEFF = 0.68
+
+
+def _beta1(beta: float) -> float:
+    """beta1 = 3 (beta/6)^(1/3), which the exclusion lemma takes N^(-2/3) times off beta."""
+    return 3.0 * (beta / 6.0) ** (1.0 / 3.0)
+
+
 _LAYERS = {
     "alpha": ("AlphaEstimate", "MAX_POINT_COUNT", "OptimizerSettings", "alpha_sandwich",
               "estimate_alpha", "local_minimize"),

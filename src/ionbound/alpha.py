@@ -18,7 +18,7 @@ from collections import deque
 from operator import mul
 from typing import NamedTuple, Optional
 
-from . import DEFAULT_BETA_LOWER
+from . import DEFAULT_BETA_LOWER, _beta1
 from .errors import Checked, DomainError
 from .kernels import COINCIDENCE_RTOL, ParticleConfiguration, RatioValue, _evaluate, ratio_value
 
@@ -97,9 +97,8 @@ def _evaluate_trial(points: list):
         return None
     _, total, dmin, dmax, norms, ratio, grad = parts
     n = len(norms)
-    if not 0.0 < total < math.inf or min(norms) * (n / total) < ORIGIN_GUARD:
-        return None
-    if dmin <= COINCIDENCE_RTOL * dmax:
+    if (not 0.0 < total < math.inf or min(norms) * (n / total) < ORIGIN_GUARD
+            or dmin <= COINCIDENCE_RTOL * dmax):
         return None
     scale = n / total
     return ratio, [x * scale for x in points], grad
@@ -275,5 +274,4 @@ def alpha_sandwich(n: int, beta_lower: float) -> float:
         raise DomainError("n must be >= 2")
     if not 0.0 < beta_lower < 1.0:
         raise DomainError("beta_lower must lie in (0, 1)")
-    scale = n / (n - 1)
-    return scale * (beta_lower - 3.0 * (beta_lower / 6.0) ** (1.0 / 3.0) * n ** (-2.0 / 3.0))
+    return n / (n - 1) * (beta_lower - _beta1(beta_lower) * n ** (-2.0 / 3.0))

@@ -78,15 +78,6 @@ class LambdaPoint(NamedTuple):
     lambda_prime: float
     g: float
 
-    def residual(self) -> float:
-        """Defining-equation residual (lam - lam') - 2 sqrt((2/3) lam' (1-lam)) - 2 sqrt(lam (1-lam))."""
-        one_minus = 1.0 - self.lam
-        return (
-            (self.lam - self.lambda_prime)
-            - 2.0 * math.sqrt((2.0 / 3.0) * self.lambda_prime * one_minus)
-            - 2.0 * math.sqrt(self.lam * one_minus)
-        )
-
 
 class _SettingsFields(NamedTuple):
     g_tolerance: float = 1e-10
@@ -175,9 +166,7 @@ def w_lambda_reduced(lam: float, a: float, b: float, c: float) -> float:
     if a <= 0 or c <= 0 or not 0.0 <= b <= a:
         raise DomainError("need a > 0, 0 <= b <= a, c > 0")
     if b > 0 and not (a - b <= c <= a + b):
-        raise DomainError(
-            f"c = {c:g} outside the realizable range [{a - b:g}, {a + b:g}]"
-        )
+        raise DomainError(f"c = {c:g} outside the realizable range [{a - b:g}, {a + b:g}]")
     return lam * (a + b * b / c) + (1.0 - lam) * (c + (2.0 / 3.0) * b * b / a)
 
 

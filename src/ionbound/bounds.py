@@ -16,12 +16,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from . import DEFAULT_BETA_LOWER, MODELS
+from . import DEFAULT_BETA_LOWER, KINETIC_COEFF, MODELS, _beta1
 from .errors import Checked, DomainError, IonboundError
-
-# Kinetic-correction coefficient of the exclusion lemma, conservative by
-# construction relative to the exact constant chain below.
-KINETIC_COEFF = 0.68
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +110,6 @@ def derived_constants() -> PhysicalConstants:
 # ---------------------------------------------------------------------------
 # bound calculators
 # ---------------------------------------------------------------------------
-
-def _beta1(beta: float) -> float:
-    return 3.0 * (beta / 6.0) ** (1.0 / 3.0)
-
 
 # Newton steps per row, a safety net: the iteration is monotone (see
 # implicit_bound), and charges 1e-300 to 1e300 and the 1:118:0.01 table take

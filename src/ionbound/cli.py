@@ -1,11 +1,12 @@
 """Command-line front end: alpha, beta, bounds, verify, and report pipelines.
 
 Exit codes: 0 on success, 2 when any verification report fails, 1 on usage or
-domain errors.  The output goes to --out, written atomically (to a temp file in
-the target directory, then renamed), or else to stdout, and identical
-configurations reproduce byte-identical CSV/JSON outputs.  Wall-clock timings
-go to stderr; they are embedded in the JSON only with --timings, since real
-timings would break byte-level reproducibility.
+domain errors.  The output goes to stdout or to --out, symlinks followed: a FIFO
+or a device is written in place, a file atomically (a temp file beside it, with
+the file's mode or, if new, 0666 less the umask, renamed over it).  Identical
+configurations reproduce byte-identical CSV/JSON outputs.  Wall-clock timings go
+to stderr; they are embedded in the JSON only with --timings, since real timings
+would break byte-level reproducibility.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import gc
 import math
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -109,18 +111,28 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return _finite(parts[0]), _finite(parts[1])
 
 
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+def _write_out(path: str, data: str) -> None:
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ionbound-tmp-")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            os.umask(umask := os.umask(0))  # reads the umask
+            mode = stat.S_IFREG | (0o666 & ~umask)
+        if not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        else:
+            target = os.path.realpath(path)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".ionbound-tmp-")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                    os.fchmod(fd, stat.S_IMODE(mode))
+                    fh.write(data)
+                os.replace(tmp, target)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
     except OSError as exc:
         raise IonboundError(f"cannot write {path}: {exc.strerror or exc}") from exc
     sys.stderr.write(f"wrote {path}\n")
@@ -481,7 +493,7 @@ def _run(args) -> int:
             stage.log(results[stage.key])
     text = _render(args, results, timings)
     if args.out:
-        _atomic_write(args.out, text)
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     return 0 if all(r.passed for r in results.get("lemmas", ())) else 2

@@ -13,8 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_BETA_LOWER
-from .bounds import KINETIC_COEFF, _beta1
+from . import DEFAULT_BETA_LOWER, KINETIC_COEFF, _beta1
 from .errors import Checked, DomainError
 
 

@@ -182,6 +182,14 @@ def test_sandwich_n2_formula():
     assert bound < 0  # vacuous but well-defined at N = 2
 
 
+@pytest.mark.parametrize("beta", [1e-300, 0.25, 0.5, 0.8218, 0.8701860337314008, 1 - 2**-53])
+def test_sandwich_keeps_its_inline_order_of_operations(beta):
+    # (3 (beta/6)^(1/3)) N^(-2/3): the bits of every alpha row and golden digest
+    for n in range(2, 257):
+        inline = n / (n - 1) * (beta - 3.0 * (beta / 6.0) ** (1.0 / 3.0) * n ** (-2.0 / 3.0))
+        assert alpha_sandwich(n, beta).hex() == inline.hex()
+
+
 def test_sandwich_large_n_limit():
     assert alpha_sandwich(10**6, 0.8218) == pytest.approx(0.8218, abs=1e-3)
 

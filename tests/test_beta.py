@@ -38,9 +38,13 @@ def test_g_at_endpoint_one():
 
 
 def test_g_defining_equation_residual_on_grid():
-    for lam in np.linspace(0.8, 1.0, 500):
-        point = g_of_lambda(float(lam))
-        assert abs(point.residual()) < 1e-10
+    for x in np.linspace(0.8, 1.0, 500):
+        point = g_of_lambda(float(x))
+        lam, lam_p = point.lam, point.lambda_prime
+        # the defining equation of lambda', which g_of_lambda solves
+        residual = ((lam - lam_p) - 2.0 * math.sqrt((2.0 / 3.0) * lam_p * (1.0 - lam))
+                    - 2.0 * math.sqrt(lam * (1.0 - lam)))
+        assert abs(residual) < 1e-10
         assert point.lambda_prime <= point.lam + 1e-12
 
 

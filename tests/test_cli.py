@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import xml.dom.minidom
@@ -628,6 +630,69 @@ def test_unwritable_out_exits_1(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.rglob(".ionbound-tmp-*")) == []
 
 
+def test_out_onto_a_fifo_writes_into_it(tmp_path, capsys):
+    fifo, expected = tmp_path / "fifo", tmp_path / "bounds.csv"
+    os.mkfifo(fifo)
+    assert run_cli(["bounds", "--z", "1:3", "--out", str(expected)]) == 0
+    # opened without blocking, the reader reads end-of-file at once if nothing writes
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(["bounds", "--z", "1:3", "--out", str(fifo)]) == 0
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert received == expected.read_bytes()
+    assert capsys.readouterr().err.splitlines()[-1] == f"wrote {fifo}"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_out_through_a_link_to_stdout_writes_into_the_pipe(tmp_path):
+    # the kernel resolves /proc/self/fd/1 to the pipe; a path-level resolution would not
+    link = tmp_path / "stdout"
+    link.symlink_to("/proc/self/fd/1")
+    argv = [sys.executable, "-m", "ionbound.cli", "bounds", "--z", "1:3"]
+    piped = subprocess.run([*argv, "--out", str(link)], capture_output=True, timeout=60)
+    assert piped.returncode == 0, piped.stderr
+    assert piped.stdout == subprocess.run(argv, capture_output=True, timeout=60).stdout
+    assert link.is_symlink()
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys, existing):
+    target, link = tmp_path / "bounds.csv", tmp_path / "links" / "link.csv"
+    link.parent.mkdir()
+    link.symlink_to("../bounds.csv")
+    if existing:
+        target.write_text("old\n")
+    assert run_cli(["bounds", "--z", "1:3", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == "../bounds.csv"
+    assert target.read_text().startswith("#schema=ionbound.bounds.v1\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["bounds.csv", "link.csv", "links"]
+    assert capsys.readouterr().err.splitlines()[-1] == f"wrote {link}"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640), (0o002, 0o664)], ids=oct)
+def test_a_new_out_file_has_0666_less_the_umask(tmp_path, umask, mode):
+    out = tmp_path / "bounds.csv"
+    previous = os.umask(umask)
+    try:
+        assert run_cli(["bounds", "--z", "1:3", "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("mode", [0o664, 0o444, 0o755], ids=oct)
+def test_an_overwritten_out_file_keeps_its_mode(tmp_path, mode):
+    out = tmp_path / "bounds.csv"
+    out.write_text("old\n")
+    out.chmod(mode)
+    assert run_cli(["bounds", "--z", "1:3", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert out.read_text().startswith("#schema=ionbound.bounds.v1\n")
+
+
 def test_library_error_that_is_not_a_domain_error_exits_1(tmp_path, capsys, monkeypatch):
     from ionbound import beta
 
@@ -683,7 +748,7 @@ def _loaded_after(argv: list) -> list:
     (["bounds", "--z", "1:3"], ["bounds"]),  # bounds is pure Python, in every format
     (["bounds", "--z", "1:3", "--format", "svg", "--out", "OUT"], ["bounds", "plots"]),
     (["bounds", "--z", "1:3", "--format", "svg"], ["bounds", "plots"]),  # an SVG on stdout
-    (["verify", "--lemma", "cubic"], ["bounds", "lemmas", "numpy"]),
+    (["verify", "--lemma", "cubic"], ["lemmas", "numpy"]),
     (["beta", "--nodes", "10"], ["beta", "numpy"]),
     (["alpha", "--n", "2:2", "--restarts", "1"], ["alpha", "kernels"]),  # pure Python too
     (["bounds", "--z", "1:3", "--format", "json"], ["bounds"]),
