@@ -6,15 +6,17 @@ at the maximizing lambda, a one-dimensional quasiconvex search, is reported
 beside it as a cross-check.  The upper side comes from a closed-form trial
 measure and from fractional quadratic programming over discretized radial
 measures (Dinkelbach iteration whose parametric subproblems are solved
-exactly by an active-set method on the weight simplex).
+exactly by an active-set method on the weight simplex, in O(n) memory since the
+kernel is semiseparable).  It runs on Python floats with +, -, *, /, ``math.sqrt`` and
+``math.fsum`` alone, so its bytes are the same on every IEEE CPU.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
-
-import numpy as np
+from itertools import accumulate, repeat
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 from . import DEFAULT_BETA_LOWER  # re-exported: the bounds default, kept beside __version__
 from .errors import Checked, DomainError, IonboundError, IterationLimitError
@@ -24,11 +26,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 LAMBDA_DOMAIN = (0.8, 1.0)
 
 # Analytic value of the radial trial measure (3/4) r^(-3/2) on [1, 9].
-TRIAL_MEASURE_ANALYTIC = 115.0 / 81.0 - math.log(3.0) / 2.0
+TRIAL_MEASURE_ANALYTIC = 115.0 / 81.0 - 1.0986122886681098 / 2.0  # ln 3, correctly rounded
 
 DEFAULT_NODE_COUNT = 200
 DEFAULT_NODE_RANGE = (0.05, 20.0)
-# the radial kernel is count x count; 5000 nodes already take 200 MB
+# a solve holds O(count) floats; its time is count times its active-set steps
 MAX_NODE_COUNT = 5000
 # widest node range hi/lo; the ratio is dilation invariant, so only hi/lo matters
 MAX_NODE_SPAN = 1e100
@@ -41,33 +43,28 @@ _OUTER_ITERATIONS = 500
 # ---------------------------------------------------------------------------
 
 class _MeasureFields(NamedTuple):
-    nodes: np.ndarray
-    weights: np.ndarray
+    nodes: tuple
+    weights: tuple
 
 
 class RadialMeasure(Checked, _MeasureFields):
     """Discrete probability measure on (0, inf): increasing nodes, weights
-    summing to 1, each held as a read-only float array."""
+    summing to 1, each held as a tuple of floats."""
 
     __slots__ = ()
 
-    def __new__(cls, nodes, weights):
-        # copies: the caller's arrays stay writable
-        nodes = np.array(nodes, dtype=float)
-        weights = np.array(weights, dtype=float)
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return super().__new__(cls, nodes, weights)
+    def __new__(cls, nodes, weights):  # copies of any sequence or 1-d array
+        return super().__new__(cls, tuple(map(float, nodes)), tuple(map(float, weights)))
 
     def _check(self):
         nodes, weights = self
-        if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
+        if len(nodes) != len(weights) or not nodes:
             raise DomainError("nodes and weights must be matching non-empty 1-d arrays")
-        if nodes[0] <= 0 or np.any(np.diff(nodes) <= 0):
+        if nodes[0] <= 0 or any(b <= a for a, b in zip(nodes, nodes[1:])):
             raise DomainError("nodes must be strictly increasing and positive")
-        if np.any(weights < 0):
+        if any(x < 0 for x in weights):
             raise DomainError("weights must be non-negative")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
+        if abs(math.fsum(weights) - 1.0) > 1e-12:
             raise DomainError("weights must sum to 1 within 1e-12")
 
 
@@ -114,7 +111,8 @@ def g_of_lambda(lam: float) -> LambdaPoint:
     if not LAMBDA_DOMAIN[0] <= lam <= LAMBDA_DOMAIN[1]:
         raise DomainError("lambda must lie in [0.8, 1]")
     radicand = (lam + 2.0) / 3.0 - 2.0 * math.sqrt(lam * (1.0 - lam))
-    lambda_prime = (math.sqrt(radicand) - math.sqrt((2.0 / 3.0) * (1.0 - lam))) ** 2
+    root = math.sqrt(radicand) - math.sqrt((2.0 / 3.0) * (1.0 - lam))
+    lambda_prime = root * root  # not ** 2: libm's pow rounds per CPU
     return LambdaPoint(lam=lam, lambda_prime=lambda_prime, g=lam - lambda_prime)
 
 
@@ -203,17 +201,57 @@ def w_maximin(lam: float) -> WMaximinResult:
 
 def radial_ratio(measure: RadialMeasure) -> float:
     """Symmetrized quadratic form over the linear normalizer, dilation invariant."""
-    w = measure.weights
-    return float(w @ _radial_kernel(measure.nodes) @ w) / float(w @ measure.nodes)
+    r, w = measure
+    return 0.5 * math.fsum(map(mul, w, _gradient(r, w))) / math.fsum(map(mul, w, r))
 
 
-def _radial_kernel(r: np.ndarray) -> np.ndarray:
-    """Q_ij = (r_i^2 + r_j^2) / (2 max(r_i, r_j)), the quadratic form of the radial ratio."""
-    return 0.5 * (r[:, None] ** 2 + r[None, :] ** 2) / np.maximum.outer(r, r)
+def _gradient(r: Sequence[float], x: Sequence[float], theta: float = 0.0) -> list:
+    """2 Q x - theta r on increasing nodes in O(n): with Q_ij = (r_i^2 + r_j^2) / (2 max(r_i,
+    r_j)), (Qx)_i = (r_i P_i + S_i / r_i + R_i + r_i^2 T_i) / 2, where P_i and S_i sum x_j and
+    r_j^2 x_j over j < i, and R_i and T_i sum r_j x_j and x_j / r_j over j >= i.  A zero x_j
+    adds exact zeros, so dropping the nodes where x is 0 leaves the other entries' bits."""
+    tail, big_r, big_t = [], 0.0, 0.0
+    for ri, xi in zip(reversed(r), reversed(x)):
+        big_r += ri * xi
+        big_t += xi / ri
+        tail.append(big_r + ri * ri * big_t)
+    product, big_p, big_s = [], 0.0, 0.0
+    for ri, xi, rest in zip(r, x, reversed(tail)):
+        product.append(ri * big_p + big_s / ri + rest - theta * ri)
+        big_p += xi
+        big_s += ri * ri * xi
+    return product
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
+def _face_solve(r: Sequence[float], g: Sequence[float]) -> Optional[list]:
+    """The step d of the bordered system [2Q 1; 1ᵀ 0] [d; mu] = [-g; 0] on increasing
+    nodes r in O(k), or None where a pivot is zero or not finite.  d = Z u, d_i =
+    u_{i-1} - u_i with u_0 = u_k = 0, sums to zero, and ZᵀQZ u = -(g_{m+1} - g_m) / 2, where
+    for the gap m from r_m to r_{m+1}, of width h_m, ZᵀQZ = diag(r_m h_m / r_{m+1} + a_m b_m)
+    - T, T_mn = a_min(m,n) b_max(m,n), a_m = h_m (r_{m+1} + r_m), b_m = h_m / (2 r_m r_{m+1}).
+    Elimination keeps that form, a_m raised by b_m sigma: one LDLᵀ sweep each way."""
+    sigma, tau, sweep = 0.0, 0.0, []
+    for r0, r1, g0, g1 in zip(r, r[1:], g, g[1:]):
+        h = r1 - r0
+        b = h / (2.0 * r0 * r1)
+        alpha = h * (r1 + r0) + b * sigma
+        pivot = r0 * h / r1 - b * b * sigma
+        if not 0.0 < abs(pivot) < math.inf:
+            return None
+        c, y = alpha / pivot, -0.5 * (g1 - g0) + b * tau
+        sigma, tau = sigma + alpha * c, tau + c * y
+        sweep.append((b, c, y / pivot))
+    u, rho = [0.0], 0.0
+    for b, c, z in reversed(sweep):
+        u.append(z + c * rho)
+        rho += b * u[-1]
+    u.reverse()  # u_1 .. u_{k-1}, then u_k = 0
+    return [u0 - u1 for u0, u1 in zip([0.0, *u], u)]
+
+
+def project_to_simplex(v):
     """Euclidean projection onto the probability simplex (exact, sort-based)."""
+    import numpy as np  # here: only the bench and tests call it, and beta loads no numpy
     v = np.asarray(v, dtype=float)
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
@@ -234,31 +272,49 @@ def _check_node_grid(count: int, node_range: tuple[float, float]) -> None:
         raise DomainError(f"node range {lo:g}:{hi:g} spans more than hi/lo = {MAX_NODE_SPAN:g}")
 
 
+def _power(x: float, k: int) -> float:
+    """x^k by repeated squaring; an overflow gives inf."""
+    return 1.0 if k == 0 else _power(x * x, k >> 1) * (x if k & 1 else 1.0)
+
+
 def default_nodes(
     count: int = DEFAULT_NODE_COUNT, node_range: tuple[float, float] = DEFAULT_NODE_RANGE
-) -> np.ndarray:
-    """Log-spaced node grid; only its dynamic range matters by dilation invariance."""
+) -> tuple:
+    """Log-spaced node grid; only its dynamic range matters by dilation invariance.
+
+    The nodes are lo q^i by repeated multiplication, the last one hi, with q the largest
+    float whose (count - 1)-th power, by repeated squaring, is at most hi/lo.
+    """
     _check_node_grid(count, node_range)
     lo, hi = node_range
     if count == 1:
-        return np.array([math.sqrt(lo * hi)])
-    return np.geomspace(lo, hi, count)
+        return (math.sqrt(lo * hi),)
+    below, above = 1.0, hi / lo
+    while below < (mid := 0.5 * (below + above)) < above:
+        if _power(mid, count - 1) <= hi / lo:
+            below = mid
+        else:
+            above = mid
+    return (*accumulate(repeat(below, count - 2), mul, initial=lo), hi)
 
 
-def trial_weights_on_nodes(nodes: np.ndarray) -> np.ndarray:
+def trial_weights_on_nodes(nodes: Sequence[float]) -> tuple:
     """Discretization of the trial density onto a node grid (uniform fallback)."""
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.size == 1:
-        return np.ones(1)
-    cell = np.gradient(nodes)
-    w = np.where((nodes >= 1.0) & (nodes <= 9.0), 0.75 * nodes ** (-1.5) * cell, 0.0)
-    if w.sum() <= 0:
-        w = np.ones_like(nodes)
-    return w / w.sum()
+    r = [float(x) for x in nodes]
+    if len(r) == 1:
+        return (1.0,)
+    # each node's cell: one-sided at the ends, centred inside
+    cell = [r[1] - r[0], *((c - a) / 2.0 for a, c in zip(r, r[2:])), r[-1] - r[-2]]
+    w = [0.75 * (1.0 / (x * math.sqrt(x))) * h if 1.0 <= x <= 9.0 else 0.0
+         for x, h in zip(r, cell)]
+    total = math.fsum(w)
+    if total <= 0:
+        w, total = [1.0] * len(r), float(len(r))
+    return tuple(x / total for x in w)
 
 
 def minimize_radial_ratio(
-    nodes: Optional[np.ndarray] = None,
+    nodes: Optional[Sequence[float]] = None,
     settings: Optional[BetaSettings] = None,
     history: Optional[list] = None,
 ) -> tuple[RadialMeasure, float]:
@@ -272,82 +328,76 @@ def minimize_radial_ratio(
     positive (else the step is reversed, or, if singular, replaced by the
     projected gradient); weights that reach zero leave the set, and at a face
     minimizer the node with the most negative multiplier joins it, as in
-    Lawson-Hanson NNLS.
+    Lawson-Hanson NNLS.  On the last step a new measure whose ratio ties theta
+    within 1e-15 replaces the old one if its KKT residual is smaller.
     """
     if settings is None:
         settings = BetaSettings()
     if nodes is None:
         nodes = default_nodes(settings.node_count, settings.node_range)
-    r = np.asarray(nodes, dtype=float)
-    q = _radial_kernel(r)
-    w = trial_weights_on_nodes(r)
-    theta = float(w @ q @ w) / float(w @ r)
+    best = RadialMeasure(nodes, trial_weights_on_nodes(nodes))  # also checks the nodes
+    r, theta = best.nodes, radial_ratio(best)
     history = [] if history is None else history
     history.append(theta)
-    # the bordered system [2 Q_SS 1; 1ᵀ 0] and its right-hand side [-g; 0], filled in place
-    bordered_buffer, rhs_buffer = np.empty((r.size + 1, r.size + 1)), np.empty(r.size + 1)
     for _ in range(_OUTER_ITERATIONS):
-        v, free = w.copy(), w > 0
-        for _ in range(4 * r.size + 10):
-            idx = np.flatnonzero(free)
-            g, q_ss = 2.0 * (q[idx] @ v) - theta * r[idx], q[np.ix_(idx, idx)]
-            k = idx.size
-            bordered, rhs = bordered_buffer[:k + 1, :k + 1], rhs_buffer[:k + 1]
-            np.multiply(q_ss, 2.0, out=bordered[:k, :k])
-            bordered[k, :k] = bordered[:k, k] = 1.0
-            bordered[k, k] = 0.0
-            np.negative(g, out=rhs[:k])
-            rhs[k] = 0.0
-            try:
-                d = np.linalg.solve(bordered, rhs)[:-1]
-            except np.linalg.LinAlgError:
-                d = np.zeros(idx.size)
-            curvature = float(d @ q_ss @ d)
+        v = list(best.weights)
+        free, g_all = [x > 0 for x in v], _gradient(r, v, theta)
+        for _ in range(4 * len(r) + 10):
+            idx = [i for i, f in enumerate(free) if f]
+            r_s, g = [r[i] for i in idx], [g_all[i] for i in idx]
+            d = _face_solve(r_s, g) or [0.0] * len(idx)
+            curvature = 0.5 * math.fsum(map(mul, d, _gradient(r_s, d)))
             newton = curvature > 0
             if curvature < 0:
-                d = -d
+                d = [-x for x in d]
             elif not newton:
-                d = g.mean() - g
-                curvature = float(d @ q_ss @ d)
-            t = 1.0 if newton else float(d @ d) / (2.0 * curvature) if curvature > 0 else math.inf
-            shrinking = d < 0
-            if shrinking.any():
-                blocks = v[idx][shrinking] / -d[shrinking]
-                v[idx] = np.maximum(v[idx] + min(t, blocks.min()) * d, 0.0)
-                if blocks.min() < t:
-                    v[idx[shrinking][np.argmin(blocks)]] = 0.0
-                    free = v > 0
+                mean = math.fsum(g) / len(g)
+                d = [mean - x for x in g]
+                curvature = 0.5 * math.fsum(map(mul, d, _gradient(r_s, d)))
+            t = 1.0 if newton else math.fsum(map(mul, d, d)) / (2.0 * curvature) \
+                if curvature > 0 else math.inf
+            blocks = [(v[i] / -di, i) for i, di in zip(idx, d) if di < 0]
+            if blocks:
+                block, j = min(blocks)
+                step = min(t, block)
+                for i, di in zip(idx, d):
+                    v[i] = max(v[i] + step * di, 0.0)
+                if block < t:
+                    v[j] = 0.0
+                    free = [x > 0 for x in v]
+                g_all = _gradient(r, v, theta)
+                if block < t or not newton:
                     continue
-                if not newton:
-                    continue
-            g = 2.0 * (q @ v) - theta * r
-            multipliers = np.where(free, math.inf, g - g[idx].mean())
-            j = int(np.argmin(multipliers))
-            if not multipliers[j] < -1e-12 * r.max():  # a margin above rounding in the gradient
+            mean = math.fsum(g_all[i] for i in idx) / len(idx)
+            lowest, j = min(((g_all[i] - mean, i) for i, f in enumerate(free) if not f),
+                            default=(math.inf, None))
+            if not lowest < -1e-12 * r[-1]:  # a margin above rounding in the gradient
                 break
             free[j] = True
         else:
-            raise IterationLimitError("active-set cap reached", best=(RadialMeasure(r, w), theta))
-        v /= v.sum()
-        theta_new = float(v @ q @ v) / float(v @ r)
+            raise IterationLimitError("active-set cap reached", best=(best, theta))
+        total = math.fsum(v)
+        found = RadialMeasure(r, [x / total for x in v])
+        theta_new = radial_ratio(found)
         done = theta - theta_new < _DINKELBACH_TOLERANCE
-        if theta_new < theta:
-            w, theta = v, theta_new
+        if theta_new < theta or (done and theta_new <= theta + 1e-15
+                                 and kkt_residual(found) < kkt_residual(best)):
+            best, theta = found, theta_new
         history.append(theta)
         if done:
-            return RadialMeasure(r, w), theta
-    raise IterationLimitError("Dinkelbach iteration cap reached", best=(RadialMeasure(r, w), theta))
+            return best, theta
+    raise IterationLimitError("Dinkelbach iteration cap reached", best=(best, theta))
 
 
 def kkt_residual(measure: RadialMeasure) -> float:
     """KKT defect of the ratio theta at the measure: with g = 2Qw - theta r, the larger of
     g's spread on the support and its largest drop off the support below its mean there,
     over the largest node (so dilation leaves it unchanged)."""
-    r, w = measure.nodes, measure.weights
-    q = _radial_kernel(r)
-    g = 2.0 * (q @ w) - float(w @ q @ w) / float(w @ r) * r  # radial_ratio(measure), same kernel
-    on = w > 0
-    return float(max(np.ptp(g[on]), g[on].mean() - g[~on].min(initial=np.inf)) / r.max())
+    r, w = measure
+    g = _gradient(r, w, radial_ratio(measure))
+    on = [gi for gi, wi in zip(g, w) if wi > 0]
+    off = min((gi for gi, wi in zip(g, w) if not wi > 0), default=math.inf)
+    return max(max(on) - min(on), math.fsum(on) / len(on) - off) / r[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +437,6 @@ def bracket_detail(settings: Optional[BetaSettings] = None) -> BetaBracket:
         lower=g_max, upper=upper, upper_source=upper_source, certificate_measure=certificate,
         lambda_0=lambda_0, maximin=maximin, radial_minimum=optimized,
         diagnostics={"dinkelbach_steps": len(history) - 1,
-                     "support_size": int(np.count_nonzero(measure.weights)),
+                     "support_size": len(measure.weights) - measure.weights.count(0.0),
                      "kkt_residual": kkt_residual(measure)},
     )

@@ -27,9 +27,9 @@ from .errors import DomainError, IonboundError
 # The package's public names, on the package's table.  Stage code reads each
 # one as _lib.<name>, and the first read imports its layer, so a call loads
 # only the layers it touches: --version, --help and malformed flags return
-# before numpy loads, alpha and bounds (pure Python) never load it, and plots
-# loads only when an SVG is written.  A name rebound on this module is what the
-# stages call.
+# before numpy loads, alpha, beta and bounds (pure Python) never load it, and
+# plots loads only when an SVG is written.  A name rebound on this module is
+# what the stages call.
 __getattr__ = _lazy_names(globals(), _LAYERS)
 _lib = sys.modules[__name__]  # this module, also when it runs as __main__
 
@@ -239,8 +239,8 @@ def _beta_section(b) -> dict:
     }
     if b.certificate_measure is not None:
         payload["certificate_measure"] = {
-            "nodes": [float(x) for x in b.certificate_measure.nodes],
-            "weights": [float(x) for x in b.certificate_measure.weights],
+            "nodes": list(b.certificate_measure.nodes),
+            "weights": list(b.certificate_measure.weights),
         }
     return payload
 
@@ -251,7 +251,7 @@ def _beta_csv(b, args) -> str:
            m.value, m.gap, b.radial_minimum]
     header = ("lower,lower_source,upper,upper_source,lambda_0,g_max,"
               "maximin,maximin_gap,radial_minimum")
-    return _csv_text("ionbound.beta.v2", header, [row])
+    return _csv_text("ionbound.beta.v3", header, [row])
 
 
 def _g_panel(detail) -> Panel:

@@ -169,7 +169,7 @@ def test_radial_ratio_dilation_invariance():
     measure = RadialMeasure(nodes, weights)
     base = radial_ratio(measure)
     for t in (10.0, 0.037, 3.5):
-        dilated = RadialMeasure(measure.nodes * t, measure.weights)
+        dilated = RadialMeasure(np.asarray(measure.nodes) * t, measure.weights)
         assert radial_ratio(dilated) == pytest.approx(base, rel=1e-12)
 
 
@@ -202,13 +202,14 @@ def test_radial_measure_is_an_immutable_named_tuple_checked_on_every_copy():
     measure = RadialMeasure([1.0, 2.0], [0.25, 0.75])  # positional, as the bench builds one
     nodes, weights = measure
     assert nodes is measure.nodes and weights is measure.weights
-    assert measure.nodes.dtype == float and not measure.weights.flags.writeable
+    assert measure == ((1.0, 2.0), (0.25, 0.75))  # tuples of floats, immutable
+    assert all(type(x) is float for x in (*nodes, *weights))
     with pytest.raises(AttributeError):
         measure.nodes = np.array([1.0, 3.0])
     with pytest.raises(AttributeError):
         measure.extra = 1.0
     moved = measure._replace(nodes=[2.0, 3.0])
-    assert isinstance(moved, RadialMeasure) and not moved.nodes.flags.writeable
+    assert isinstance(moved, RadialMeasure) and moved.nodes == (2.0, 3.0)
     with pytest.raises(DomainError, match="nodes must be strictly increasing and positive"):
         measure._replace(nodes=[2.0, 1.0])
     with pytest.raises(DomainError, match="weights must sum to 1 within 1e-12"):
@@ -221,8 +222,8 @@ def test_radial_measure_leaves_the_callers_arrays_writable():
     nodes, weights = np.array([1.0, 2.0]), np.array([0.5, 0.5])
     measure = RadialMeasure(nodes, weights)
     nodes[0], weights[:] = 0.5, (0.25, 0.75)  # the caller's arrays, not the measure's
-    assert measure.nodes.tolist() == [1.0, 2.0] and measure.weights.tolist() == [0.5, 0.5]
-    assert not measure.nodes.flags.writeable and not measure.weights.flags.writeable
+    assert measure.nodes == (1.0, 2.0) and measure.weights == (0.5, 0.5)
+    assert nodes.flags.writeable and weights.flags.writeable
 
 
 def test_beta_settings_are_checked_on_every_copy():
@@ -295,7 +296,7 @@ def test_default_nodes_rejects_counts_above_the_cap():
     from ionbound.beta import MAX_NODE_COUNT
 
     assert MAX_NODE_COUNT >= 5000
-    assert default_nodes(MAX_NODE_COUNT, (1.0, 2.0)).size == MAX_NODE_COUNT
+    assert len(default_nodes(MAX_NODE_COUNT, (1.0, 2.0))) == MAX_NODE_COUNT
     # by message only: the check comes before any array exists
     with pytest.raises(DomainError, match=f"node count must lie in \\[1, {MAX_NODE_COUNT}\\]"):
         default_nodes(10**8)
@@ -306,6 +307,34 @@ def test_default_nodes_rejects_counts_above_the_cap():
 def test_default_nodes_rejects_ranges_whose_squares_leave_the_floats(node_range):
     with pytest.raises(DomainError, match="node range"):
         default_nodes(10, node_range)
+
+
+@pytest.mark.parametrize("count, node_range", [
+    (200, (0.05, 20.0)), (5000, (0.05, 20.0)), (5000, (1.0, 2.0)), (30, (0.05, 20.0)),
+    (3, (1e-50, 1e50)), (50, (1e-50, 1e50)), (50, (1.0, 1e100)), (2, (0.05, 20.0)),
+])
+def test_default_nodes_are_log_spaced(count, node_range):
+    nodes = default_nodes(count, node_range)
+    assert type(nodes) is tuple and len(nodes) == count
+    assert nodes[0] == node_range[0] and nodes[-1] == node_range[1]
+    assert all(a < b for a, b in zip(nodes, nodes[1:]))
+    # the ratio q is good to a few ulps, and each of count multiplications rounds once
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lo, hi = map(mpmath.mpf, node_range)
+        exact = [lo * (hi / lo) ** (mpmath.mpf(i) / (count - 1)) for i in range(count)]
+        relative = max(abs(x / e - 1) for x, e in zip(nodes, exact))
+    assert relative <= 2 * count * np.finfo(float).eps
+
+
+def test_default_nodes_on_a_span_of_one_and_two_ulps():
+    # on a span of one ulp, no q > 1 has q^2 <= hi/lo, so the grid repeats a node,
+    # as numpy.geomspace's does, and the radial solve rejects it
+    assert default_nodes(3, (1.0, 1.0000000000000002)) == (1.0, 1.0, 1.0000000000000002)
+    with pytest.raises(DomainError, match="nodes must be strictly increasing and positive"):
+        minimize_radial_ratio(settings=BetaSettings(node_count=3,
+                                                    node_range=(1.0, 1.0000000000000002)))
+    assert default_nodes(3, (1.0, 1.0000000000000004))[1] == 1.0000000000000002
 
 
 def test_default_nodes_rejects_spans_above_1e100():
@@ -392,14 +421,14 @@ _PROJECTED_GRADIENT_VALUES = {
 def _assert_strict_kkt_point(measure, value):
     from ionbound.beta import kkt_residual
 
-    w = measure.weights
+    w = np.asarray(measure.weights)
     assert w.min() >= 0.0
     assert abs(float(w.sum()) - 1.0) <= 1e-12
     assert value == radial_ratio(measure)
     assert kkt_residual(measure) <= 1e-10
     # second order: the ratio's Hessian is positive definite on the support's face
     support = np.flatnonzero(w)
-    r = measure.nodes[support]
+    r = np.asarray(measure.nodes)[support]
     q = 0.5 * (r[:, None] ** 2 + r[None, :] ** 2) / np.maximum.outer(r, r)
     if r.size > 1:
         face = np.vstack([np.eye(r.size - 1), -np.ones(r.size - 1)])
@@ -415,7 +444,7 @@ def test_radial_minimum_is_a_strict_kkt_point(count):
 
 def test_radial_minimum_against_slsqp_oracle():
     optimize = pytest.importorskip("scipy.optimize")
-    nodes = default_nodes(30)
+    nodes = np.asarray(default_nodes(30))
     _, value = minimize_radial_ratio(nodes)
     q = 0.5 * (nodes[:, None] ** 2 + nodes[None, :] ** 2) / np.maximum.outer(nodes, nodes)
     rng = np.random.default_rng(20)
@@ -433,7 +462,7 @@ def test_radial_minimum_against_slsqp_oracle():
 @pytest.mark.parametrize(
     "count, node_range",
     [(200, (1.0, 1.001)), (200, (1.0, 1.000000001)), (500, (1e-6, 1e6)), (200, (10.0, 20.0)),
-     (2, (0.05, 20.0)), (3, (0.05, 20.0))],
+     (2, (0.05, 20.0)), (3, (0.05, 20.0)), (500, (1.0, 1.000000001))],
 )
 def test_radial_minimum_on_hard_grids(count, node_range):
     t0 = time.perf_counter()
@@ -445,15 +474,62 @@ def test_radial_minimum_on_hard_grids(count, node_range):
     _assert_strict_kkt_point(measure, value)
 
 
-def test_radial_minimum_survives_a_singular_bordered_system(monkeypatch):
-    from ionbound.errors import IterationLimitError
+def _dense_kernel(r: np.ndarray) -> np.ndarray:
+    return 0.5 * (r[:, None] ** 2 + r[None, :] ** 2) / np.maximum.outer(r, r)
 
-    def singular(*_):
-        raise np.linalg.LinAlgError("Singular matrix")
+
+@pytest.mark.parametrize("count, node_range", [
+    (200, (0.05, 20.0)), (200, (1.0, 1.000000001)), (500, (1e-6, 1e6)),
+    (50, (1.0, 1e100)), (50, (1e-50, 1e50)),
+])
+def test_semiseparable_product_matches_the_dense_kernel(count, node_range):
+    from ionbound.beta import _gradient
+
+    r = np.asarray(default_nodes(count, node_range))
+    q = _dense_kernel(r)
+    rng = np.random.default_rng(count)
+    for x in (rng.standard_normal(count), rng.uniform(-1.0, 1.0, count) * r ** -1.5):
+        got = 0.5 * np.asarray(_gradient(r.tolist(), x.tolist()))
+        # each of the O(n) sums rounds at most n times on terms bounded by |Q| |x|
+        bound = 4 * count * np.finfo(float).eps * (np.abs(q) @ np.abs(x))
+        assert np.all(np.abs(got - q @ x) <= bound)
+        theta = 0.87
+        gradient = np.asarray(_gradient(r.tolist(), x.tolist(), theta))
+        assert np.all(np.abs(gradient - (2.0 * (q @ x) - theta * r)) <= 2 * bound + 1e-15 * r)
+
+
+def test_face_solve_matches_the_bordered_dense_solve():
+    from ionbound.beta import _face_solve
+
+    rng = np.random.default_rng(30)
+    nodes = np.asarray(default_nodes())
+    for _ in range(60):
+        k = int(rng.integers(2, 120))
+        r = nodes[np.sort(rng.choice(nodes.size, size=k, replace=False))]
+        g = rng.standard_normal(k)
+        q = _dense_kernel(r)
+        bordered = np.block([[2.0 * q, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
+        want = np.linalg.solve(bordered, np.append(-g, 0.0))[:-1]
+        got = np.asarray(_face_solve(r.tolist(), g.tolist()))
+        # a backward-stable solve of ZᵀQZ errs by about its condition number times eps
+        z = np.vstack([np.eye(k - 1), np.zeros((1, k - 1))]) - np.vstack(
+            [np.zeros((1, k - 1)), np.eye(k - 1)])
+        cond = np.linalg.cond(z.T @ q @ z)
+        tolerance = 10 * k * cond * np.finfo(float).eps * np.abs(want).max()
+        assert np.abs(got - want).max() <= tolerance
+        assert abs(got.sum()) <= 4 * k * np.finfo(float).eps * np.abs(got).sum()
+    # one node leaves no step, and a non-finite pivot is a singular system
+    assert _face_solve([2.0], [0.7]) == [0.0]
+    assert _face_solve([1.0, math.inf], [0.0, 1.0]) is None
+
+
+def test_radial_minimum_survives_a_singular_bordered_system(monkeypatch):
+    from ionbound import beta
+    from ionbound.errors import IterationLimitError
 
     # every face falls back to projected-gradient steps, which lower the ratio
     # but never land exactly on a face minimizer, so the step cap trips
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(beta, "_face_solve", lambda nodes, gradient: None)
     history = []
     with pytest.raises(IterationLimitError) as info:
         minimize_radial_ratio(default_nodes(20), None, history)
@@ -480,7 +556,7 @@ def test_kkt_residual_hand_computed():
     # off-support entry sits 1/2 below the support's, over the largest node 2
     measure = RadialMeasure([1.0, 2.0], [1.0, 0.0])
     assert kkt_residual(measure) == 0.25
-    dilated = RadialMeasure(measure.nodes * 37.0, measure.weights)
+    dilated = RadialMeasure(np.asarray(measure.nodes) * 37.0, measure.weights)
     assert kkt_residual(dilated) == pytest.approx(0.25, rel=1e-14)
     # both weights positive: the spread of g on the support counts instead
     assert kkt_residual(RadialMeasure([1.0, 2.0], [0.5, 0.5])) == pytest.approx(

@@ -130,7 +130,7 @@ def test_beta_csv_numeric_cells_parse(tmp_path):
     out = tmp_path / "beta.csv"
     assert run_cli(["beta", "--nodes", "30", "--format", "csv", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "#schema=ionbound.beta.v2"
+    assert lines[0] == "#schema=ionbound.beta.v3"
     header, row = lines[1].split(","), lines[2].split(",")
     assert len(header) == len(row) == 9
     for name, cell in zip(header, row):
@@ -749,7 +749,7 @@ def _loaded_after(argv: list) -> list:
     (["bounds", "--z", "1:3", "--format", "svg", "--out", "OUT"], ["bounds", "plots"]),
     (["bounds", "--z", "1:3", "--format", "svg"], ["bounds", "plots"]),  # an SVG on stdout
     (["verify", "--lemma", "cubic"], ["lemmas", "numpy"]),
-    (["beta", "--nodes", "10"], ["beta", "numpy"]),
+    (["beta", "--nodes", "10"], ["beta"]),  # pure Python too
     (["alpha", "--n", "2:2", "--restarts", "1"], ["alpha", "kernels"]),  # pure Python too
     (["bounds", "--z", "1:3", "--format", "json"], ["bounds"]),
     # a malformed range is reported before its command's layer loads
@@ -818,8 +818,8 @@ def test_a_bounds_call_loads_no_dataclasses_and_json_only_to_write_it(tmp_path, 
 
 
 @pytest.mark.parametrize("argv, held", [
-    (["beta", "--nodes", "10", "--format", "csv", "--out", "OUT"], "['numpy']"),
-    (["beta", "--nodes", "10", "--out", "OUT"], "['json', 'numpy']"),
+    (["beta", "--nodes", "10", "--format", "csv", "--out", "OUT"], "[]"),
+    (["beta", "--nodes", "10", "--out", "OUT"], "['json']"),
     (["verify", "--lemma", "cubic", "--out", "OUT"], "['json', 'numpy']"),
     (["report", "--n", "2:2", "--restarts", "1", "--nodes", "10", "--z", "1:3", "--out", "OUT"],
      "['json', 'numpy']"),

@@ -9,8 +9,9 @@ Newton root good to a few ulps; the other four columns of those tables stay
 pinned to the bytes from before that change.  The bounds SVG and JSON results
 and the extreme-charge roots were pinned before the bounds and plot types
 became named tuples.  Every ``alpha`` digest was re-pinned when the descent
-and its seeded starts moved to Python floats (``ionbound.alpha.v2``).  Any
-later drift in these bytes fails here instead of in a manual diff.
+and its seeded starts moved to Python floats (``ionbound.alpha.v2``), and every
+``beta`` digest when the radial solve and its node grid did (``ionbound.beta.v3``).
+Any later drift in these bytes fails here instead of in a manual diff.
 """
 
 import hashlib
@@ -93,8 +94,13 @@ ALPHA_SWEEP_ARGS = ["alpha", "--n", "2:12", "--restarts", "2"]
 # the other writers of the shared CSV formatter
 STAGE_CSV_SHA256 = {
     "alpha --n 2:4 --restarts 4 --seed 7": "5db4a6f6a44b27e283f9b567542ebbde895e878b52afb217b398b95ad7eab8f1",
-    "beta --nodes 30": "0ec9e52792af9496a9cbfab99b41e7b92d8b6dc08acba72dc7ff50c2617533d3",
+    "beta --nodes 30": "d45b04c701834e2ba011d297a687c59922c71ba67757d80369fec323700804b3",
 }
+
+# json.dumps(payload["results"], indent=2) of `beta` at its defaults, the benchmark's
+# beta-bracket call; pinned when the radial solve and its node grid moved to Python
+# floats (ionbound.beta.v3), whose bytes are the same on every IEEE CPU
+BETA_RESULTS_SHA256 = "b66edef0b711583ba0f3b4931353fa28d01364a5873ba21ce1c6982a98531453"
 
 
 def _digest(path) -> str:
@@ -160,6 +166,13 @@ def test_alpha_sweep_results_bytes(tmp_path, seed):
     assert digest == ALPHA_SWEEP_RESULTS_SHA256[seed]
 
 
+def test_beta_results_bytes(tmp_path):
+    out = tmp_path / "beta.json"
+    assert main(["beta", "--format", "json", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert hashlib.sha256(json.dumps(results, indent=2).encode()).hexdigest() == BETA_RESULTS_SHA256
+
+
 def test_alpha_sweep_csv_bytes(tmp_path):
     out = tmp_path / "alpha.csv"
     assert main([*ALPHA_SWEEP_ARGS, "--seed", "7", "--format", "csv", "--out", str(out)]) == 0
@@ -211,5 +224,24 @@ def test_alpha_goldens_hold_under_reduced_dispatch(tmp_path, setting):
     csv = run([*ALPHA_SWEEP_ARGS, "--seed", "7", "--format", "csv"])
     assert hashlib.sha256(csv).hexdigest() == ALPHA_SWEEP_CSV_SHA256
     command = "alpha --n 2:4 --restarts 4 --seed 7"
+    csv = run([*command.split(), "--format", "csv"])
+    assert hashlib.sha256(csv).hexdigest() == STAGE_CSV_SHA256[command]
+
+
+@pytest.mark.parametrize("setting", list(REDUCED_DISPATCH))
+def test_beta_goldens_hold_under_reduced_dispatch(tmp_path, setting):
+    # beta runs on Python floats alone, so its bytes are the same at every dispatch level
+    env = {**os.environ, **REDUCED_DISPATCH[setting]}
+
+    def run(args):
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "ionbound.cli", *args, "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return out.read_bytes()
+
+    results = json.loads(run(["beta", "--format", "json"]))["results"]
+    assert hashlib.sha256(json.dumps(results, indent=2).encode()).hexdigest() == BETA_RESULTS_SHA256
+    command = "beta --nodes 30"
     csv = run([*command.split(), "--format", "csv"])
     assert hashlib.sha256(csv).hexdigest() == STAGE_CSV_SHA256[command]
