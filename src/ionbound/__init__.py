@@ -37,8 +37,7 @@ _LAYERS = {
                "relativistic_or_bosonic_bound"),
     "lemmas": ("LemmaGrid", "LemmaReport", "verify_lemma"),
     "plots": ("Band", "Panel", "Series", "render_svg"),
-    "kernels": ("ParticleConfiguration", "RatioValue", "radial_kernel_triple", "ratio_gradient",
-                "ratio_value", "sphere_average_dipole", "sphere_average_inverse_distance"),
+    "kernels": ("ParticleConfiguration", "RatioValue", "ratio_gradient", "ratio_value"),
 }
 
 __all__ = ["__version__", *sorted(name for names in _LAYERS.values() for name in names)]

@@ -20,7 +20,8 @@ from typing import NamedTuple, Optional
 
 from . import DEFAULT_BETA_LOWER, _beta1
 from .errors import Checked, DomainError
-from .kernels import COINCIDENCE_RTOL, ParticleConfiguration, RatioValue, _evaluate, ratio_value
+from .kernels import (COINCIDENCE_RTOL, ParticleConfiguration, RatioValue, _evaluate, _flat,
+                      _triples, ratio_value)
 
 # Steps moving any point this close to the origin are rejected (the radial
 # term is not smooth there); configurations are kept at scale sum|x_i| = N.
@@ -193,10 +194,9 @@ def local_minimize(
     Non-convergence within the iteration cap is flagged, not raised.  The
     optional ``history`` list collects the (non-increasing) ratio trace.
     """
-    points = start.points.ravel().tolist()
-    if any(x * x + y * y + z * z == 0.0 for x, y, z in _triples(points)):
+    if any(x * x + y * y + z * z == 0.0 for x, y, z in start.points):
         raise DomainError("local_minimize needs every start point off the origin")
-    pts, ratio, converged, iterations, _ = _minimize_raw(points, settings, history)
+    pts, ratio, converged, iterations, _ = _minimize_raw(_flat(start.points), settings, history)
     config = ParticleConfiguration(_triples(pts))
     return LocalMinimizeResult(
         config=config,
@@ -204,10 +204,6 @@ def local_minimize(
         converged=converged,
         iterations=iterations,
     )
-
-
-def _triples(flat: list) -> tuple:
-    return tuple(zip(flat[0::3], flat[1::3], flat[2::3]))
 
 
 def _initial_points(n: int, settings: OptimizerSettings, restart: int) -> list:

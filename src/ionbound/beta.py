@@ -14,6 +14,7 @@ kernel is semiseparable).  It runs on Python floats with +, -, *, /, ``math.sqrt
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
@@ -88,7 +89,7 @@ class BetaSettings(Checked, _SettingsFields):
     __slots__ = ()
 
     def _check(self):
-        _check_node_grid(self.node_count, self.node_range)
+        default_nodes(self.node_count, self.node_range)  # cached for the solve
         _check_tolerance(self.g_tolerance)
 
 
@@ -261,17 +262,6 @@ def project_to_simplex(v):
     return np.maximum(v + tau, 0.0)
 
 
-def _check_node_grid(count: int, node_range: tuple[float, float]) -> None:
-    lo, hi = node_range
-    if not 1 <= count <= MAX_NODE_COUNT:
-        raise DomainError(f"node count must lie in [1, {MAX_NODE_COUNT}], got {count}")
-    # the radial kernel sums squared nodes: lo^2 must not underflow nor 2 hi^2 overflow
-    if not (0 < lo < hi and lo * lo > 0 and math.isfinite(2.0 * hi * hi)):
-        raise DomainError(f"node range {lo:g}:{hi:g} needs 0 < lo < hi, lo^2 > 0, 2 hi^2 finite")
-    if hi / lo > MAX_NODE_SPAN:
-        raise DomainError(f"node range {lo:g}:{hi:g} spans more than hi/lo = {MAX_NODE_SPAN:g}")
-
-
 def _power(x: float, k: int) -> float:
     """x^k by repeated squaring; an overflow gives inf."""
     return 1.0 if k == 0 else _power(x * x, k >> 1) * (x if k & 1 else 1.0)
@@ -283,10 +273,20 @@ def default_nodes(
     """Log-spaced node grid; only its dynamic range matters by dilation invariance.
 
     The nodes are lo q^i by repeated multiplication, the last one hi, with q the largest
-    float whose (count - 1)-th power, by repeated squaring, is at most hi/lo.
-    """
-    _check_node_grid(count, node_range)
-    lo, hi = node_range
+    float whose (count - 1)-th power, by repeated squaring, is at most hi/lo; a range too
+    narrow for count distinct nodes is rejected."""
+    return _node_grid(count, *node_range)
+
+
+@lru_cache(maxsize=1)  # BetaSettings builds the grid that a beta call then solves on
+def _node_grid(count: int, lo: float, hi: float) -> tuple:
+    if not 1 <= count <= MAX_NODE_COUNT:
+        raise DomainError(f"node count must lie in [1, {MAX_NODE_COUNT}], got {count}")
+    # the radial kernel sums squared nodes: lo^2 must not underflow nor 2 hi^2 overflow
+    if not (0 < lo < hi and lo * lo > 0 and math.isfinite(2.0 * hi * hi)):
+        raise DomainError(f"node range {lo:g}:{hi:g} needs 0 < lo < hi, lo^2 > 0, 2 hi^2 finite")
+    if hi / lo > MAX_NODE_SPAN:
+        raise DomainError(f"node range {lo:g}:{hi:g} spans more than hi/lo = {MAX_NODE_SPAN:g}")
     if count == 1:
         return (math.sqrt(lo * hi),)
     below, above = 1.0, hi / lo
@@ -295,7 +295,12 @@ def default_nodes(
             below = mid
         else:
             above = mid
-    return (*accumulate(repeat(below, count - 2), mul, initial=lo), hi)
+    nodes = (*accumulate(repeat(below, count - 2), mul, initial=lo), hi)
+    # lo is normal, and once q > 1 a product x q of a normal x rounds above x: only the
+    # first step (q = 1) and the last (the products' rounding overshoots hi) can tie
+    if not (nodes[0] < nodes[1] and nodes[-2] < hi):
+        raise DomainError(f"node range {lo!r}:{hi!r} is too narrow for {count} distinct nodes")
+    return nodes
 
 
 def trial_weights_on_nodes(nodes: Sequence[float]) -> tuple:

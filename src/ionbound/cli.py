@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 2 when any verification report fails, 1 on usage or
 domain errors.  The output goes to stdout or to --out, symlinks followed: a FIFO
 or a device is written in place, a file atomically (a temp file beside it, with
-the file's mode or, if new, 0666 less the umask, renamed over it).  Identical
+the file's mode or, if new, 0666 less the umask, renamed over it).  The rename
+replaces the file: its hard links keep the old contents and the new file has the
+caller's owner, but a failed write never leaves a torn file.  Identical
 configurations reproduce byte-identical CSV/JSON outputs.  Wall-clock timings go
 to stderr; they are embedded in the JSON only with --timings, since real timings
 would break byte-level reproducibility.

@@ -1,15 +1,14 @@
-"""Pair kernels, the configuration ratio, and spherical-average identities.
+"""The pair kernel and the configuration ratio.
 
 The central object is the energy-to-normalizer ratio of a labelled point
 configuration: the pair kernel (|x|^2+|y|^2)/|x-y| summed over pairs, divided
 by (N-1) times the total distance from the origin.  Everything here is a pure
-function.
+function on tuples of Python floats.
 
 One evaluator, ``_evaluate``, computes the ratio, its gradient and the
-configuration checks in Python floats, from a flat coordinate list, with only
-correctly rounded operations (+, -, *, /, ``math.sqrt`` and ``math.fsum``) in
-a fixed order, so its bits are the same on every IEEE CPU.  numpy is imported
-only where an array is built or returned.
+configuration checks from a flat coordinate list, with only correctly rounded
+operations (+, -, *, /, ``math.sqrt`` and ``math.fsum``) in a fixed order, so
+its bits are the same on every IEEE CPU.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ COINCIDENCE_RTOL = 1e-12
 # ---------------------------------------------------------------------------
 
 class _Points(NamedTuple):
-    points: "np.ndarray"
+    points: tuple
 
 
 class ParticleConfiguration(Checked, _Points):
@@ -37,26 +36,26 @@ class ParticleConfiguration(Checked, _Points):
     pair-energy sum.
 
     At most one point may sit at the origin; the pair kernel stays finite
-    there but the radial derivative does not.  The points are held as a
-    read-only float array.
+    there but the radial derivative does not.  The points are held as one
+    (x, y, z) tuple of floats per point.
     """
 
     __slots__ = ()
 
-    def __new__(cls, points):
-        import numpy as np
-
-        pts = np.array(points, dtype=float)  # a copy: the caller's array stays writable
-        pts.setflags(write=False)
+    def __new__(cls, points):  # a copy of any sequence of triples or (N, 3) array
+        try:
+            pts = tuple(tuple(map(float, p)) for p in points)
+        except TypeError:  # a number where a row belongs, or a row where a number does
+            pts = ((),)  # fails the shape check
         return super().__new__(cls, pts)
 
     def _check(self):
         pts = self.points
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise DomainError(f"points must have shape (N, 3), got {pts.shape}")
-        if pts.shape[0] < 2:
+        if any(len(p) != 3 for p in pts):
+            raise DomainError("points must have shape (N, 3)")
+        if len(pts) < 2:
             raise DomainError("a configuration needs at least two points")
-        flat = pts.ravel().tolist()
+        flat = _flat(pts)
         if not all(map(math.isfinite, flat)):
             raise DomainError("all coordinates must be finite")
         parts = _evaluate(flat)  # None if two points coincide
@@ -80,6 +79,15 @@ class RatioValue(NamedTuple):
 # ---------------------------------------------------------------------------
 # the evaluator (shared with the optimizers; no validation)
 # ---------------------------------------------------------------------------
+
+def _flat(points) -> list:
+    """[x0, y0, z0, x1, ...] from one (x, y, z) triple per point."""
+    return [x for p in points for x in p]
+
+
+def _triples(flat: list) -> tuple:
+    return tuple(zip(flat[0::3], flat[1::3], flat[2::3]))
+
 
 def _evaluate(p: list) -> tuple | None:
     """The ratio's parts at the points with flat coordinates p = [x0, y0, z0, x1, ...].
@@ -163,66 +171,19 @@ def ratio_value(config: ParticleConfiguration) -> RatioValue:
     energy sum and the normalizer are exactly rounded sums, so relabelling
     leaves every bit of them unchanged.
     """
-    energy, total = _evaluate(config.points.ravel().tolist())[:2]
-    normalizer = (config.points.shape[0] - 1) * total
+    energy, total = _evaluate(_flat(config.points))[:2]
+    normalizer = (len(config.points) - 1) * total
     return RatioValue(energy=energy, normalizer=normalizer, ratio=energy / normalizer)
 
 
-def ratio_gradient(config: ParticleConfiguration) -> np.ndarray:
-    """Gradient of the configuration ratio, one row per point.
+def ratio_gradient(config: ParticleConfiguration) -> tuple:
+    """Gradient of the configuration ratio, one (x, y, z) tuple per point.
 
     Requires every point off the origin; agrees with central finite
     differences to better than 1e-5 relative on generic configurations.
     """
-    import numpy as np
-
-    n = config.points.shape[0]
-    _, total, _, _, _, _, grad = _evaluate(config.points.ravel().tolist())
+    _, total, _, _, _, _, grad = _evaluate(_flat(config.points))
     if grad is None:
         raise DomainError("gradient undefined with a point at the origin")
-    return np.array(grad).reshape(n, 3) * (n / total)
-
-
-def sphere_average_inverse_distance(a, s: float) -> float:
-    """Average of 1/|a + s*w| over unit directions w: equals 1/max(|a|, s)."""
-    r = math.hypot(*map(float, a))
-    if s < 0:
-        raise DomainError("radius must be non-negative")
-    m = max(r, float(s))
-    if m == 0.0:
-        raise DomainError("|a| and s cannot both vanish")
-    return 1.0 / m
-
-
-def sphere_average_dipole(a, s: float) -> np.ndarray:
-    """Average of w/|a + s*w| over unit directions w.
-
-    Closed form -(1/3) (a/|a|) min(|a|, s) / max(|a|, s)^2; the center must
-    be off the origin.
-    """
-    import numpy as np
-
-    a = np.asarray(a, dtype=float)
-    r = float(np.linalg.norm(a))
-    if r == 0.0:
-        raise DomainError("dipole average undefined for a center at the origin")
-    if s <= 0:
-        raise DomainError("radius must be positive")
-    return -(a / r) * min(r, s) / (3.0 * max(r, s) ** 2)
-
-
-def radial_kernel_triple(r: float, s: float) -> tuple[float, float, float]:
-    """Sphere-sphere averages of the three pair kernels for shells of radii r, s.
-
-    Returns (full, kernel1, kernel2) where full averages (|x|^2+|y|^2)/|x-y|,
-    kernel1 averages max + min^2/|x-y|, and kernel2 averages
-    |x-y| + (2/3) min^2/max, the mean shell distance being max + min^2/(3 max).
-    All three are equal for every pair of shells.
-    """
-    if r <= 0 or s <= 0:
-        raise DomainError("shell radii must be positive")
-    big, small = (r, s) if r >= s else (s, r)
-    full = (r * r + s * s) / big
-    kernel1 = big + small * small / big
-    kernel2 = (big + small * small / (3.0 * big)) + (2.0 / 3.0) * small * small / big
-    return full, kernel1, kernel2
+    scale = len(config.points) / total
+    return _triples([g * scale for g in grad])

@@ -1,14 +1,19 @@
 """Independent numerical oracles for the closed forms in ionbound.
 
-Seeded Monte Carlo estimates of the spherical averages and shell averages in
-``ionbound.kernels``, a Gauss-Legendre quadrature of the radial trial measure
-behind ``ionbound.beta.TRIAL_MEASURE_ANALYTIC``, the bare pair kernel, the
+The spherical-average and shell-average identities behind the radial kernel
+of ``ionbound.beta``, with their seeded Monte Carlo estimates; a
+Gauss-Legendre quadrature of the radial trial measure behind
+``ionbound.beta.TRIAL_MEASURE_ANALYTIC``; the bare pair kernel, the
 shell family whose maximum is ``ionbound.alpha.alpha_sandwich``, and numpy
 copies of the descent's guarded evaluator and L-BFGS direction, which the
 Python-float ones must match to 1e-13 relative.  numpy only.
 """
 
+import math
+
 import numpy as np
+
+from ionbound.errors import DomainError
 
 MC_DEFAULT_SAMPLES = 10**6
 
@@ -58,6 +63,49 @@ def mc_radial_kernel_triple(
     kernel2 = d + (2.0 / 3.0) * small * small / big
     stacked = np.stack([full, kernel1, kernel2])
     return stacked.mean(axis=1), stacked.std(axis=1, ddof=1) / np.sqrt(samples)
+
+
+def sphere_average_inverse_distance(a, s: float) -> float:
+    """Average of 1/|a + s*w| over unit directions w: equals 1/max(|a|, s)."""
+    r = math.hypot(*map(float, a))
+    if s < 0:
+        raise DomainError("radius must be non-negative")
+    m = max(r, float(s))
+    if m == 0.0:
+        raise DomainError("|a| and s cannot both vanish")
+    return 1.0 / m
+
+
+def sphere_average_dipole(a, s: float) -> np.ndarray:
+    """Average of w/|a + s*w| over unit directions w.
+
+    Closed form -(1/3) (a/|a|) min(|a|, s) / max(|a|, s)^2; the center must
+    be off the origin.
+    """
+    a = np.asarray(a, dtype=float)
+    r = float(np.linalg.norm(a))
+    if r == 0.0:
+        raise DomainError("dipole average undefined for a center at the origin")
+    if s <= 0:
+        raise DomainError("radius must be positive")
+    return -(a / r) * min(r, s) / (3.0 * max(r, s) ** 2)
+
+
+def radial_kernel_triple(r: float, s: float) -> tuple[float, float, float]:
+    """Sphere-sphere averages of the three pair kernels for shells of radii r, s.
+
+    Returns (full, kernel1, kernel2) where full averages (|x|^2+|y|^2)/|x-y|,
+    kernel1 averages max + min^2/|x-y|, and kernel2 averages
+    |x-y| + (2/3) min^2/max, the mean shell distance being max + min^2/(3 max).
+    All three are equal for every pair of shells.
+    """
+    if r <= 0 or s <= 0:
+        raise DomainError("shell radii must be positive")
+    big, small = (r, s) if r >= s else (s, r)
+    full = (r * r + s * s) / big
+    kernel1 = big + small * small / big
+    kernel2 = (big + small * small / (3.0 * big)) + (2.0 / 3.0) * small * small / big
+    return full, kernel1, kernel2
 
 
 def trial_measure_quadrature(nodes: int = 64) -> tuple[float, float]:

@@ -15,22 +15,21 @@ from conftest import diameter, random_configuration
 from ionbound.alpha import OptimizerSettings, alpha_sandwich, estimate_alpha
 from ionbound.beta import (
     TRIAL_MEASURE_ANALYTIC,
+    _gradient,
     bracket_detail,
     g_of_lambda,
     maximize_g,
 )
 from ionbound.bounds import BoundInputs, crossover_z, derived_constants
 from ionbound.cli import main as cli_main
-from ionbound.kernels import (
-    ParticleConfiguration,
+from ionbound.kernels import ParticleConfiguration, ratio_gradient, ratio_value
+from ionbound.lemmas import LemmaGrid, verify_lemma
+from oracles import (
     radial_kernel_triple,
-    ratio_gradient,
-    ratio_value,
     sphere_average_dipole,
     sphere_average_inverse_distance,
+    trial_measure_quadrature,
 )
-from ionbound.lemmas import LemmaGrid, verify_lemma
-from oracles import trial_measure_quadrature
 
 
 def _criterion(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -215,9 +214,13 @@ def test_criterion_12_identity_suite(monte_carlo_oracle_cases):
     for r, s in np.random.default_rng(21).uniform(0.05, 20.0, size=(100, 2)):
         full, k1, k2 = radial_kernel_triple(r, s)
         triple_ok &= abs(full - k1) < 1e-12 * full and abs(full - k2) < 1e-12 * full
+        # the solver's kernel 2Q(r, s) is the shell average of the pair kernel
+        two_q = _gradient(sorted((float(r), float(s))), [0.0, 1.0])[0]
+        triple_ok &= abs(two_q - full) < 1e-12 * full
     _criterion(
         12,
-        "spherical averages match Monte Carlo; shell-average triple equal to 1e-12",
+        "spherical averages match Monte Carlo; shell-average triple and the radial "
+        "solver's kernel equal to 1e-12",
         mc_ok and triple_ok,
     )
 

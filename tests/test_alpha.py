@@ -267,10 +267,10 @@ def test_descent_ends_where_scipy_finds_no_lower_value(n):
 
         def ratio_and_gradient(x):
             config = ParticleConfiguration(x.reshape(n, 3))
-            return ratio_value(config).ratio, ratio_gradient(config).ravel()
+            return ratio_value(config).ratio, np.ravel(ratio_gradient(config))
 
         polished = scipy_optimize.minimize(
-            ratio_and_gradient, ours.config.points.ravel(), jac=True, method="BFGS",
+            ratio_and_gradient, np.ravel(ours.config.points), jac=True, method="BFGS",
             options={"gtol": 1e-12, "maxiter": 2000},
         )
         polished_ratio = ratio_value(ParticleConfiguration(polished.x.reshape(n, 3))).ratio

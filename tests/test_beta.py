@@ -1,9 +1,11 @@
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
+from ionbound import beta
 from ionbound.beta import (
     TRIAL_MEASURE_ANALYTIC,
     BetaSettings,
@@ -328,13 +330,24 @@ def test_default_nodes_are_log_spaced(count, node_range):
 
 
 def test_default_nodes_on_a_span_of_one_and_two_ulps():
-    # on a span of one ulp, no q > 1 has q^2 <= hi/lo, so the grid repeats a node,
-    # as numpy.geomspace's does, and the radial solve rejects it
-    assert default_nodes(3, (1.0, 1.0000000000000002)) == (1.0, 1.0, 1.0000000000000002)
-    with pytest.raises(DomainError, match="nodes must be strictly increasing and positive"):
-        minimize_radial_ratio(settings=BetaSettings(node_count=3,
-                                                    node_range=(1.0, 1.0000000000000002)))
-    assert default_nodes(3, (1.0, 1.0000000000000004))[1] == 1.0000000000000002
+    assert default_nodes(3, (1.0, 1.0000000000000004)) == (
+        1.0, 1.0000000000000002, 1.0000000000000004)
+    # on a span of one ulp (of two, for 4 nodes) no q > 1 has q^(count-1) <= hi/lo, so
+    # the grid would repeat its first node; on the third range q > 1, but the rounded
+    # products reach hi one node early
+    for count, node_range in [(3, (1.0, 1.0000000000000002)), (4, (1.0, 1.0000000000000004)),
+                              (5, (210.61855145216384, 210.618551452164))]:
+        message = f"node range {node_range[0]!r}:{node_range[1]!r} is too narrow for {count} "
+        with pytest.raises(DomainError, match=re.escape(message + "distinct nodes")):
+            default_nodes(count, node_range)
+        with pytest.raises(DomainError, match="too narrow"):
+            BetaSettings(node_count=count, node_range=node_range)
+
+
+def test_a_beta_call_builds_its_node_grid_once():
+    beta._node_grid.cache_clear()
+    bracket_detail(BetaSettings(node_count=30))  # the settings check builds it, the solve reuses it
+    assert beta._node_grid.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 def test_default_nodes_rejects_spans_above_1e100():

@@ -586,10 +586,17 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, args):
     "args",
     [["beta", "--nodes", "100000000"], ["beta", "--range", "1e100:1e160"],
      ["beta", "--range", "1e-200:1e-100"], ["beta", "--range", "1e-150:1e150", "--nodes", "50"],
-     ["report", "--n", "2:2", "--restarts", "1", "--nodes", "100000000"]],
+     ["report", "--n", "2:2", "--restarts", "1", "--nodes", "100000000"],
+     ["beta", "--range", "1:1.0000000000000002", "--nodes", "3"],
+     ["beta", "--range", "1:1.0000000000000004", "--nodes", "4"],
+     ["report", "--n", "2:2", "--restarts", "1", "--range", "1:1.0000000000000002"]],
     ids=" ".join,
 )
-def test_out_of_domain_beta_nodes_are_a_one_line_domain_error(tmp_path, capsys, args):
+def test_out_of_domain_beta_nodes_are_a_one_line_domain_error(tmp_path, capsys, monkeypatch, args):
+    def stage_ran(*_):
+        raise AssertionError("a stage ran on a node grid that should have been rejected")
+
+    monkeypatch.setattr(cli, "estimate_alpha", stage_ran)
     out = tmp_path / "out"
     assert run_cli(args + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -789,7 +796,13 @@ def _held_at_exit(argv: list) -> str:
 
 
 def test_import_alpha_loads_no_numpy():
-    code = "import sys, ionbound.alpha; print('numpy' in sys.modules)"
+    # nor does any call on a configuration built from lists
+    code = ("import sys, ionbound.alpha as a, ionbound.kernels as k\n"
+            "c = k.ParticleConfiguration([[1, 0, 0], [0, 1.5, 0], [0, 0, -1], [-1, -1, 1]])\n"
+            "k.ratio_value(c), k.ratio_gradient(c)\n"
+            "a.local_minimize(c, a.OptimizerSettings())\n"
+            "a.estimate_alpha(3, a.OptimizerSettings(restarts=2)).best_config\n"
+            "print('numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -7,15 +7,16 @@ from conftest import diameter, random_configuration, random_rotation
 from ionbound import kernels
 from ionbound.beta import w_lambda_reduced
 from ionbound.errors import DomainError
-from ionbound.kernels import (
-    ParticleConfiguration,
+from ionbound.kernels import ParticleConfiguration, ratio_gradient, ratio_value
+from oracles import (
+    mc_dipole,
+    mc_inverse_distance,
+    mc_radial_kernel_triple,
+    pair_kernel,
     radial_kernel_triple,
-    ratio_gradient,
-    ratio_value,
     sphere_average_dipole,
     sphere_average_inverse_distance,
 )
-from oracles import mc_dipole, mc_inverse_distance, mc_radial_kernel_triple, pair_kernel
 
 ANTIPODAL = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
 
@@ -37,8 +38,10 @@ def equilateral(radius=1.0):
 def test_configuration_invariants():
     with pytest.raises(DomainError):
         ParticleConfiguration([[1.0, 0.0, 0.0]])
-    with pytest.raises(DomainError, match="shape"):
-        ParticleConfiguration([[1.0, 0.0], [0.0, 1.0]])
+    for not_n_by_3 in ([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0, 0.0], [[1, 0, 0], [0, 1]],
+                       np.ones((2, 3, 1))):
+        with pytest.raises(DomainError, match="shape"):
+            ParticleConfiguration(not_n_by_3)
     with pytest.raises(DomainError, match="below coincidence threshold"):
         ParticleConfiguration([[1, 0, 0], [1, 0, 0]])
     with pytest.raises(DomainError, match="below coincidence threshold"):
@@ -63,7 +66,7 @@ def test_configuration_leaves_the_callers_array_writable():
     pts = np.array(ANTIPODAL)
     config = ParticleConfiguration(pts)
     pts[0, 0] = 2.0  # the caller's array, not the configuration's
-    assert config.points.tolist() == ANTIPODAL and not config.points.flags.writeable
+    assert config.points == ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
 
 
 def test_ratio_antipodal_pair():
