@@ -556,10 +556,13 @@ def test_bracket_diagnostics_describe_the_radial_minimum():
     detail = bracket_detail(BetaSettings(node_count=60))
     history = []
     measure, _ = minimize_radial_ratio(default_nodes(60), None, history)
-    assert list(detail.diagnostics) == ["dinkelbach_steps", "support_size", "kkt_residual"]
+    assert list(detail.diagnostics) == [
+        "dinkelbach_steps", "support_size", "kkt_residual", "continuum_gap"]
     assert detail.diagnostics["dinkelbach_steps"] == len(history) - 1
     assert detail.diagnostics["support_size"] == np.count_nonzero(measure.weights)
     assert 0.0 <= detail.diagnostics["kkt_residual"] <= 1e-10
+    gap = detail.radial_minimum - beta.continuum_optimum().value
+    assert detail.diagnostics["continuum_gap"] == gap > 0.0
 
 
 def test_kkt_residual_hand_computed():
@@ -575,3 +578,88 @@ def test_kkt_residual_hand_computed():
     assert kkt_residual(RadialMeasure([1.0, 2.0], [0.5, 0.5])) == pytest.approx(
         abs((2.0 * 1.125 - 11 / 12) - (2.0 * 1.625 - 22 / 12)) / 2.0, rel=1e-14
     )
+
+
+# ---------------------------------------------------------------------------
+# the continuum optimum and the solve's start
+# ---------------------------------------------------------------------------
+
+def test_continuum_optimum_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    optimum = beta.continuum_optimum()
+    with mpmath.workdps(40):
+        r0 = mpmath.exp(4 * mpmath.pi / (3 * mpmath.sqrt(3)))
+        value = 1 / (1 + mpmath.exp(-2 * mpmath.pi / (3 * mpmath.sqrt(3))) / 2)
+        omega = mpmath.sqrt(3) / 2
+
+        def density(r):
+            return mpmath.cos(omega * mpmath.log(r / mpmath.sqrt(r0))) / r ** 1.5
+
+        assert optimum.support_end == float(r0)
+        assert optimum.value == float(value)
+        for r in (1.0, 1.5, 2.0, 5.0, 11.0, optimum.support_end):
+            assert optimum.density(r) == pytest.approx(float(density(mpmath.mpf(r))), rel=4e-16)
+    assert optimum.density(0.999) == optimum.density(11.3) == 0.0
+    with mpmath.workdps(17):
+        # the density's ratio, by quadrature split at the kernel's diagonal max(r, s) = r
+        quad = lambda f, lo, hi: mpmath.quad(f, [lo, hi])
+        mass = quad(density, 1, r0)
+        normalizer = quad(lambda r: r * density(r), 1, r0)
+        form = quad(lambda r: density(r) * (r * quad(density, 1, r)
+                                            + quad(lambda s: s * s * density(s), 1, r) / r), 1, r0)
+        assert float(form / normalizer / mass) == pytest.approx(optimum.value, rel=1e-15)
+
+
+def test_discrete_optima_converge_to_the_continuum_at_second_order():
+    gaps = []
+    for count in (200, 400, 800, 1600, 3200):
+        _, value = minimize_radial_ratio(settings=BetaSettings(node_count=count, node_range=(1.0, 12.0)))
+        gaps.append(value - beta.continuum_optimum().value)
+    assert gaps[0] == pytest.approx(5.015e-6, rel=1e-3)
+    assert gaps[-1] == pytest.approx(1.942e-8, rel=1e-3)
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.99 < coarse / fine < 4.03
+
+
+def test_series_log_and_cos_agree_with_libm_to_a_few_ulps():
+    lo, hi = 1.0 / beta._SQRT_R0, beta._SQRT_R0
+    xs = [lo + (hi - lo) * i / 20000 for i in range(20001)] + [1.0 + i * 2e-16 for i in range(-50, 51)]
+    for x in xs:
+        if x != 1.0:
+            assert abs(beta._log(x) - math.log(x)) <= 6 * math.ulp(math.log(x)), x
+    assert beta._log(1.0) == 0.0
+    for i in range(-10000, 10001):
+        t = math.pi / 3 * i / 10000
+        assert abs(beta._cos(t) - math.cos(t)) <= 2 * math.ulp(math.cos(t)), t
+
+
+def _count_face_solves(monkeypatch) -> list:
+    calls, face_solve = [], beta._face_solve
+
+    def counting(nodes, gradient):
+        calls.append(len(nodes))
+        return face_solve(nodes, gradient)
+
+    monkeypatch.setattr(beta, "_face_solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("count, node_range, most", [
+    (200, (0.05, 20.0), 4), (2000, (0.05, 20.0), 6), (5000, (0.05, 20.0), 6), (500, (1e-6, 1e6), 6),
+])
+def test_the_continuum_start_leaves_few_face_solves(monkeypatch, count, node_range, most):
+    calls = _count_face_solves(monkeypatch)
+    measure, _ = minimize_radial_ratio(settings=BetaSettings(node_count=count, node_range=node_range))
+    assert len(calls) <= most
+    assert beta.kkt_residual(measure) <= 1e-10
+
+
+def test_a_narrow_range_or_a_coarse_grid_keeps_the_trial_start(monkeypatch):
+    # 10:20 is narrower than R0; no node of 50 on 1:1e100, 110 apart, lies in [s, s R0]
+    for nodes in (default_nodes(200, (10.0, 20.0)), default_nodes(50, (1.0, 1e100))):
+        assert beta._start_weights(nodes) == trial_weights_on_nodes(nodes)
+    # the trial start on 1:1e100 is the atom at 1, and the result is that atom, as before
+    calls = _count_face_solves(monkeypatch)
+    measure, value = minimize_radial_ratio(nodes)
+    assert value == 1.0 and len(calls) == 1
+    assert measure.weights == (1.0,) + (0.0,) * 49

@@ -108,11 +108,15 @@ def test_beta_json_diagnostics(tmp_path):
     assert run_cli(["beta", "--out", str(out)]) == 0
     beta = json.loads(out.read_text())["results"]["beta"]
     diagnostics = beta["diagnostics"]
-    assert list(diagnostics) == ["dinkelbach_steps", "support_size", "kkt_residual"]
+    assert list(diagnostics) == ["dinkelbach_steps", "support_size", "kkt_residual", "continuum_gap"]
     assert diagnostics["dinkelbach_steps"] >= 1
     weights = beta["certificate_measure"]["weights"]
     assert diagnostics["support_size"] == sum(w > 0 for w in weights)
     assert 0.0 <= diagnostics["kkt_residual"] <= 1e-10
+    # the discrete optimum lies above the continuum optimum by an O(h^2) gap
+    from ionbound.beta import continuum_optimum
+    gap = beta["radial_minimum"] - continuum_optimum().value
+    assert diagnostics["continuum_gap"] == gap == pytest.approx(2.913e-5, rel=1e-3)
 
 
 def test_beta_lower_side_is_g_max(tmp_path):
@@ -130,7 +134,7 @@ def test_beta_csv_numeric_cells_parse(tmp_path):
     out = tmp_path / "beta.csv"
     assert run_cli(["beta", "--nodes", "30", "--format", "csv", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "#schema=ionbound.beta.v3"
+    assert lines[0] == "#schema=ionbound.beta.v4"
     header, row = lines[1].split(","), lines[2].split(",")
     assert len(header) == len(row) == 9
     for name, cell in zip(header, row):

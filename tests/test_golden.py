@@ -10,7 +10,8 @@ pinned to the bytes from before that change.  The bounds SVG and JSON results
 and the extreme-charge roots were pinned before the bounds and plot types
 became named tuples.  Every ``alpha`` digest was re-pinned when the descent
 and its seeded starts moved to Python floats (``ionbound.alpha.v2``), and every
-``beta`` digest when the radial solve and its node grid did (``ionbound.beta.v3``).
+``beta`` digest when the radial solve and its node grid did (``ionbound.beta.v3``) and
+again when the radial solve started from the continuum optimum (``ionbound.beta.v4``).
 Any later drift in these bytes fails here instead of in a manual diff.
 """
 
@@ -94,13 +95,14 @@ ALPHA_SWEEP_ARGS = ["alpha", "--n", "2:12", "--restarts", "2"]
 # the other writers of the shared CSV formatter
 STAGE_CSV_SHA256 = {
     "alpha --n 2:4 --restarts 4 --seed 7": "5db4a6f6a44b27e283f9b567542ebbde895e878b52afb217b398b95ad7eab8f1",
-    "beta --nodes 30": "d45b04c701834e2ba011d297a687c59922c71ba67757d80369fec323700804b3",
+    "beta --nodes 30": "2570cb0dcb303f9fdb6bebbadb15a9626dfa91ad9b5d6b3c4c48269f6ce89219",
+    "beta --nodes 2000": "baf9ab8f20e9e08f2a1abdaafa133e76e2a8f464cb42082968408052122d535c",
 }
 
 # json.dumps(payload["results"], indent=2) of `beta` at its defaults, the benchmark's
-# beta-bracket call; pinned when the radial solve and its node grid moved to Python
-# floats (ionbound.beta.v3), whose bytes are the same on every IEEE CPU
-BETA_RESULTS_SHA256 = "b66edef0b711583ba0f3b4931353fa28d01364a5873ba21ce1c6982a98531453"
+# beta-bracket call; pinned when the radial solve started from the continuum optimum
+# (ionbound.beta.v4), on Python floats, whose bytes are the same on every IEEE CPU
+BETA_RESULTS_SHA256 = "f35fd58162de51dd267e08eb77050126d0b4664e0f6fafb727b54f26d06f4576"
 
 
 def _digest(path) -> str:
@@ -242,6 +244,6 @@ def test_beta_goldens_hold_under_reduced_dispatch(tmp_path, setting):
 
     results = json.loads(run(["beta", "--format", "json"]))["results"]
     assert hashlib.sha256(json.dumps(results, indent=2).encode()).hexdigest() == BETA_RESULTS_SHA256
-    command = "beta --nodes 30"
-    csv = run([*command.split(), "--format", "csv"])
-    assert hashlib.sha256(csv).hexdigest() == STAGE_CSV_SHA256[command]
+    for command in ("beta --nodes 30", "beta --nodes 2000"):
+        csv = run([*command.split(), "--format", "csv"])
+        assert hashlib.sha256(csv).hexdigest() == STAGE_CSV_SHA256[command], command
