@@ -58,6 +58,12 @@ class _MeasureFields(NamedTuple):
     weights: tuple
 
 
+def _check_nodes(r: tuple) -> None:  # _node_grid's rule; NaN fails every comparison
+    if not (r and 0 < r[0] and r[0] * r[0] > 0 and math.isfinite(2.0 * r[-1] * r[-1])
+            and all(a < b for a, b in zip(r, r[1:]))):
+        raise DomainError("nodes must be strictly increasing and positive, lo^2 > 0, 2 hi^2 finite")
+
+
 class RadialMeasure(Checked, _MeasureFields):
     """Discrete probability measure on (0, inf): increasing nodes, weights
     summing to 1, each held as a tuple of floats."""
@@ -71,8 +77,7 @@ class RadialMeasure(Checked, _MeasureFields):
         nodes, weights = self
         if len(nodes) != len(weights) or not nodes:
             raise DomainError("nodes and weights must be matching non-empty 1-d arrays")
-        if nodes[0] <= 0 or any(b <= a for a, b in zip(nodes, nodes[1:])):
-            raise DomainError("nodes must be strictly increasing and positive")
+        _check_nodes(nodes)
         if any(x < 0 for x in weights):
             raise DomainError("weights must be non-negative")
         if abs(math.fsum(weights) - 1.0) > 1e-12:
@@ -324,13 +329,6 @@ def _discretize(r: Sequence[float], density) -> Optional[tuple]:
     return tuple(x / total for x in w) if total > 0 else None
 
 
-def trial_weights_on_nodes(nodes: Sequence[float]) -> tuple:
-    """Discretization of the trial density onto a node grid (uniform fallback)."""
-    r = [float(x) for x in nodes]
-    weights = _discretize(r, lambda x: 0.75 * (1.0 / (x * math.sqrt(x))) if 1 <= x <= 9 else 0.0)
-    return weights or tuple(1.0 / len(r) for _ in r)
-
-
 def _log(x: float) -> float:
     """ln x for x in [1/sqrt R0, sqrt R0] by a fixed-term series: ln x = 2 atanh z with
     z = (x - 1)/(x + 1), |z| <= 0.541, and two halvings tanh(a/2) = tanh a / (1 + sqrt(1 -
@@ -387,15 +385,12 @@ def continuum_optimum() -> ContinuumOptimum:
 
 
 def _start_weights(r: Sequence[float]) -> tuple:
-    """The continuum optimum at s [1, R0], s = sqrt(lo hi / R0), discretized like the trial
-    density; the trial start on a range narrower than R0 or a grid without a node there."""
+    """The continuum optimum placed at s [1, R0], s = sqrt(lo hi / R0), on every grid, so the
+    start is a function of r / s and moves with the grid under dilation; uniform weights
+    where no node gets weight.  On a range narrower than R0, [s, s R0] contains it."""
     r0, _, density = continuum_optimum()
-    if len(r) > 1 and 0.0 < r0 * r[0] <= r[-1]:
-        s = math.sqrt(r[0] * r[-1] / r0)
-        weights = _discretize(r, lambda x: density(x / s))
-        if weights is not None:
-            return weights
-    return trial_weights_on_nodes(r)
+    s = math.sqrt(r[0] * r[-1] / r0)
+    return _discretize(r, lambda x: density(x / s)) or tuple(1.0 / len(r) for _ in r)
 
 
 def minimize_radial_ratio(
@@ -406,11 +401,11 @@ def minimize_radial_ratio(
     """Minimize the radial ratio over the weight simplex at fixed nodes.
 
     The start is the continuum optimum (``continuum_optimum``) placed at s [1, R0],
-    s = sqrt(lo hi / R0), and discretized like the trial density; on a range narrower
-    than R0, or a grid with no node in [s, s R0] (50 nodes on 1:1e100), it is the trial
-    measure on [1, 9] (uniform if no node lies there either).  From the continuum start
-    the active set is nearly the optimum's: 4 face solves at the defaults, 2 or 3 at 2,000
-    and 5,000 nodes, where the trial start takes about one per support node.
+    s = sqrt(lo hi / R0), each node's density times its cell, normalized; on a range
+    narrower than R0 every node gets weight, and on a grid with no node in [s, s R0]
+    (50 nodes on 1:1e100) the start is uniform.  The start moves with the grid under
+    dilation, so only hi/lo sets the result.  From it the active set is nearly the
+    optimum's: 4 face solves at the defaults, 2 or 3 at 2,000 and 5,000 nodes.
 
     Dinkelbach iteration: each outer step solves min_v Q(v) - theta L(v)
     exactly from the current weights and lowers theta, the best ratio so far,
@@ -428,7 +423,8 @@ def minimize_radial_ratio(
     if nodes is None:
         nodes = default_nodes(settings.node_count, settings.node_range)
     r = tuple(map(float, nodes))
-    best = RadialMeasure(r, _start_weights(r))  # also checks the nodes
+    _check_nodes(r)
+    best = RadialMeasure(r, _start_weights(r))
     theta = radial_ratio(best)
     history = [] if history is None else history
     history.append(theta)

@@ -253,7 +253,7 @@ def _beta_csv(b, args) -> str:
            m.value, m.gap, b.radial_minimum]
     header = ("lower,lower_source,upper,upper_source,lambda_0,g_max,"
               "maximin,maximin_gap,radial_minimum")
-    return _csv_text("ionbound.beta.v4", header, [row])
+    return _csv_text("ionbound.beta.v5", header, [row])
 
 
 def _g_panel(detail) -> Panel:

@@ -17,7 +17,6 @@ from ionbound.beta import (
     minimize_radial_ratio,
     project_to_simplex,
     radial_ratio,
-    trial_weights_on_nodes,
     w_maximin,
 )
 from ionbound.errors import DomainError
@@ -368,7 +367,7 @@ def test_minimize_radial_ratio_default_grid(radial_minimum_default):
     assert value <= TRIAL_MEASURE_ANALYTIC + 1e-4
     # minimizer beats the feasible warm start
     nodes = default_nodes()
-    start = RadialMeasure(nodes, trial_weights_on_nodes(nodes))
+    start = RadialMeasure(nodes, beta._start_weights(nodes))
     assert value <= radial_ratio(start) + 1e-9
     assert value == pytest.approx(radial_ratio(measure), abs=1e-12)
 
@@ -646,6 +645,7 @@ def _count_face_solves(monkeypatch) -> list:
 
 @pytest.mark.parametrize("count, node_range, most", [
     (200, (0.05, 20.0), 4), (2000, (0.05, 20.0), 6), (5000, (0.05, 20.0), 6), (500, (1e-6, 1e6), 6),
+    (200, (1.0, 2.0), 4), (200, (1.0, 5.0), 4), (200, (10.0, 20.0), 4),
 ])
 def test_the_continuum_start_leaves_few_face_solves(monkeypatch, count, node_range, most):
     calls = _count_face_solves(monkeypatch)
@@ -654,12 +654,34 @@ def test_the_continuum_start_leaves_few_face_solves(monkeypatch, count, node_ran
     assert beta.kkt_residual(measure) <= 1e-10
 
 
-def test_a_narrow_range_or_a_coarse_grid_keeps_the_trial_start(monkeypatch):
-    # 10:20 is narrower than R0; no node of 50 on 1:1e100, 110 apart, lies in [s, s R0]
-    for nodes in (default_nodes(200, (10.0, 20.0)), default_nodes(50, (1.0, 1e100))):
-        assert beta._start_weights(nodes) == trial_weights_on_nodes(nodes)
-    # the trial start on 1:1e100 is the atom at 1, and the result is that atom, as before
-    calls = _count_face_solves(monkeypatch)
-    measure, value = minimize_radial_ratio(nodes)
-    assert value == 1.0 and len(calls) == 1
-    assert measure.weights == (1.0,) + (0.0,) * 49
+def test_a_narrow_range_starts_on_every_node_and_a_coarse_grid_starts_uniform():
+    # 10:20 and 1:2 are narrower than R0, so the placed support [s, s R0] contains them
+    for node_range in ((10.0, 20.0), (1.0, 2.0)):
+        assert all(w > 0 for w in beta._start_weights(default_nodes(200, node_range)))
+    # no node of 50 on 1:1e100, 110 apart, lies in [s, s R0]
+    assert beta._start_weights(default_nodes(50, (1.0, 1e100))) == (1 / 50,) * 50
+
+
+@pytest.mark.parametrize("count, node_range, dilated", [
+    (50, (1.0, 1e100), (1e-50, 1e50)), (200, (1.0, 2.0), (10.0, 20.0)), (200, (1.0, 5.0), (0.2, 1.0)),
+    (200, (0.05, 20.0), (1.0, 400.0)), (200, (1.0, 1.001), (1000.0, 1001.0)),
+    (100, (1.0, 8.0), (0.125, 1.0)),
+])
+def test_the_radial_minimum_depends_only_on_hi_over_lo(count, node_range, dilated):
+    _, value = minimize_radial_ratio(default_nodes(count, node_range))
+    _, again = minimize_radial_ratio(default_nodes(count, dilated))
+    assert abs(value - again) <= 4 * math.ulp(value)
+
+
+@pytest.mark.parametrize("nodes", [
+    [], [math.nan, 1.0], [1.0, math.nan], [1.0, math.nan, 2.0], [1.0, math.inf], [1.0, 1e200],
+    [1e-200, 1.0], [0.0, 1.0], [2.0, 1.0],
+])
+def test_bad_nodes_are_a_one_line_domain_error_before_the_start(monkeypatch, nodes):
+    monkeypatch.setattr(beta, "_start_weights", lambda r: pytest.fail("the start was computed"))
+    with pytest.raises(DomainError, match="^nodes must be strictly increasing and positive") as error:
+        minimize_radial_ratio(nodes)
+    assert "\n" not in str(error.value)
+    if nodes:
+        with pytest.raises(DomainError, match="^nodes must be strictly increasing and positive"):
+            RadialMeasure(nodes, [1.0 / len(nodes)] * len(nodes))

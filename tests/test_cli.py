@@ -134,7 +134,7 @@ def test_beta_csv_numeric_cells_parse(tmp_path):
     out = tmp_path / "beta.csv"
     assert run_cli(["beta", "--nodes", "30", "--format", "csv", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "#schema=ionbound.beta.v4"
+    assert lines[0] == "#schema=ionbound.beta.v5"
     header, row = lines[1].split(","), lines[2].split(",")
     assert len(header) == len(row) == 9
     for name, cell in zip(header, row):

@@ -12,6 +12,8 @@ became named tuples.  Every ``alpha`` digest was re-pinned when the descent
 and its seeded starts moved to Python floats (``ionbound.alpha.v2``), and every
 ``beta`` digest when the radial solve and its node grid did (``ionbound.beta.v3``) and
 again when the radial solve started from the continuum optimum (``ionbound.beta.v4``).
+When every node range took that start (``ionbound.beta.v5``), the ``beta`` CSV digests
+were re-pinned for the schema line alone, and the narrow and coarse grids were added.
 Any later drift in these bytes fails here instead of in a manual diff.
 """
 
@@ -95,8 +97,11 @@ ALPHA_SWEEP_ARGS = ["alpha", "--n", "2:12", "--restarts", "2"]
 # the other writers of the shared CSV formatter
 STAGE_CSV_SHA256 = {
     "alpha --n 2:4 --restarts 4 --seed 7": "5db4a6f6a44b27e283f9b567542ebbde895e878b52afb217b398b95ad7eab8f1",
-    "beta --nodes 30": "2570cb0dcb303f9fdb6bebbadb15a9626dfa91ad9b5d6b3c4c48269f6ce89219",
-    "beta --nodes 2000": "baf9ab8f20e9e08f2a1abdaafa133e76e2a8f464cb42082968408052122d535c",
+    "beta --nodes 30": "607695db9b753ccbfa65953310412669b5d5d86b98e1888e3a8bd5a628df9ec4",
+    "beta --nodes 2000": "e130b629a33b29e0e5be91ffc63d624096a085dd935e1e054fea06f090f47d1f",
+    # a range narrower than R0, and a grid too coarse for any node to start with weight
+    "beta --nodes 200 --range 10:20": "c2c826377e56783ff6220299c72969914a2941fad4488484972f9b52555f35ae",
+    "beta --nodes 50 --range 1:1e100": "999c1553865d5e4f5e64b6fbae2f4964d612ce632ed70b4a0250f73d9a7a5c53",
 }
 
 # json.dumps(payload["results"], indent=2) of `beta` at its defaults, the benchmark's
@@ -244,6 +249,6 @@ def test_beta_goldens_hold_under_reduced_dispatch(tmp_path, setting):
 
     results = json.loads(run(["beta", "--format", "json"]))["results"]
     assert hashlib.sha256(json.dumps(results, indent=2).encode()).hexdigest() == BETA_RESULTS_SHA256
-    for command in ("beta --nodes 30", "beta --nodes 2000"):
+    for command in (c for c in STAGE_CSV_SHA256 if c.startswith("beta")):
         csv = run([*command.split(), "--format", "csv"])
         assert hashlib.sha256(csv).hexdigest() == STAGE_CSV_SHA256[command], command
