@@ -58,7 +58,7 @@ class OptimizerSettings(Checked, _OptimizerFields):
     def _check(self):
         if not 1 <= self.restarts <= MAX_RESTARTS:
             raise DomainError(f"restarts must lie in [1, {MAX_RESTARTS}]")
-        if self.ratio_tolerance <= 0:
+        if not self.ratio_tolerance > 0:  # also rejects NaN
             raise DomainError("ratio_tolerance must be positive")
         if self.seed < 0:  # random.Random seeds from |x|: a negative seed would share starts
             raise DomainError("seed must be non-negative")

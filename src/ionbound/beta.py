@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import mul
+from operator import lt, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import DEFAULT_BETA_LOWER  # re-exported: the bounds default, kept beside __version__
@@ -43,7 +43,7 @@ DEFAULT_NODE_COUNT = 200
 DEFAULT_NODE_RANGE = (0.05, 20.0)
 # a solve holds O(count) floats; its time is count times its active-set steps
 MAX_NODE_COUNT = 5000
-# widest node range hi/lo; the ratio is dilation invariant, so only hi/lo matters
+# widest node range hi/lo; only hi/lo matters, and it keeps the kernel on _unit's nodes finite
 MAX_NODE_SPAN = 1e100
 _DINKELBACH_TOLERANCE = 1e-10
 _OUTER_ITERATIONS = 500
@@ -58,10 +58,16 @@ class _MeasureFields(NamedTuple):
     weights: tuple
 
 
-def _check_nodes(r: tuple) -> None:  # _node_grid's rule; NaN fails every comparison
-    if not (r and 0 < r[0] and r[0] * r[0] > 0 and math.isfinite(2.0 * r[-1] * r[-1])
-            and all(a < b for a, b in zip(r, r[1:]))):
-        raise DomainError("nodes must be strictly increasing and positive, lo^2 > 0, 2 hi^2 finite")
+def _check_nodes(r: tuple) -> None:  # the one node rule; NaN fails every comparison
+    if not (r and 0 < r[0] and r[-1] / r[0] <= MAX_NODE_SPAN and all(map(lt, r, r[1:]))):
+        raise DomainError(f"node grid must be positive, strictly increasing, hi/lo <= {MAX_NODE_SPAN:g}")
+
+
+def _unit(r: tuple) -> tuple:
+    """r times 2^-k, k the mean binary exponent of its ends: exact, since every kernel quantity
+    is homogeneous in r.  r itself where k = 0, as at the defaults and on any scaled grid."""
+    k = (math.frexp(r[0])[1] + math.frexp(r[-1])[1]) // 2
+    return tuple(math.ldexp(x, -k) for x in r) if k else r
 
 
 class RadialMeasure(Checked, _MeasureFields):
@@ -78,9 +84,9 @@ class RadialMeasure(Checked, _MeasureFields):
         if len(nodes) != len(weights) or not nodes:
             raise DomainError("nodes and weights must be matching non-empty 1-d arrays")
         _check_nodes(nodes)
-        if any(x < 0 for x in weights):
+        if not all(x >= 0 for x in weights):  # NaN fails both checks
             raise DomainError("weights must be non-negative")
-        if abs(math.fsum(weights) - 1.0) > 1e-12:
+        if not abs(math.fsum(weights) - 1.0) <= 1e-12:
             raise DomainError("weights must sum to 1 within 1e-12")
 
 
@@ -217,7 +223,7 @@ def w_maximin(lam: float) -> WMaximinResult:
 
 def radial_ratio(measure: RadialMeasure) -> float:
     """Symmetrized quadratic form over the linear normalizer, dilation invariant."""
-    r, w = measure
+    r, w = _unit(measure.nodes), measure.weights
     return 0.5 * math.fsum(map(mul, w, _gradient(r, w))) / math.fsum(map(mul, w, r))
 
 
@@ -297,13 +303,9 @@ def default_nodes(
 def _node_grid(count: int, lo: float, hi: float) -> tuple:
     if not 1 <= count <= MAX_NODE_COUNT:
         raise DomainError(f"node count must lie in [1, {MAX_NODE_COUNT}], got {count}")
-    # the radial kernel sums squared nodes: lo^2 must not underflow nor 2 hi^2 overflow
-    if not (0 < lo < hi and lo * lo > 0 and math.isfinite(2.0 * hi * hi)):
-        raise DomainError(f"node range {lo:g}:{hi:g} needs 0 < lo < hi, lo^2 > 0, 2 hi^2 finite")
-    if hi / lo > MAX_NODE_SPAN:
-        raise DomainError(f"node range {lo:g}:{hi:g} spans more than hi/lo = {MAX_NODE_SPAN:g}")
+    _check_nodes((lo, hi))
     if count == 1:
-        return (math.sqrt(lo * hi),)
+        return (math.sqrt(lo) * math.sqrt(hi),)
     below, above = 1.0, hi / lo
     while below < (mid := 0.5 * (below + above)) < above:
         if _power(mid, count - 1) <= hi / lo:
@@ -311,8 +313,8 @@ def _node_grid(count: int, lo: float, hi: float) -> tuple:
         else:
             above = mid
     nodes = (*accumulate(repeat(below, count - 2), mul, initial=lo), hi)
-    # lo is normal, and once q > 1 a product x q of a normal x rounds above x: only the
-    # first step (q = 1) and the last (the products' rounding overshoots hi) can tie
+    # once lo q rounds above lo, so does x q for every x > lo, as x (q - 1) outgrows half the
+    # float spacing: only the first step and the last (rounding overshoots hi) can tie
     if not (nodes[0] < nodes[1] and nodes[-2] < hi):
         raise DomainError(f"node range {lo!r}:{hi!r} is too narrow for {count} distinct nodes")
     return nodes
@@ -403,9 +405,11 @@ def minimize_radial_ratio(
     The start is the continuum optimum (``continuum_optimum``) placed at s [1, R0],
     s = sqrt(lo hi / R0), each node's density times its cell, normalized; on a range
     narrower than R0 every node gets weight, and on a grid with no node in [s, s R0]
-    (50 nodes on 1:1e100) the start is uniform.  The start moves with the grid under
-    dilation, so only hi/lo sets the result.  From it the active set is nearly the
-    optimum's: 4 face solves at the defaults, 2 or 3 at 2,000 and 5,000 nodes.
+    (50 nodes on 1:1e100) the start is uniform.  From it the active set is nearly the
+    optimum's: 4 face solves at the defaults, 2 or 3 at 2,000 and 5,000 nodes.  The start
+    moves with the grid under dilation, and the kernel runs exactly on the nodes times 2^-k
+    (``_unit``), so only hi/lo sets the result and a power-of-two dilation changes no bit;
+    what the solve returns or raises carries the given nodes.
 
     Dinkelbach iteration: each outer step solves min_v Q(v) - theta L(v)
     exactly from the current weights and lowers theta, the best ratio so far,
@@ -422,9 +426,10 @@ def minimize_radial_ratio(
         settings = BetaSettings()
     if nodes is None:
         nodes = default_nodes(settings.node_count, settings.node_range)
-    r = tuple(map(float, nodes))
-    _check_nodes(r)
-    best = RadialMeasure(r, _start_weights(r))
+    nodes = tuple(map(float, nodes))
+    _check_nodes(nodes)
+    r = _unit(nodes)  # the kernel runs on r, and every measure keeps the caller's nodes
+    best = RadialMeasure(nodes, _start_weights(r))
     theta = radial_ratio(best)
     history = [] if history is None else history
     history.append(theta)
@@ -466,7 +471,7 @@ def minimize_radial_ratio(
         else:
             raise IterationLimitError("active-set cap reached", best=(best, theta))
         total = math.fsum(v)
-        found = RadialMeasure(r, [x / total for x in v])
+        found = RadialMeasure(nodes, [x / total for x in v])
         theta_new = radial_ratio(found)
         done = theta - theta_new < _DINKELBACH_TOLERANCE
         if theta_new < theta or (done and theta_new <= theta + 1e-15
@@ -482,7 +487,7 @@ def kkt_residual(measure: RadialMeasure) -> float:
     """KKT defect of the ratio theta at the measure: with g = 2Qw - theta r, the larger of
     g's spread on the support and its largest drop off the support below its mean there,
     over the largest node (so dilation leaves it unchanged)."""
-    r, w = measure
+    r, w = _unit(measure.nodes), measure.weights
     g = _gradient(r, w, radial_ratio(measure))
     on = [gi for gi, wi in zip(g, w) if wi > 0]
     off = min((gi for gi, wi in zip(g, w) if not wi > 0), default=math.inf)

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import time
 
@@ -211,7 +212,7 @@ def test_radial_measure_is_an_immutable_named_tuple_checked_on_every_copy():
         measure.extra = 1.0
     moved = measure._replace(nodes=[2.0, 3.0])
     assert isinstance(moved, RadialMeasure) and moved.nodes == (2.0, 3.0)
-    with pytest.raises(DomainError, match="nodes must be strictly increasing and positive"):
+    with pytest.raises(DomainError, match="node grid must be positive, strictly increasing"):
         measure._replace(nodes=[2.0, 1.0])
     with pytest.raises(DomainError, match="weights must sum to 1 within 1e-12"):
         measure._replace(weights=[0.5, 0.6])
@@ -234,7 +235,7 @@ def test_beta_settings_are_checked_on_every_copy():
         settings.node_count = 0
     with pytest.raises(DomainError, match="node count must lie in"):
         settings._replace(node_count=0)
-    with pytest.raises(DomainError, match="node range 2:1 needs"):
+    with pytest.raises(DomainError, match="node grid must be positive, strictly increasing"):
         BetaSettings(node_range=(2.0, 1.0))
     with pytest.raises(DomainError, match="tolerance must be positive"):
         settings._replace(g_tolerance=math.nan)
@@ -303,10 +304,12 @@ def test_default_nodes_rejects_counts_above_the_cap():
         default_nodes(10**8)
 
 
-@pytest.mark.parametrize("node_range", [(1e100, 1e160), (1e-200, 1e-100), (1.0, 1.3e154),
+# rejected for their span or order, not their squares: the kernel runs on the nodes scaled
+# near 1, so 1e100:1e160 and 1e-200:1e-100 run (test_cli, and the seeded sweep below)
+@pytest.mark.parametrize("node_range", [(1e100, 1e201), (1e-200, 1e-99), (1.0, 1.3e154),
                                         (1e-170, 1.0), (0.0, 1.0), (2.0, 1.0)])
 def test_default_nodes_rejects_ranges_whose_squares_leave_the_floats(node_range):
-    with pytest.raises(DomainError, match="node range"):
+    with pytest.raises(DomainError, match="^node grid must be positive, strictly increasing"):
         default_nodes(10, node_range)
 
 
@@ -354,8 +357,8 @@ def test_default_nodes_rejects_spans_above_1e100():
 
     assert MAX_NODE_SPAN == 1e100
     assert default_nodes(3, (1e-50, 1e50))[-1] == 1e50  # hi/lo = 1e100 is admitted
-    for node_range in [(1.0, 1.0000001e100), (1e-150, 1e150), (1e-160, 1e150)]:
-        with pytest.raises(DomainError, match="spans more than"):
+    for node_range in [(1.0, 1.0000001e100), (1e-150, 1e150), (1e-160, 1e150), (1.0, math.inf)]:
+        with pytest.raises(DomainError, match=re.escape("hi/lo <= 1e+100")):
             default_nodes(10, node_range)
 
 
@@ -412,6 +415,13 @@ def test_dinkelbach_iteration_limit_carries_best(monkeypatch):
     measure, value = info.value.best
     assert isinstance(measure, RadialMeasure)
     assert 0.8 < value < 1.1
+    # on 10:20 the solve runs on the nodes times 2^-4, and the payload keeps the caller's
+    nodes = default_nodes(20, (10.0, 20.0))
+    assert beta._unit(nodes) != nodes
+    with pytest.raises(IterationLimitError) as info:
+        minimize_radial_ratio(nodes)
+    measure, value = info.value.best
+    assert measure.nodes == nodes and value == radial_ratio(measure)
 
     # a g above both upper candidates (each below 0.871) is a bracket that cannot hold
     monkeypatch.undo()
@@ -665,7 +675,7 @@ def test_a_narrow_range_starts_on_every_node_and_a_coarse_grid_starts_uniform():
 @pytest.mark.parametrize("count, node_range, dilated", [
     (50, (1.0, 1e100), (1e-50, 1e50)), (200, (1.0, 2.0), (10.0, 20.0)), (200, (1.0, 5.0), (0.2, 1.0)),
     (200, (0.05, 20.0), (1.0, 400.0)), (200, (1.0, 1.001), (1000.0, 1001.0)),
-    (100, (1.0, 8.0), (0.125, 1.0)),
+    (100, (1.0, 8.0), (0.125, 1.0)), (200, (0.05, 20.0), (0.05 * 2.0**1000, 20.0 * 2.0**1000)),
 ])
 def test_the_radial_minimum_depends_only_on_hi_over_lo(count, node_range, dilated):
     _, value = minimize_radial_ratio(default_nodes(count, node_range))
@@ -679,9 +689,27 @@ def test_the_radial_minimum_depends_only_on_hi_over_lo(count, node_range, dilate
 ])
 def test_bad_nodes_are_a_one_line_domain_error_before_the_start(monkeypatch, nodes):
     monkeypatch.setattr(beta, "_start_weights", lambda r: pytest.fail("the start was computed"))
-    with pytest.raises(DomainError, match="^nodes must be strictly increasing and positive") as error:
+    with pytest.raises(DomainError, match="^node grid must be positive, strictly increasing") as error:
         minimize_radial_ratio(nodes)
     assert "\n" not in str(error.value)
     if nodes:
-        with pytest.raises(DomainError, match="^nodes must be strictly increasing and positive"):
+        with pytest.raises(DomainError, match="^node grid must be positive, strictly increasing"):
             RadialMeasure(nodes, [1.0 / len(nodes)] * len(nodes))
+
+
+def test_a_seeded_sweep_of_ranges_runs_and_is_bit_identical_under_power_of_two_dilation():
+    # lo from 1e-300 to 1e300, hi/lo up to 1e100 (with hi finite), 2-300 nodes; each grid is
+    # then carried by 2^j to ends near 2^1000 or 2^-1000, where its squares leave the floats
+    rng = random.Random(15)
+    for _ in range(40):
+        lo = 10.0 ** rng.uniform(-300.0, 300.0)
+        hi = lo * 10.0 ** rng.uniform(0.001, min(100.0, math.log10(1.7e308 / lo)))
+        count = rng.randint(2, 300)
+        nodes = default_nodes(count, (lo, hi))
+        measure, value = minimize_radial_ratio(nodes)
+        assert math.isfinite(value) and measure.nodes == nodes
+        j = 1000 - math.frexp(hi)[1] if lo * hi >= 1.0 else -1000 - math.frexp(lo)[1]
+        dilated = default_nodes(count, (math.ldexp(lo, j), math.ldexp(hi, j)))
+        assert dilated == tuple(math.ldexp(x, j) for x in nodes)
+        moved, again = minimize_radial_ratio(dilated)
+        assert (again, moved.weights) == (value, measure.weights), (count, lo, hi)

@@ -2,6 +2,7 @@
 record gets them from ``errors.Checked``."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -21,9 +22,12 @@ SOURCE = Path(__file__).resolve().parents[1] / "src" / "ionbound"
 RECORDS = [
     (BoundInputs(), "B", -1.0, "B must be non-negative", 3.0),
     (OptimizerSettings(), "seed", -1, "seed must be non-negative", 5),
+    (OptimizerSettings(), "ratio_tolerance", math.nan, "ratio_tolerance must be positive", 1e-8),
     (BetaSettings(), "node_count", 0, "node count must lie in [1, 5000], got 0", 50),
     (RadialMeasure([1.0, 2.0], [0.5, 0.5]), "weights", [0.5, 0.6],
      "weights must sum to 1 within 1e-12", [0.25, 0.75]),
+    (RadialMeasure([1.0, 2.0], [0.5, 0.5]), "weights", [math.nan, 1.0],
+     "weights must be non-negative", [0.25, 0.75]),
     (LemmaGrid(), "z_points", 0, "grid counts must be >= 1", 40),
     (ParticleConfiguration([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), "points",
      [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "minimum pair distance 0 below coincidence threshold",
@@ -32,7 +36,8 @@ RECORDS = [
 
 
 @pytest.mark.parametrize("record, field, bad, message, good", RECORDS,
-                         ids=[type(case[0]).__name__ for case in RECORDS])
+                         ids=[type(case[0]).__name__ + "-nan" * ("nan" in repr(case[2]))
+                              for case in RECORDS])
 def test_every_route_to_a_record_checks_it(record, field, bad, message, good):
     cls = type(record)
     fields = record._asdict()

@@ -588,8 +588,8 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, args):
 
 @pytest.mark.parametrize(
     "args",
-    [["beta", "--nodes", "100000000"], ["beta", "--range", "1e100:1e160"],
-     ["beta", "--range", "1e-200:1e-100"], ["beta", "--range", "1e-150:1e150", "--nodes", "50"],
+    [["beta", "--nodes", "100000000"], ["beta", "--range", "0:1"], ["beta", "--range", "2:1"],
+     ["beta", "--range", "1e-150:1e150", "--nodes", "50"],
      ["report", "--n", "2:2", "--restarts", "1", "--nodes", "100000000"],
      ["beta", "--range", "1:1.0000000000000002", "--nodes", "3"],
      ["beta", "--range", "1:1.0000000000000004", "--nodes", "4"],
@@ -612,7 +612,14 @@ def test_out_of_domain_beta_nodes_are_a_one_line_domain_error(tmp_path, capsys, 
 @pytest.mark.parametrize("flags", [
     pytest.param("--range 1:1e100 --nodes 50", id="1:1e100"),
     pytest.param("--range 1e-50:1e50 --nodes 50", id="1e-50:1e50"),
-    pytest.param("--nodes 1", id="one-node"),  # the grid is the one node sqrt(lo hi)
+    pytest.param("--nodes 1", id="one-node"),  # the grid is the one node sqrt(lo) sqrt(hi)
+    # ranges whose squares leave the floats: the kernel runs on the nodes scaled near 1
+    pytest.param("--range 1e100:1e160", id="1e100:1e160"),
+    pytest.param("--range 1e-200:1e-100", id="1e-200:1e-100"),
+    pytest.param("--range 1e120:1e150", id="1e120:1e150"),
+    pytest.param("--range 1e50:1e110 --nodes 10", id="1e50:1e110-nodes-10"),
+    pytest.param("--range 1e-300:1e-200 --nodes 5000", id="1e-300:1e-200-nodes-5000"),
+    pytest.param("--range 1e-300:1e-250 --nodes 1", id="1e-300:1e-250-one-node"),
 ])
 def test_beta_at_the_widest_node_span_runs_without_warnings(tmp_path, flags):
     out = tmp_path / "beta.json"

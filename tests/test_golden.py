@@ -13,7 +13,8 @@ and its seeded starts moved to Python floats (``ionbound.alpha.v2``), and every
 ``beta`` digest when the radial solve and its node grid did (``ionbound.beta.v3``) and
 again when the radial solve started from the continuum optimum (``ionbound.beta.v4``).
 When every node range took that start (``ionbound.beta.v5``), the ``beta`` CSV digests
-were re-pinned for the schema line alone, and the narrow and coarse grids were added.
+were re-pinned for the schema line alone, and the narrow and coarse grids were added; the
+grid far from scale 1 was added when the kernel started running on nodes scaled near 1.
 Any later drift in these bytes fails here instead of in a manual diff.
 """
 
@@ -102,6 +103,8 @@ STAGE_CSV_SHA256 = {
     # a range narrower than R0, and a grid too coarse for any node to start with weight
     "beta --nodes 200 --range 10:20": "c2c826377e56783ff6220299c72969914a2941fad4488484972f9b52555f35ae",
     "beta --nodes 50 --range 1:1e100": "999c1553865d5e4f5e64b6fbae2f4964d612ce632ed70b4a0250f73d9a7a5c53",
+    # a grid whose squares leave the floats, solved on its nodes times 2^-449
+    "beta --nodes 10 --range 1e120:1e150": "cbf0c5686f0607dad21c9ab94f687c79886a287fed160f79e6520fc4fac96a8e",
 }
 
 # json.dumps(payload["results"], indent=2) of `beta` at its defaults, the benchmark's
